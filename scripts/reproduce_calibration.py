@@ -1,26 +1,21 @@
 """Recover the noise-model coefficients from a simulated power sweep.
 
-Runs the ten-point variance-vs-power sweep (direct and attenuated at each
-power), fits sigma^2 = ac*P^2 + aq*P + f, and prints the recovered
-coefficients next to the injected ones, plus the QCNR curve from both
-measurement methods.
+Runs the variance-vs-power sweep of ``configs/pipeline.json`` (direct and
+attenuated at each power), fits sigma^2 = ac*P^2 + aq*P + f, and prints the
+recovered coefficients next to the ones the config injects, plus the QCNR
+curve from both measurement methods.
 
 Usage: python3 scripts/reproduce_calibration.py [--seed N] [--samples N]
 """
 
 import argparse
+import pathlib
+from dataclasses import replace
 
-import numpy as np
+from phaseqrng import calib, runs
+from phaseqrng.model import variance_coefficients
 
-from phaseqrng import calib, cli
-from phaseqrng.model import LaserNoiseModel, SignalChainConfig
-from phaseqrng.sim import SimulationRun
-
-AC = 22.519       # V^2/W^2, classical
-AQ = 0.03784      # V^2/W, quantum
-F = 1.3732e-6     # V^2, electronic
-GAIN = 9.5e6      # sqrt(A)*P conversion gain
-TD = 540e-12      # interferometer delay, s
+CONFIG = pathlib.Path(__file__).resolve().parent.parent / "configs" / "pipeline.json"
 
 
 def main() -> None:
@@ -30,41 +25,25 @@ def main() -> None:
                         help="samples per sweep point")
     args = parser.parse_args()
 
-    model = LaserNoiseModel(
-        quantum_diffusion_q=AQ / (GAIN * TD),
-        classical_diffusion_c=AC / (GAIN * TD),
-        power_p=2.47e-4,
-    )
-    chain = SignalChainConfig(
-        delay_td=TD,
-        conversion_gain_a=GAIN,
-        electronic_noise_f=F,
-        tia_cutoff_hz=500e6,
-        adc_bits=8,
-        adc_range_sigmas=5.0,
-        sample_rate_hz=500e6,
-    )
-    run = SimulationRun(model=model, chain=chain, duration=4e-5, seed=args.seed)
-    powers = np.geomspace(1e-5, 1e-3, 10).tolist()
-
-    print(f"sweeping {len(powers)} powers, {args.samples} samples each, "
+    cfg = runs.load_config(CONFIG, seed=args.seed)
+    cfg = replace(cfg, sweep=replace(cfg.sweep, samples_per_point=args.samples))
+    print(f"sweeping {len(cfg.sweep.powers)} powers, {args.samples} samples each, "
           f"seed {args.seed} ...")
-    points, att_variances = cli._run_power_sweep(run, powers, args.samples, 0.1)
-    fit = calib.fit_variance_vs_power(points)
+    result = runs.calibrate(cfg)
+    fit = result.fit
 
-    print()
-    print("coefficient   injected      recovered     rel. error")
-    for name, injected, recovered in (
-        ("ac", AC, fit.ac), ("aq", AQ, fit.aq), ("f ", F, fit.f),
-    ):
-        print(f"  {name}          {injected:<12.6g}  {recovered:<12.6g}  "
-              f"{abs(recovered - injected) / injected:.3%}")
+    print("\ncoefficient   injected      recovered     rel. error")
+    injected = variance_coefficients(cfg.run.model, cfg.run.chain)
+    recovered_all = (fit.ac, fit.aq, fit.f)
+    for name, want, recovered in zip(("ac", "aq", "f "), injected, recovered_all):
+        print(f"  {name}          {want:<12.6g}  {recovered:<12.6g}  "
+              f"{abs(recovered - want) / want:.3%}")
     print(f"  R^2 = {fit.r_squared:.6f}")
 
     p_star, q_max = calib.qcnr_optimal_power(fit)
     print(f"\nQCNR peak {q_max:.3f} at P = {p_star:.3e} W")
     print("\npower (W)     QCNR (fit)    QCNR (attenuation)")
-    for point, var_att in zip(points, att_variances):
+    for point, var_att in zip(result.points, result.attenuated_variances):
         q_fit = calib.qcnr_from_fit(fit, point.power)
         q_att = calib.qcnr_attenuation(point.variance, var_att)
         print(f"  {point.power:<11.3e} {q_fit:<13.3f} {q_att:.3f}")

@@ -1,55 +1,29 @@
 """Hour-long drift run with and without periodic recalibration.
 
-The interferometer quadrature point drifts at a constant rate; one run lets
-it wander freely while the other re-locks every two minutes.  Prints a
-14-row summary (one per 5 minutes) of variance and min-entropy for both.
+Runs the drift scenario of ``configs/stability.json``: the interferometer
+quadrature point drifts at a constant rate; one run lets it wander freely
+while the other re-locks every recalibration period.  Prints a summary row
+every 5 minutes of variance and min-entropy for both.
+
+Usage: python3 scripts/stability_experiment.py
 """
 
-import math
-from dataclasses import replace
+import pathlib
 
-from phaseqrng.model import LaserNoiseModel, SignalChainConfig
-from phaseqrng.sim import DriftScenario, SimulationRun, derive_seed, simulate_stability
+from phaseqrng import runs
 
-SEED = 777
-DRIFT_RATE = math.pi / 7200   # rad/s: a quarter fringe per half hour
-RECAL_PERIOD = 120.0          # s
-TOTAL = 3600.0                # s
-INTERVAL = 30.0               # s
-
-model = LaserNoiseModel(
-    quantum_diffusion_q=0.03784 / (9.5e6 * 540e-12),
-    classical_diffusion_c=22.519 / (9.5e6 * 540e-12),
-    power_p=2.47e-4,
-)
-chain = SignalChainConfig(
-    delay_td=540e-12,
-    conversion_gain_a=9.5e6,
-    electronic_noise_f=1.3732e-6,
-    tia_cutoff_hz=500e6,
-    adc_bits=8,
-    adc_range_sigmas=5.0,
-    sample_rate_hz=500e6,
-)
+CONFIG = pathlib.Path(__file__).resolve().parent.parent / "configs" / "stability.json"
 
 
 def main() -> None:
-    run = SimulationRun(model=model, chain=chain, duration=4e-5, seed=SEED)
-    free = simulate_stability(
-        replace(run, seed=derive_seed(SEED, 10)),
-        DriftScenario(phase_drift_rate=DRIFT_RATE),
-        TOTAL,
-        INTERVAL,
-    )
-    recal = simulate_stability(
-        replace(run, seed=derive_seed(SEED, 11)),
-        DriftScenario(phase_drift_rate=DRIFT_RATE, recalibration_period=RECAL_PERIOD),
-        TOTAL,
-        INTERVAL,
-    )
+    cfg = runs.load_config(CONFIG)
+    stab = cfg.stability
+    result = runs.stability(cfg)
+    free, recal = result.free, result.recalibrated
 
-    print(f"drift {DRIFT_RATE:.2e} rad/s, recalibration every {RECAL_PERIOD:.0f} s, "
-          f"{len(free)} report points over {TOTAL:.0f} s\n")
+    print(f"drift {stab.phase_drift_rate:.2e} rad/s, recalibration every "
+          f"{stab.recalibration_period:.0f} s, "
+          f"{len(free)} report points over {stab.total_time:.0f} s\n")
     print("t (s)    var free (V^2)  H free   var recal (V^2)  H recal")
     for a, b in zip(free, recal):
         if a.time % 300.0 != 0.0:

@@ -9,7 +9,8 @@ entropy  min-entropy of the quantised signal and extraction budget
 extract  Toeplitz-hashing randomness extractor
 stats    autocorrelation, Welch PSD, NIST SP800-22 subset
 io       bit-exact file formats for samples, bits and reports
-cli      command-line pipeline orchestration
+runs     config parsing and the calibrate/pipeline/stability runs
+cli      command line: argument parsing, rendering, exit codes
 """
 
 from .model import (

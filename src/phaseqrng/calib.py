@@ -26,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .io import write_csv
 from .model import VarianceFit
 
 __all__ = [
@@ -194,26 +195,20 @@ def find_quadrature(fringe: list[tuple[float, float]]) -> float:
 
 def write_sweep_csv(points: list[PowerSweepPoint], path) -> None:
     """Write sweep data with columns power_w, variance_v2, n_samples."""
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["power_w", "variance_v2", "n_samples"])
-        for p in points:
-            writer.writerow([repr(p.power), repr(p.variance), p.n_samples])
+    rows = ([repr(p.power), repr(p.variance), p.n_samples] for p in points)
+    write_csv(path, ["power_w", "variance_v2", "n_samples"], rows)
 
 
 def read_sweep_csv(path) -> list[PowerSweepPoint]:
-    points = []
     with open(path, newline="") as f:
-        reader = csv.DictReader(f)
-        for row in reader:
-            points.append(
-                PowerSweepPoint(
-                    power=float(row["power_w"]),
-                    variance=float(row["variance_v2"]),
-                    n_samples=int(row["n_samples"]),
-                )
+        return [
+            PowerSweepPoint(
+                power=float(row["power_w"]),
+                variance=float(row["variance_v2"]),
+                n_samples=int(row["n_samples"]),
             )
-    return points
+            for row in csv.DictReader(f)
+        ]
 
 
 def fit_report_text(fit: VarianceFit) -> str:

@@ -1,124 +1,34 @@
-"""Command-line pipeline orchestration.
-
-Subcommands:
+"""Command line: argument parsing, rendering of results and exit codes.
 
     simulate   run the signal-chain simulator, write a sample file
     calibrate  fringe scan + variance-vs-power sweep, write fit + QCNR CSV
     pipeline   simulate -> calibrate -> entropy -> extract -> validate
     stability  drifted long-term run with and without recalibration
 
-All commands take ``--config <json> --out <path>`` and an optional
-``--seed`` overriding the run seed from the config.  Exit codes: 0 success,
-1 configuration/validation failure, 2 statistical failure.
-
-The config is a single JSON file; sections mirror the library types (see
-``configs/`` for examples and a key-by-key reference).  Every random choice
-is seeded from the config, so reruns are byte-identical.
+Each takes ``--config <json> --out <path>`` and an optional ``--seed``
+overriding the run seed.  :func:`phaseqrng.runs.load_config` parses the whole
+config before any work starts, and the runs live in :mod:`phaseqrng.runs`.
+Exit codes: 0 success, 1 configuration/validation failure, 2 statistical
+failure.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import json
-import math
 import sys
-from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
-from . import calib, entropy, extract, io as qio, stats
-from .model import (
-    LaserNoiseModel,
-    SignalChainConfig,
-    attenuated_model,
-    predicted_variance,
-    quadrature_sensitivity,
-    variance_coefficients,
-)
-from .sim import (
-    DriftScenario,
-    SimulationRun,
-    derive_seed,
-    simulate,
-    simulate_fringe_scan,
-    simulate_stability,
-)
+from . import calib, entropy, io as qio, runs
+from .model import quadrature_sensitivity, variance_coefficients
+from .sim import simulate
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_STATISTICAL = 2
 
-# seed-derivation namespaces used by the orchestration layer (the simulator
-# itself uses 1-4 internally)
-_NS_SWEEP = 5
-_NS_SWEEP_ATT = 6
-_NS_PIPELINE = 7
-_NS_EXTRACTOR = 8
-_NS_STAB_FREE = 10
-_NS_STAB_RECAL = 11
 
-DEFAULT_SOURCE_POWER_W = 0.1
-
-
-class ConfigError(ValueError):
-    pass
-
-
-def _load_config(path: str) -> dict:
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config: {exc}") from exc
-    try:
-        cfg = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(
-            f"config parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
-        ) from exc
-    if not isinstance(cfg, dict):
-        raise ConfigError("config root must be a JSON object")
-    return cfg
-
-
-def _section(cfg: dict, name: str, required: bool = True) -> dict:
-    sec = cfg.get(name)
-    if sec is None:
-        if required:
-            raise ConfigError(f"config section '{name}' is missing")
-        return {}
-    if not isinstance(sec, dict):
-        raise ConfigError(f"config section '{name}' must be an object")
-    return sec
-
-
-def _build(section_name: str, factory, **kwargs):
-    try:
-        return factory(**kwargs)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"config section '{section_name}': {exc}") from exc
-
-
-def _build_run(cfg: dict, seed_override: int | None) -> SimulationRun:
-    model = _build("model", LaserNoiseModel, **_section(cfg, "model"))
-    chain = _build("chain", SignalChainConfig, **_section(cfg, "chain"))
-    run_sec = dict(_section(cfg, "run"))
-    if seed_override is not None:
-        run_sec["seed"] = seed_override
-    rf = run_sec.pop("rf_tones", None)
-    tones = tuple((float(f), float(a)) for f, a in rf) if rf else ()
-    return _build(
-        "run", SimulationRun, model=model, chain=chain, rf_tones=tones, **run_sec
-    )
-
-
-# ---------------------------------------------------------------------------
-# simulate
-# ---------------------------------------------------------------------------
-
-def cmd_simulate(cfg: dict, out: str, seed_override: int | None) -> int:
-    run = _build_run(cfg, seed_override)
+def cmd_simulate(cfg: runs.Config, out: str) -> int:
+    run = cfg.run
     block = simulate(run)
     n_bytes = qio.write_samples(block, out)
 
@@ -134,96 +44,23 @@ def cmd_simulate(cfg: dict, out: str, seed_override: int | None) -> int:
     return EXIT_OK
 
 
-# ---------------------------------------------------------------------------
-# calibrate
-# ---------------------------------------------------------------------------
-
-def _sweep_settings(cfg: dict) -> tuple[list[float], int, float]:
-    sweep = _section(cfg, "sweep")
-    powers = sweep.get("powers")
-    if powers is None:
-        powers = np.geomspace(1e-5, 1e-3, 10).tolist()
-    powers = sorted(float(p) for p in powers)
-    if len(powers) < 4:
-        raise ConfigError("config section 'sweep': need at least 4 powers")
-    n_per_point = int(sweep.get("samples_per_point", 1_000_000))
-    source_power = float(sweep.get("source_power", DEFAULT_SOURCE_POWER_W))
-    return powers, n_per_point, source_power
-
-
-def _run_power_sweep(
-    run: SimulationRun, powers: list[float], n_per_point: int, source_power: float
-) -> tuple[list[calib.PowerSweepPoint], list[float]]:
-    """Measure the variance at each power, directly and via attenuation.
-
-    Returns the direct sweep points and the attenuated variances (same
-    detected powers, quantum noise suppressed by running the source bright
-    and attenuating down).
-    """
-    duration = n_per_point / run.chain.sample_rate_hz
-    points: list[calib.PowerSweepPoint] = []
-    att_variances: list[float] = []
-    for i, power in enumerate(powers):
-        direct = replace(
-            run,
-            model=replace(run.model, power_p=power),
-            duration=duration,
-            seed=derive_seed(run.seed, _NS_SWEEP, i),
-        )
-        block = simulate(direct)
-        points.append(
-            calib.PowerSweepPoint(
-                power=power, variance=block.variance_volts(), n_samples=len(block)
-            )
-        )
-        att = replace(
-            run,
-            model=attenuated_model(
-                replace(run.model, power_p=source_power), power
-            ),
-            duration=duration,
-            seed=derive_seed(run.seed, _NS_SWEEP_ATT, i),
-        )
-        att_block = simulate(att)
-        att_variances.append(att_block.variance_volts())
-    return points, att_variances
-
-
-def cmd_calibrate(cfg: dict, out: str, seed_override: int | None) -> int:
-    run = _build_run(cfg, seed_override)
-    powers, n_per_point, source_power = _sweep_settings(cfg)
-
-    fringe_sec = _section(cfg, "fringe", required=False)
-    if fringe_sec:
-        n_points = int(fringe_sec.get("n_points", 17))
-        n_fringe = int(fringe_sec.get("samples_per_point", 200_000))
-        phis = np.linspace(0.0, math.pi, n_points).tolist()
-        fringe_run = replace(run, duration=n_fringe / run.chain.sample_rate_hz)
-        fringe = simulate_fringe_scan(fringe_run, phis)
-        quad_phi = calib.find_quadrature(fringe)
-        print(f"quadrature phase     : {quad_phi:.4f} rad")
-        run = replace(
-            run, chain=replace(run.chain, quadrature_offset=quad_phi - math.pi / 2.0)
-        )
-
-    points, att_variances = _run_power_sweep(run, powers, n_per_point, source_power)
-    fit = calib.fit_variance_vs_power(points)
+def cmd_calibrate(cfg: runs.Config, out: str) -> int:
+    result = runs.calibrate(cfg)
+    fit = result.fit
+    if result.quadrature_phase is not None:
+        print(f"quadrature phase     : {result.quadrature_phase:.4f} rad")
 
     Path(out).write_text(calib.fit_report_text(fit))
     sweep_csv = out + ".sweep.csv"
-    calib.write_sweep_csv(points, sweep_csv)
+    calib.write_sweep_csv(result.points, sweep_csv)
     qcnr_csv = out + ".qcnr.csv"
-    with open(qcnr_csv, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["power_w", "qcnr_fit", "qcnr_attenuation"])
-        for point, var_att in zip(points, att_variances):
-            writer.writerow(
-                [
-                    repr(point.power),
-                    repr(calib.qcnr_from_fit(fit, point.power)),
-                    repr(calib.qcnr_attenuation(point.variance, var_att)),
-                ]
-            )
+    qio.write_csv(
+        qcnr_csv,
+        ["power_w", "qcnr_fit", "qcnr_attenuation"],
+        ([repr(point.power), repr(calib.qcnr_from_fit(fit, point.power)),
+          repr(calib.qcnr_attenuation(point.variance, var_att))]
+         for point, var_att in zip(result.points, result.attenuated_variances)),
+    )
 
     p_star, q_max = calib.qcnr_optimal_power(fit)
     print(f"fit: ac = {fit.ac:.4f} V^2/W^2, aq = {fit.aq:.6f} V^2/W, "
@@ -233,132 +70,58 @@ def cmd_calibrate(cfg: dict, out: str, seed_override: int | None) -> int:
     return EXIT_OK
 
 
-# ---------------------------------------------------------------------------
-# pipeline
-# ---------------------------------------------------------------------------
-
-def cmd_pipeline(cfg: dict, out: str, seed_override: int | None) -> int:
-    run = _build_run(cfg, seed_override)
-    powers, n_per_point, source_power = _sweep_settings(cfg)
-    ent_sec = _section(cfg, "entropy", required=False)
-    pipe_sec = _section(cfg, "pipeline")
-
-    if "n_output_bits" not in pipe_sec:
-        raise ConfigError("config section 'pipeline': n_output_bits is required")
-    n_output_bits = int(pipe_sec["n_output_bits"])
-    n_sequences = int(pipe_sec.get("n_sequences", 100))
-    seq_len_bits = int(pipe_sec.get("seq_len_bits", 100_000))
-
-    n_in = int(ent_sec.get("n_in", entropy.DEFAULT_EXTRACTOR_N_IN))
-    eps_log2 = float(ent_sec.get("security_eps_log2", -50))
-    security_eps = 2.0**eps_log2
-    override = ent_sec.get("min_entropy_override")
-    forced_ratio = ent_sec.get("extraction_ratio")
-
-    # calibration sweep
-    points, att_variances = _run_power_sweep(run, powers, n_per_point, source_power)
-    fit = calib.fit_variance_vs_power(points)
-    p_op = run.model.power_p
-    qcnr = calib.qcnr_from_fit(fit, p_op)
+def cmd_pipeline(cfg: runs.Config, out: str) -> int:
+    result = runs.pipeline(cfg)
+    fit, report, chain = result.fit, result.entropy, cfg.run.chain
+    rate = entropy.generation_rate(report.min_entropy_bits, chain.sample_rate_hz)
     print(f"calibration          : ac={fit.ac:.4f} aq={fit.aq:.6f} "
           f"f={fit.f:.4e} R^2={fit.r_squared:.6f}")
-    print(f"QCNR at {p_op:.3e} W : {qcnr:.3f}")
-
-    # sizing from the predicted variance, then the real run
-    provisional = entropy.entropy_report(
-        predicted_variance(fit, p_op),
-        qcnr,
-        adc_bits=run.chain.adc_bits,
-        range_sigmas=run.chain.adc_range_sigmas,
-        security_eps=security_eps,
-        n_in=n_in,
-        min_entropy_override=override,
-    )
-    n_out_est = max(1, math.floor(provisional.extraction_ratio * n_in))
-    blocks_needed = math.ceil(n_output_bits / n_out_est) + 1
-    samples_needed = math.ceil(blocks_needed * n_in / run.chain.adc_bits)
-    duration = samples_needed / run.chain.sample_rate_hz
-
-    main_run = replace(run, duration=duration, seed=derive_seed(run.seed, _NS_PIPELINE))
-    block = simulate(main_run)
-    report = entropy.entropy_report(
-        block.variance_volts(),
-        qcnr,
-        adc_bits=run.chain.adc_bits,
-        range_sigmas=run.chain.adc_range_sigmas,
-        security_eps=security_eps,
-        n_in=n_in,
-        min_entropy_override=override,
-    )
+    print(f"QCNR at {cfg.run.model.power_p:.3e} W : {result.qcnr:.3f}")
     print(f"min-entropy          : {report.min_entropy_bits:.3f} bits/sample")
     print(f"extraction ratio     : {report.extraction_ratio:.4f}")
-    print(f"generation rate      : "
-          f"{entropy.generation_rate(report.min_entropy_bits, run.chain.sample_rate_hz):.3e} bit/s")
+    print(f"generation rate      : {rate:.3e} bit/s")
 
-    if forced_ratio is not None and forced_ratio > report.extraction_ratio:
-        raise ConfigError(
-            "extraction exceeds entropy budget: configured ratio "
-            f"{forced_ratio} > budget {report.extraction_ratio:.4f}"
-        )
-    ratio = float(forced_ratio) if forced_ratio is not None else report.extraction_ratio
-    n_out = max(1, math.floor(ratio * n_in))
-
-    ext_seed_val = int(pipe_sec.get("extractor_seed", derive_seed(run.seed, _NS_EXTRACTOR)))
-    toeplitz = extract.ToeplitzSeed.generate(n_in, n_out, ext_seed_val)
-    bits = extract.extract_stream(block, report, toeplitz)
-    qio.write_bits(bits, out)
-    print(f"extracted bits       : {bits.count} -> {out}")
-
-    # raw-sample autocorrelation (diagnostic; large when oversampled)
-    raw_r = stats.autocorrelation(block.volts()[: min(len(block), 1_000_000)], 100)
-    print(f"raw lag-1 autocorr   : {raw_r[1]:+.4f}")
-
-    bit_arr = bits.as_bit_array()
-    ext_r = stats.autocorrelation(
-        bit_arr[: min(bits.count, 1_000_000)].astype(np.float64), 100
+    qio.write_bits(result.bits, out)
+    print(f"extracted bits       : {result.bits.count} -> {out}")
+    print(f"raw lag-1 autocorr   : {result.raw_autocorr[1]:+.4f}")
+    qio.write_csv(
+        out + ".autocorr.csv",
+        ["lag", "r_raw", "r_extracted"],
+        ([lag, repr(float(r_raw)), repr(float(r_ext))] for lag, (r_raw, r_ext)
+         in enumerate(zip(result.raw_autocorr, result.bits_autocorr))),
     )
-    with open(out + ".autocorr.csv", "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["lag", "r_raw", "r_extracted"])
-        for lag in range(101):
-            writer.writerow([lag, repr(float(raw_r[lag])), repr(float(ext_r[lag]))])
 
-    reports = stats.nist_subset(bits, n_sequences, seq_len_bits)
-    lo, hi = stats.pass_rate_band(n_sequences)
-    failed = [r for r in reports if r.pass_rate < lo]
-    with open(out + ".nist.csv", "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["test", "pass_rate", "uniformity_pvalue"])
-        for r in reports:
-            writer.writerow([r.test_name, repr(r.pass_rate), repr(r.uniformity_pvalue)])
-    print(f"pass-rate band       : [{lo:.4f}, {hi:.4f}] over {n_sequences} sequences")
-    for r in reports:
+    lo, hi = result.pass_band
+    battery = result.battery
+    qio.write_csv(
+        out + ".nist.csv",
+        ["test", "pass_rate", "uniformity_pvalue"],
+        ([r.test_name, repr(r.pass_rate), repr(r.uniformity_pvalue)] for r in battery),
+    )
+    print(f"pass-rate band       : [{lo:.4f}, {hi:.4f}] over "
+          f"{cfg.pipeline.n_sequences} sequences")
+    for r in battery:
         mark = "ok" if r.pass_rate >= lo else "FAIL"
         print(f"  {r.test_name:<26} pass_rate={r.pass_rate:.4f} "
               f"uniformity_p={r.uniformity_pvalue:.4f} [{mark}]")
 
-    combined = {
-        "fit": {"ac": fit.ac, "aq": fit.aq, "f": fit.f, "r_squared": fit.r_squared},
-        "qcnr": qcnr,
-        "entropy": {
-            "sigma_sq_total": report.sigma_sq_total,
-            "sigma_sq_quantum": report.sigma_sq_quantum,
-            "min_entropy_bits": report.min_entropy_bits,
-            "extraction_ratio": report.extraction_ratio,
+    qio.write_report(
+        {
+            "fit": {"ac": fit.ac, "aq": fit.aq, "f": fit.f, "r_squared": fit.r_squared},
+            "qcnr": result.qcnr,
+            "entropy": {k: getattr(report, k) for k in (
+                "sigma_sq_total", "sigma_sq_quantum", "min_entropy_bits",
+                "extraction_ratio")},
+            "extractor": {"n_in": cfg.entropy.n_in, "n_out": result.n_out,
+                          "seed_rng": result.extractor_seed},
+            "nist": [{"test": r.test_name, "pass_rate": r.pass_rate,
+                      "uniformity_pvalue": r.uniformity_pvalue} for r in battery],
+            "pass_rate_band": [lo, hi],
         },
-        "extractor": {"n_in": n_in, "n_out": n_out, "seed_rng": ext_seed_val},
-        "nist": [
-            {
-                "test": r.test_name,
-                "pass_rate": r.pass_rate,
-                "uniformity_pvalue": r.uniformity_pvalue,
-            }
-            for r in reports
-        ],
-        "pass_rate_band": [lo, hi],
-    }
-    qio.write_report(combined, out + ".report")
+        out + ".report",
+    )
 
+    failed = [r for r in battery if r.pass_rate < lo]
     if failed:
         names = ", ".join(r.test_name for r in failed)
         print(f"statistical failure  : pass rate below band for {names}",
@@ -367,73 +130,22 @@ def cmd_pipeline(cfg: dict, out: str, seed_override: int | None) -> int:
     return EXIT_OK
 
 
-# ---------------------------------------------------------------------------
-# stability
-# ---------------------------------------------------------------------------
-
-def _power_drift_from_config(spec) -> object:
-    if spec is None:
-        return None
-    if not isinstance(spec, dict) or spec.get("type") != "sine":
-        raise ConfigError(
-            "config section 'stability': power_drift must be null or "
-            '{"type": "sine", "relative_amplitude": a, "period_s": T}'
-        )
-    amp = float(spec["relative_amplitude"])
-    period = float(spec["period_s"])
-    if period <= 0:
-        raise ConfigError("config section 'stability': period_s must be > 0")
-    return lambda t: 1.0 + amp * math.sin(2.0 * math.pi * t / period)
-
-
-def cmd_stability(cfg: dict, out: str, seed_override: int | None) -> int:
-    run = _build_run(cfg, seed_override)
-    stab = _section(cfg, "stability")
-    drift_rate = float(stab.get("phase_drift_rate", 0.0))
-    recal_period = stab.get("recalibration_period", 120.0)
-    total_time = float(stab.get("total_time", 3600.0))
-    report_interval = float(stab.get("report_interval", 30.0))
-    power_drift = _power_drift_from_config(stab.get("power_drift"))
-
-    base = DriftScenario(phase_drift_rate=drift_rate, power_drift=power_drift)
-    free_run = replace(run, seed=derive_seed(run.seed, _NS_STAB_FREE))
-    pts_free = simulate_stability(free_run, base, total_time, report_interval)
-
-    recal_scenario = replace(
-        base, recalibration_period=float(recal_period) if recal_period else 120.0
+def cmd_stability(cfg: runs.Config, out: str) -> int:
+    result = runs.stability(cfg)
+    qio.write_csv(
+        out,
+        ["time_s", "variance_norecal_v2", "min_entropy_norecal_bits",
+         "phi2_norecal_rad", "variance_recal_v2", "min_entropy_recal_bits",
+         "phi2_recal_rad"],
+        ([repr(v) for v in (a.time, a.variance, a.min_entropy, a.applied_phi2,
+                            b.variance, b.min_entropy, b.applied_phi2)]
+         for a, b in zip(result.free, result.recalibrated)),
     )
-    recal_run = replace(run, seed=derive_seed(run.seed, _NS_STAB_RECAL))
-    pts_recal = simulate_stability(recal_run, recal_scenario, total_time, report_interval)
 
-    with open(out, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(
-            [
-                "time_s",
-                "variance_norecal_v2",
-                "min_entropy_norecal_bits",
-                "phi2_norecal_rad",
-                "variance_recal_v2",
-                "min_entropy_recal_bits",
-                "phi2_recal_rad",
-            ]
-        )
-        for a, b in zip(pts_free, pts_recal):
-            writer.writerow(
-                [
-                    repr(a.time),
-                    repr(a.variance),
-                    repr(a.min_entropy),
-                    repr(a.applied_phi2),
-                    repr(b.variance),
-                    repr(b.min_entropy),
-                    repr(b.applied_phi2),
-                ]
-            )
-
-    h_recal = [p.min_entropy for p in pts_recal]
-    h_free = [p.min_entropy for p in pts_free]
-    print(f"report points        : {len(pts_recal)} over {total_time:.0f} s")
+    h_recal = [p.min_entropy for p in result.recalibrated]
+    h_free = [p.min_entropy for p in result.free]
+    print(f"report points        : {len(h_recal)} over "
+          f"{cfg.stability.total_time:.0f} s")
     print(f"entropy w/ recal     : min {min(h_recal):.3f}, max {max(h_recal):.3f} "
           f"(range {max(h_recal) - min(h_recal):.3f} bits)")
     print(f"entropy w/o recal    : min {min(h_free):.3f}, max {max(h_free):.3f}")
@@ -441,16 +153,8 @@ def cmd_stability(cfg: dict, out: str, seed_override: int | None) -> int:
     return EXIT_OK
 
 
-# ---------------------------------------------------------------------------
-# entry point
-# ---------------------------------------------------------------------------
-
-_COMMANDS = {
-    "simulate": cmd_simulate,
-    "calibrate": cmd_calibrate,
-    "pipeline": cmd_pipeline,
-    "stability": cmd_stability,
-}
+_COMMANDS = {"simulate": cmd_simulate, "calibrate": cmd_calibrate,
+             "pipeline": cmd_pipeline, "stability": cmd_stability}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -468,9 +172,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        cfg = _load_config(args.config)
-        return _COMMANDS[args.command](cfg, args.out, args.seed)
-    except (ConfigError, ValueError) as exc:
+        cfg = runs.load_config(args.config, args.seed)
+        return _COMMANDS[args.command](cfg, args.out)
+    except ValueError as exc:  # runs.ConfigError and library validation
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

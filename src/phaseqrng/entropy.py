@@ -29,6 +29,7 @@ __all__ = [
     "quantum_variance",
     "gaussian_bin_probabilities",
     "min_entropy_gaussian",
+    "min_entropy_quantum",
     "extraction_ratio",
     "generation_rate",
     "entropy_report",
@@ -78,6 +79,15 @@ def min_entropy_gaussian(
     return float(-np.log2(probs.max()))
 
 
+def min_entropy_quantum(
+    sigma_sq_total: float, qcnr: float, adc_bits: int, range_sigmas: float
+) -> float:
+    """Min-entropy (bits/sample) of the quantum share; ADC range from the total."""
+    sigma_sq_q = quantum_variance(sigma_sq_total, qcnr)
+    v_half = range_sigmas * math.sqrt(sigma_sq_total)
+    return min_entropy_gaussian(math.sqrt(sigma_sq_q), (-v_half, v_half), adc_bits)
+
+
 def extraction_ratio(
     h_min: float,
     sample_bits: int,
@@ -125,18 +135,14 @@ def entropy_report(
 ) -> EntropyReport:
     """Assemble the full entropy accounting for one operating point.
 
-    The binning distribution uses the quantum std only, while the ADC range
-    is set from the total std (the range the digitiser actually sees).
-    ``min_entropy_override`` substitutes an externally supplied estimate of
-    H_inf (it must not exceed the recomputed value) for deriving the
-    extraction budget; the recomputation is otherwise authoritative.
+    H_inf comes from :func:`min_entropy_quantum`.  ``min_entropy_override``
+    substitutes an externally supplied estimate of H_inf (it must not exceed
+    the recomputed value) for deriving the extraction budget; the
+    recomputation is otherwise authoritative.
     """
     if sigma_sq_total <= 0:
         raise ValueError("sigma_sq_total must be > 0")
-    sigma_sq_q = quantum_variance(sigma_sq_total, qcnr)
-    sigma_total = math.sqrt(sigma_sq_total)
-    v_half = range_sigmas * sigma_total
-    h_min = min_entropy_gaussian(math.sqrt(sigma_sq_q), (-v_half, v_half), adc_bits)
+    h_min = min_entropy_quantum(sigma_sq_total, qcnr, adc_bits, range_sigmas)
     if min_entropy_override is not None:
         if min_entropy_override > h_min + 1e-9:
             raise ValueError(
@@ -150,7 +156,7 @@ def entropy_report(
     return EntropyReport(
         qcnr=qcnr,
         sigma_sq_total=sigma_sq_total,
-        sigma_sq_quantum=sigma_sq_q,
+        sigma_sq_quantum=quantum_variance(sigma_sq_total, qcnr),
         min_entropy_bits=h_min,
         samples_bits=adc_bits,
         extraction_ratio=ratio,

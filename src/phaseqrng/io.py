@@ -19,6 +19,8 @@ are UTF-8 JSON.
 
 from __future__ import annotations
 
+import contextlib
+import csv
 import json
 import struct
 from pathlib import Path
@@ -110,11 +112,14 @@ def _read_container(source: BinaryIO, expect_kind: int) -> tuple[dict[str, str],
     return meta, payload
 
 
-def _open_maybe(sink_or_path, mode: str):
-    """Accept a path or an already-open binary file object."""
+@contextlib.contextmanager
+def _opened(sink_or_path, mode: str):
+    """Open a path, or pass an already-open binary file object through."""
     if isinstance(sink_or_path, (str, Path)):
-        return open(sink_or_path, mode), True
-    return sink_or_path, False
+        with open(sink_or_path, mode) as f:
+            yield f
+    else:
+        yield sink_or_path
 
 
 def _sample_dtype(adc_bits: int) -> np.dtype:
@@ -133,21 +138,13 @@ def write_samples(block: SampleBlock, sink) -> int:
     if block.rng_seed is not None:
         meta["rng_seed"] = block.rng_seed
     payload = block.samples.astype(_sample_dtype(block.adc_bits)).tobytes()
-    f, close = _open_maybe(sink, "wb")
-    try:
+    with _opened(sink, "wb") as f:
         return _write_container(f, KIND_SAMPLES, meta, payload)
-    finally:
-        if close:
-            f.close()
 
 
 def read_samples(source) -> SampleBlock:
-    f, close = _open_maybe(source, "rb")
-    try:
+    with _opened(source, "rb") as f:
         meta, payload = _read_container(f, KIND_SAMPLES)
-    finally:
-        if close:
-            f.close()
     try:
         adc_bits = int(meta["adc_bits"])
         n_samples = int(meta["n_samples"])
@@ -177,21 +174,13 @@ def write_bits(stream: BitStream, sink) -> int:
     meta = {"count": stream.count}
     for key, value in stream.provenance.items():
         meta[f"prov_{key}"] = value
-    f, close = _open_maybe(sink, "wb")
-    try:
+    with _opened(sink, "wb") as f:
         return _write_container(f, KIND_BITS, meta, stream.bits)
-    finally:
-        if close:
-            f.close()
 
 
 def read_bits(source) -> BitStream:
-    f, close = _open_maybe(source, "rb")
-    try:
+    with _opened(source, "rb") as f:
         meta, payload = _read_container(f, KIND_BITS)
-    finally:
-        if close:
-            f.close()
     try:
         count = int(meta["count"])
     except KeyError as exc:
@@ -221,31 +210,27 @@ def export_bits_ascii(stream: BitStream, sink, per_line: int = 64) -> int:
         for i in range(0, len(chars), per_line)
     ]
     data = b"\n".join(chunks)
-    f, close = _open_maybe(sink, "wb")
-    try:
+    with _opened(sink, "wb") as f:
         f.write(data)
-    finally:
-        if close:
-            f.close()
     return len(data)
+
+
+def write_csv(path, header: list[str], rows) -> None:
+    """Write a CSV file: the header row, then ``rows``."""
+    with open(path, "w", newline="") as f:
+        writer = csv.writer(f)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def write_report(report: dict, sink) -> int:
     """Write a JSON-serialisable report dict under the container format."""
     payload = json.dumps(report, sort_keys=True, indent=2).encode("utf-8")
-    f, close = _open_maybe(sink, "wb")
-    try:
+    with _opened(sink, "wb") as f:
         return _write_container(f, KIND_REPORT, {"encoding": "json"}, payload)
-    finally:
-        if close:
-            f.close()
 
 
 def read_report(source) -> dict:
-    f, close = _open_maybe(source, "rb")
-    try:
+    with _opened(source, "rb") as f:
         _, payload = _read_container(f, KIND_REPORT)
-    finally:
-        if close:
-            f.close()
     return json.loads(payload.decode("utf-8"))

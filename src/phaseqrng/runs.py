@@ -1,0 +1,406 @@
+"""Run orchestration: the config parser and the calibrate/pipeline/stability runs.
+
+:func:`load_config` checks and parses a whole JSON config into frozen
+dataclasses (defaults as in ``configs/README.md``) before any simulation.
+:func:`calibrate`, :func:`pipeline` and :func:`stability` run from it and
+return result dataclasses; rendering them is the CLI's job.
+"""
+
+from __future__ import annotations
+
+import functools
+import json
+import math
+import typing
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
+from pathlib import Path
+
+import numpy as np
+
+from . import calib, entropy, extract, stats
+from .model import (
+    BitStream, EntropyReport, LaserNoiseModel, SignalChainConfig, VarianceFit,
+    attenuated_model, predicted_variance,
+)
+from .sim import (
+    NS_EXTRACTOR, NS_PIPELINE, NS_STAB_FREE, NS_STAB_RECAL, NS_SWEEP, NS_SWEEP_ATT,
+    DriftScenario, SimulationRun, StabilityPoint, derive_seed, simulate,
+    simulate_fringe_scan, simulate_stability,
+)
+
+
+class ConfigError(ValueError):
+    """A config that cannot be read or that fails validation."""
+
+
+def _check(ok: bool, message: str) -> None:
+    if not ok:
+        raise ValueError(message)
+
+
+@dataclass(frozen=True)
+class SweepConfig:
+    """``sweep``: the variance-vs-power calibration sweep."""
+
+    powers: tuple[float, ...] = tuple(np.geomspace(1e-5, 1e-3, 10).tolist())
+    samples_per_point: int = 1_000_000
+    source_power: float = 0.1  # bright source of the attenuation method, W
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "powers", tuple(sorted(self.powers)))
+        _check(len(self.powers) >= 4, "need at least 4 powers")
+        _check(all(0.0 < p <= self.source_power for p in self.powers),
+               "every power must lie in (0, source_power]")
+        _check(self.samples_per_point >= 2, "samples_per_point must be >= 2")
+
+
+@dataclass(frozen=True)
+class FringeConfig:
+    """``fringe``: the quadrature-locating fringe scan over [0, pi]."""
+
+    n_points: int = 17
+    samples_per_point: int = 200_000
+
+    def __post_init__(self) -> None:
+        _check(self.n_points >= 8, "n_points must be >= 8")
+        _check(self.samples_per_point >= 2, "samples_per_point must be >= 2")
+
+
+@dataclass(frozen=True)
+class EntropyConfig:
+    """``entropy``: the extraction budget."""
+
+    n_in: int = entropy.DEFAULT_EXTRACTOR_N_IN
+    security_eps_log2: float = -50.0
+    min_entropy_override: float | None = None
+    extraction_ratio: float | None = None
+
+    def __post_init__(self) -> None:
+        _check(self.security_eps_log2 < 0.0 and 2.0**self.security_eps_log2 > 0.0,
+               "security_eps_log2 must be negative and above -1075")
+        _check(self.n_in > -2.0 * self.security_eps_log2,
+               "n_in must exceed -2 * security_eps_log2 (the hashing penalty)")
+        _check(self.min_entropy_override is None or self.min_entropy_override > 0,
+               "min_entropy_override must be > 0")
+        _check(self.extraction_ratio is None or 0.0 < self.extraction_ratio <= 1.0,
+               "extraction_ratio must lie in (0, 1]")
+
+
+@dataclass(frozen=True)
+class PipelineConfig:
+    """``pipeline``: output sizing and the statistical battery."""
+
+    n_output_bits: int
+    n_sequences: int = 100
+    seq_len_bits: int = 100_000
+    extractor_seed: int | None = None
+
+    def __post_init__(self) -> None:
+        _check(self.n_sequences >= 1, "n_sequences must be >= 1")
+        _check(self.seq_len_bits >= 128, "seq_len_bits must be >= 128")
+        need = self.n_sequences * self.seq_len_bits
+        _check(self.n_output_bits >= need,
+               f"insufficient bits: the battery needs n_sequences * seq_len_bits "
+               f"= {need}, n_output_bits is {self.n_output_bits}")
+        _check(self.extractor_seed is None or 0 <= self.extractor_seed < 2**64,
+               "extractor_seed must be a 64-bit unsigned integer")
+
+
+@dataclass(frozen=True)
+class SineDrift:
+    """``stability.power_drift``: power scaled by 1 + a*sin(2*pi*t/T)."""
+
+    type: str
+    relative_amplitude: float
+    period_s: float
+
+    def __post_init__(self) -> None:
+        _check(self.type == "sine", 'must be null or {"type": "sine", '
+               '"relative_amplitude": a, "period_s": T}')
+        _check(-1.0 < self.relative_amplitude < 1.0,
+               "relative_amplitude must lie in (-1, 1)")
+        _check(self.period_s > 0, "period_s must be > 0")
+
+    def __call__(self, t: float) -> float:
+        phase = 2.0 * math.pi * t / self.period_s
+        return 1.0 + self.relative_amplitude * math.sin(phase)
+
+
+@dataclass(frozen=True)
+class StabilityConfig:
+    """``stability``: the drift scenario, run free and recalibrated."""
+
+    phase_drift_rate: float = 0.0
+    recalibration_period: float = 120.0
+    total_time: float = 3600.0
+    report_interval: float = 30.0
+    power_drift: SineDrift | None = None
+
+    def __post_init__(self) -> None:
+        _check(self.recalibration_period > 0, "recalibration_period must be > 0")
+        _check(self.report_interval > 0, "report_interval must be > 0")
+        _check(self.total_time >= 10.0 * self.report_interval,
+               "total_time must cover at least 10 report intervals")
+
+
+@dataclass(frozen=True)
+class Config:
+    """A whole parsed config; absent sections are ``None``, bar ``entropy``."""
+
+    run: SimulationRun
+    sweep: SweepConfig | None = None
+    fringe: FringeConfig | None = None
+    entropy: EntropyConfig = field(default_factory=EntropyConfig)
+    pipeline: PipelineConfig | None = None
+    stability: StabilityConfig | None = None
+
+
+_OPTIONAL_SECTIONS = dict(
+    sweep=SweepConfig, fringe=FringeConfig, entropy=EntropyConfig,
+    pipeline=PipelineConfig, stability=StabilityConfig,
+)
+
+
+def load_config(path, seed: int | None = None) -> Config:
+    """Read, parse and check a JSON config; ``seed`` overrides ``run.seed``."""
+    try:
+        raw = json.loads(Path(path).read_text())
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(
+            f"config parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
+        ) from exc
+    if not isinstance(raw, dict):
+        raise ConfigError("config root must be a JSON object")
+    for name in raw:
+        if name not in ("model", "chain", "run", *_OPTIONAL_SECTIONS):
+            raise ConfigError(f"config section {name!r}: unknown section")
+    for name in ("model", "chain", "run"):
+        if name not in raw:
+            raise ConfigError(f"config section '{name}' is missing")
+    run_raw = raw["run"]
+    if seed is not None and isinstance(run_raw, dict):
+        run_raw = {**run_raw, "seed": seed}
+    model = _section("model", raw["model"], LaserNoiseModel)
+    chain = _section("chain", raw["chain"], SignalChainConfig)
+    run = _section("run", run_raw, SimulationRun, model=model, chain=chain)
+    return Config(run, **{
+        name: _section(name, raw[name], cls)
+        for name, cls in _OPTIONAL_SECTIONS.items() if name in raw
+    })
+
+
+def _section(name: str, raw, cls, **given):
+    try:
+        return _build(cls, raw, given)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"config section '{name}': {exc}") from exc
+
+
+def _build(cls, raw, given: dict):
+    """Instantiate dataclass ``cls`` from a JSON object plus ``given`` fields."""
+    if not isinstance(raw, dict):
+        raise ValueError(f"must be an object, not {json.dumps(raw)}")
+    keys = [f for f in fields(cls) if f.init and f.name not in given]
+    unknown = sorted(set(raw) - {f.name for f in keys})
+    if unknown:
+        raise ValueError("unknown key " + ", ".join(map(repr, unknown)))
+    hints = typing.get_type_hints(cls)
+    kwargs = dict(given)
+    for f in keys:
+        if f.name in raw:
+            kwargs[f.name] = _value(raw[f.name], hints[f.name], f.name)
+        elif f.default is MISSING and f.default_factory is MISSING:
+            raise ValueError(f"{f.name} is required")
+    return cls(**kwargs)
+
+
+def _value(value, hint, key: str):
+    """Check one JSON value against a field annotation and convert it."""
+    if type(None) in typing.get_args(hint):  # ``X | None``
+        hint = typing.get_args(hint)[0]
+        if value is None and is_dataclass(hint):
+            return None  # an optional sub-object may be null; a scalar may not
+    if is_dataclass(hint):
+        try:
+            return _build(hint, value, {})
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{key}: {exc}") from exc
+    want = {int: "an integer", float: "a number", str: "a string"}.get(hint, "a list")
+    if typing.get_origin(hint) is tuple and isinstance(value, list):
+        args = typing.get_args(hint)
+        if args[-1] is Ellipsis:
+            args = args[:1] * len(value)
+        elif len(value) != len(args):
+            raise ValueError(f"{key} entries must be lists of {len(args)} numbers")
+        return tuple(_value(v, a, key) for v, a in zip(value, args))
+    if hint is str and isinstance(value, str):
+        return value
+    # not numbers: booleans, NaN, Infinity, ints beyond float range; 1e6 is an int
+    if type(value) is int and (hint is int or (hint is float and abs(value) < 2**1000)):
+        return hint(value)
+    if type(value) is float and hint in (int, float) and math.isfinite(value):
+        if hint is float or value.is_integer():
+            return hint(value)
+    raise ValueError(f"{key} must be {want}, not {json.dumps(value)}")
+
+
+def _require(section, name: str):
+    if section is None:
+        raise ConfigError(f"config section '{name}' is missing")
+    return section
+
+
+def _sweep(run: SimulationRun, sweep: SweepConfig, namespace: int, model_at):
+    """The block at each sweep power, one seeded run each, made as it is read."""
+    duration = sweep.samples_per_point / run.chain.sample_rate_hz
+    for i, power in enumerate(sweep.powers):
+        seed = derive_seed(run.seed, namespace, i)
+        yield simulate(
+            replace(run, model=model_at(power), duration=duration, seed=seed)
+        )
+
+
+def sweep_direct(run: SimulationRun, sweep: SweepConfig) -> list[calib.PowerSweepPoint]:
+    """Measured variance at each sweep power."""
+    blocks = _sweep(run, sweep, NS_SWEEP, lambda p: replace(run.model, power_p=p))
+    return [
+        calib.PowerSweepPoint(power=p, variance=b.variance_volts(), n_samples=len(b))
+        for p, b in zip(sweep.powers, blocks)
+    ]
+
+
+def sweep_attenuated(run: SimulationRun, sweep: SweepConfig) -> list[float]:
+    """Variance at each sweep power with the quantum noise suppressed.
+
+    The source runs bright at ``source_power`` and is attenuated down to the
+    detected power of the direct point: the attenuation method's QCNR
+    cross-check, which only :func:`calibrate` reports.
+    """
+    bright = replace(run.model, power_p=sweep.source_power)
+    blocks = _sweep(run, sweep, NS_SWEEP_ATT, lambda p: attenuated_model(bright, p))
+    return [b.variance_volts() for b in blocks]
+
+
+@dataclass(frozen=True)
+class Calibration:
+    """Result of :func:`calibrate`."""
+
+    quadrature_phase: float | None  # None when the config has no fringe scan
+    points: list[calib.PowerSweepPoint]
+    attenuated_variances: list[float]
+    fit: VarianceFit
+
+
+def calibrate(cfg: Config) -> Calibration:
+    """Optional fringe scan to lock quadrature, then both power sweeps."""
+    sweep = _require(cfg.sweep, "sweep")
+    run = cfg.run
+    quad_phi = None
+    if cfg.fringe is not None:
+        phis = np.linspace(0.0, math.pi, cfg.fringe.n_points).tolist()
+        duration = cfg.fringe.samples_per_point / run.chain.sample_rate_hz
+        quad_phi = calib.find_quadrature(
+            simulate_fringe_scan(replace(run, duration=duration), phis)
+        )
+        run = replace(
+            run, chain=replace(run.chain, quadrature_offset=quad_phi - math.pi / 2.0)
+        )
+    points = sweep_direct(run, sweep)
+    fit = calib.fit_variance_vs_power(points)
+    return Calibration(quad_phi, points, sweep_attenuated(run, sweep), fit)
+
+
+@dataclass(frozen=True)
+class PipelineResult:
+    """Result of :func:`pipeline`."""
+
+    fit: VarianceFit
+    qcnr: float  # from the fit, at the operating power
+    entropy: EntropyReport
+    n_out: int
+    extractor_seed: int
+    bits: BitStream
+    raw_autocorr: np.ndarray  # lags 0..100 of the raw samples
+    bits_autocorr: np.ndarray  # lags 0..100 of the extracted bits
+    battery: list[stats.TestReport]
+    pass_band: tuple[float, float]
+
+
+def pipeline(cfg: Config) -> PipelineResult:
+    """Direct power sweep -> fit -> main run -> entropy -> extract -> battery."""
+    sweep = _require(cfg.sweep, "sweep")
+    pipe = _require(cfg.pipeline, "pipeline")
+    run, ent = cfg.run, cfg.entropy
+
+    fit = calib.fit_variance_vs_power(sweep_direct(run, sweep))
+    qcnr = calib.qcnr_from_fit(fit, run.model.power_p)
+    budget = functools.partial(
+        entropy.entropy_report, qcnr=qcnr, adc_bits=run.chain.adc_bits,
+        range_sigmas=run.chain.adc_range_sigmas,
+        security_eps=2.0**ent.security_eps_log2, n_in=ent.n_in,
+        min_entropy_override=ent.min_entropy_override,
+    )
+
+    # size the main run from the predicted variance, then budget the real one
+    provisional = budget(predicted_variance(fit, run.model.power_p))
+    n_out_est = max(1, math.floor(provisional.extraction_ratio * ent.n_in))
+    blocks_needed = math.ceil(pipe.n_output_bits / n_out_est) + 1
+    samples_needed = math.ceil(blocks_needed * ent.n_in / run.chain.adc_bits)
+    duration = samples_needed / run.chain.sample_rate_hz
+    block = simulate(
+        replace(run, duration=duration, seed=derive_seed(run.seed, NS_PIPELINE))
+    )
+    report = budget(block.variance_volts())
+
+    ratio = report.extraction_ratio
+    if ent.extraction_ratio is not None:
+        if ent.extraction_ratio > ratio:
+            raise ConfigError(
+                "extraction exceeds entropy budget: configured ratio "
+                f"{ent.extraction_ratio} > budget {ratio:.4f}"
+            )
+        ratio = ent.extraction_ratio
+    n_out = max(1, math.floor(ratio * ent.n_in))
+    ext_seed = pipe.extractor_seed
+    if ext_seed is None:  # not configured: derived from the run seed
+        ext_seed = derive_seed(run.seed, NS_EXTRACTOR)
+    bits = extract.extract_stream(
+        block, report, extract.ToeplitzSeed.generate(ent.n_in, n_out, ext_seed)
+    )
+
+    # raw-sample autocorrelation is diagnostic; it is large when oversampled
+    raw_r = stats.autocorrelation(block.volts()[:1_000_000], 100)
+    ext_r = stats.autocorrelation(
+        bits.as_bit_array()[:1_000_000].astype(np.float64), 100
+    )
+    battery = stats.nist_subset(bits, pipe.n_sequences, pipe.seq_len_bits)
+    return PipelineResult(
+        fit, qcnr, report, n_out, ext_seed, bits, raw_r, ext_r, battery,
+        stats.pass_rate_band(pipe.n_sequences),
+    )
+
+
+@dataclass(frozen=True)
+class StabilityResult:
+    """Result of :func:`stability`: the same report times, two runs."""
+
+    free: list[StabilityPoint]
+    recalibrated: list[StabilityPoint]
+
+
+def stability(cfg: Config) -> StabilityResult:
+    """The drift scenario once free-running and once with recalibration."""
+    stab = _require(cfg.stability, "stability")
+    run = cfg.run
+    drift = DriftScenario(stab.phase_drift_rate, stab.power_drift)
+    recal = replace(drift, recalibration_period=stab.recalibration_period)
+    free, recalibrated = (
+        simulate_stability(
+            replace(run, seed=derive_seed(run.seed, namespace)),
+            scenario, stab.total_time, stab.report_interval,
+        )
+        for namespace, scenario in ((NS_STAB_FREE, drift), (NS_STAB_RECAL, recal))
+    )
+    return StabilityResult(free, recalibrated)

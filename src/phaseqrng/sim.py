@@ -53,11 +53,18 @@ __all__ = [
 
 PILOT_SAMPLES = 100_000
 
-# sub-stream namespaces for seed derivation
-_NS_PILOT = 1
-_NS_MAIN = 2
-_NS_FRINGE = 3
-_NS_STABILITY = 4
+# Seed-derivation namespaces, every one in the package: the simulator's own
+# sub-streams (1-4) and the orchestration's in ``runs`` (5-11; 9 is unused).
+NS_PILOT = 1
+NS_MAIN = 2
+NS_FRINGE = 3
+NS_STABILITY = 4
+NS_SWEEP = 5
+NS_SWEEP_ATT = 6
+NS_PIPELINE = 7
+NS_EXTRACTOR = 8
+NS_STAB_FREE = 10
+NS_STAB_RECAL = 11
 
 
 @dataclass(frozen=True)
@@ -186,7 +193,7 @@ def simulate(run: SimulationRun) -> SampleBlock:
         raise ValueError("duration shorter than one output sample")
 
     # pilot sub-run sets the ADC range the way a scope range would be chosen
-    pilot_rng = np.random.default_rng(derive_seed(run.seed, _NS_PILOT))
+    pilot_rng = np.random.default_rng(derive_seed(run.seed, NS_PILOT))
     pilot = _analog_chain(
         run.model, chain, PILOT_SAMPLES, run.oversample_factor, pilot_rng, run.rf_tones
     )
@@ -195,7 +202,7 @@ def simulate(run: SimulationRun) -> SampleBlock:
     if sigma_configured <= 0.0:
         raise ValueError("sigma_configured <= 0: the configured chain is silent")
 
-    rng = np.random.default_rng(derive_seed(run.seed, _NS_MAIN))
+    rng = np.random.default_rng(derive_seed(run.seed, NS_MAIN))
     analog = _analog_chain(
         run.model, chain, n_samples, run.oversample_factor, rng, run.rf_tones
     )
@@ -228,7 +235,7 @@ def simulate_fringe_scan(
         sub = replace(
             run,
             chain=replace(run.chain, quadrature_offset=phi2 - math.pi / 2.0),
-            seed=derive_seed(run.seed, _NS_FRINGE, i),
+            seed=derive_seed(run.seed, NS_FRINGE, i),
         )
         block = simulate(sub)
         results.append((float(phi2), block.variance_volts()))
@@ -255,10 +262,8 @@ def _point_min_entropy(
     qcnr = aq * power * cos_sq / (ac * power**2 * cos_sq + f)
     if qcnr <= 0.0:
         return 0.0
-    sigma_sq_q = _entropy.quantum_variance(sigma_sq_meas, qcnr)
-    v_half = chain.adc_range_sigmas * math.sqrt(sigma_sq_meas)
-    return _entropy.min_entropy_gaussian(
-        math.sqrt(sigma_sq_q), (-v_half, v_half), chain.adc_bits
+    return _entropy.min_entropy_quantum(
+        sigma_sq_meas, qcnr, chain.adc_bits, chain.adc_range_sigmas
     )
 
 
@@ -302,7 +307,7 @@ def simulate_stability(
             run,
             model=replace(run.model, power_p=power),
             chain=replace(run.chain, quadrature_offset=delta),
-            seed=derive_seed(run.seed, _NS_STABILITY, k),
+            seed=derive_seed(run.seed, NS_STABILITY, k),
         )
         block = simulate(sub)
         sigma_sq = block.variance_volts()

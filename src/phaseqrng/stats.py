@@ -365,32 +365,23 @@ def nist_subset(
             f"have {bits.count}"
         )
     arr = bits.as_bit_array()
-    collected: dict[str, list[float]] = {}
-    order: list[str] = []
-    for name, func, n_p in NIST_SUBSET_TESTS:
-        row_names = _REPORT_NAMES.get(name, (name,))
-        for rn in row_names:
-            collected[rn] = []
-            order.append(rn)
+    collected: dict[str, list[float]] = {  # report rows, in order
+        rn: [] for name, _, _ in NIST_SUBSET_TESTS
+        for rn in _REPORT_NAMES.get(name, (name,))
+    }
     for s in range(n_sequences):
         seq = arr[s * seq_len_bits : (s + 1) * seq_len_bits]
         for name, func, n_p in NIST_SUBSET_TESTS:
             result = func(seq)
-            row_names = _REPORT_NAMES.get(name, (name,))
-            if n_p == 1:
-                collected[row_names[0]].append(float(result))
-            else:
-                for rn, p in zip(row_names, result):
-                    collected[rn].append(float(p))
-    reports = []
-    for rn in order:
-        ps = collected[rn]
-        reports.append(
-            TestReport(
-                test_name=rn,
-                per_sequence_pvalues=tuple(ps),
-                pass_rate=float(np.mean([p >= 0.01 for p in ps])),
-                uniformity_pvalue=uniformity_pvalue(ps),
-            )
+            pvalues = (result,) if n_p == 1 else result
+            for rn, p in zip(_REPORT_NAMES.get(name, (name,)), pvalues):
+                collected[rn].append(float(p))
+    return [
+        TestReport(
+            test_name=rn,
+            per_sequence_pvalues=tuple(ps),
+            pass_rate=float(np.mean([p >= 0.01 for p in ps])),
+            uniformity_pvalue=uniformity_pvalue(ps),
         )
-    return reports
+        for rn, ps in collected.items()
+    ]

@@ -5,6 +5,9 @@ of the simulated chain; most integration tests configure the simulator so
 that these exact values should be recovered.
 """
 
+import hashlib
+from pathlib import Path
+
 import pytest
 
 from phaseqrng.model import SignalChainConfig, VarianceFit, model_from_coefficients
@@ -18,6 +21,22 @@ F_REF = 1.3732e-6      # V^2
 # of the interferometer response (sin(x) ~ x to < 0.1% at every sweep power)
 CONV_GAIN = 9.5e6      # V^2 / (W rad)^2
 DELAY_TD = 540e-12     # s
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+def artifact_digests(out) -> dict[str, str]:
+    """sha256 of ``out`` and of every ``out.*`` artifact, keyed by suffix.
+
+    The golden digests asserted with this were recorded with NumPy 2.4 and
+    SciPy 1.17 on x86-64; a different build may round ``sin``/``lfilter`` in
+    the last place and legitimately change them.
+    """
+    out = Path(out)
+    return {
+        p.name[len(out.name):]: hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in sorted(out.parent.glob(out.name + "*"))
+    }
 
 
 @pytest.fixture

@@ -20,9 +20,9 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
-from conftest import AC_REF, AQ_REF, CONV_GAIN, DELAY_TD, F_REF
+from conftest import AC_REF, AQ_REF, CONV_GAIN, DELAY_TD, F_REF, artifact_digests
 
-from phaseqrng import calib, cli, entropy, extract, stats
+from phaseqrng import calib, cli, entropy, extract, runs, stats
 from phaseqrng import io as qio
 from phaseqrng.model import BitStream, LaserNoiseModel, SampleBlock, SignalChainConfig
 from phaseqrng.sim import SimulationRun, simulate
@@ -57,9 +57,14 @@ def report_line(number: int, name: str, ok: bool, detail: str) -> None:
 def table1_sweep():
     """Ten-point power sweep, 10^6 samples/point, direct + attenuated."""
     run = SimulationRun(model=REF_MODEL, chain=REF_CHAIN, duration=4e-5, seed=3)
-    powers = np.geomspace(1e-5, 1e-3, 10).tolist()
+    sweep = runs.SweepConfig(
+        powers=tuple(np.geomspace(1e-5, 1e-3, 10).tolist()),
+        samples_per_point=1_000_000,
+        source_power=0.1,
+    )
     t0 = time.monotonic()
-    points, att_variances = cli._run_power_sweep(run, powers, 1_000_000, 0.1)
+    points = runs.sweep_direct(run, sweep)
+    att_variances = runs.sweep_attenuated(run, sweep)
     elapsed = time.monotonic() - t0
     fit = calib.fit_variance_vs_power(points)
     return points, att_variances, fit, elapsed
@@ -108,6 +113,42 @@ def pipeline_artifacts(tmp_path_factory):
         "stdout": buf.getvalue(),
         "elapsed": elapsed,
     }
+
+
+@pytest.fixture(scope="module")
+def stability_artifacts(tmp_path_factory):
+    """Hour-long drift run, free-running and recalibrated."""
+    tmp_path = tmp_path_factory.mktemp("acceptance_stability")
+    cfg = {
+        "model": {
+            "quantum_diffusion_q": REF_MODEL.quantum_diffusion_q,
+            "classical_diffusion_c": REF_MODEL.classical_diffusion_c,
+            "power_p": 2.47e-4,
+        },
+        "chain": {
+            "delay_td": DELAY_TD,
+            "conversion_gain_a": CONV_GAIN,
+            "electronic_noise_f": F_REF,
+            "tia_cutoff_hz": 500e6,
+            "adc_bits": 8,
+            "adc_range_sigmas": 5.0,
+            "sample_rate_hz": 500e6,
+        },
+        "run": {"duration": 4e-5, "seed": 777},
+        "stability": {
+            "phase_drift_rate": math.pi / 7200,
+            "recalibration_period": 120.0,
+            "total_time": 3600.0,
+            "report_interval": 30.0,
+        },
+    }
+    cfg_path = tmp_path / "stability.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / "stability.csv"
+    buf = _io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        rc = cli.main(["stability", "--config", str(cfg_path), "--out", str(out)])
+    return {"rc": rc, "out": out}
 
 
 # ---------------------------------------------------------------------------
@@ -288,37 +329,9 @@ def test_criterion_6_statistical_suite(pipeline_artifacts):
         assert r["uniformity_pvalue"] >= 1e-4, r["test"]
 
 
-def test_criterion_7_stability(tmp_path):
-    cfg = {
-        "model": {
-            "quantum_diffusion_q": REF_MODEL.quantum_diffusion_q,
-            "classical_diffusion_c": REF_MODEL.classical_diffusion_c,
-            "power_p": 2.47e-4,
-        },
-        "chain": {
-            "delay_td": DELAY_TD,
-            "conversion_gain_a": CONV_GAIN,
-            "electronic_noise_f": F_REF,
-            "tia_cutoff_hz": 500e6,
-            "adc_bits": 8,
-            "adc_range_sigmas": 5.0,
-            "sample_rate_hz": 500e6,
-        },
-        "run": {"duration": 4e-5, "seed": 777},
-        "stability": {
-            "phase_drift_rate": math.pi / 7200,
-            "recalibration_period": 120.0,
-            "total_time": 3600.0,
-            "report_interval": 30.0,
-        },
-    }
-    cfg_path = tmp_path / "stability.json"
-    cfg_path.write_text(json.dumps(cfg))
-    out = tmp_path / "stability.csv"
-    buf = _io.StringIO()
-    with contextlib.redirect_stdout(buf):
-        rc = cli.main(["stability", "--config", str(cfg_path), "--out", str(out)])
-    assert rc == 0
+def test_criterion_7_stability(stability_artifacts):
+    assert stability_artifacts["rc"] == 0
+    out = stability_artifacts["out"]
 
     with open(out, newline="") as f:
         rows = list(csv.reader(f))[1:]
@@ -431,3 +444,23 @@ def test_criterion_9_format_roundtrips(tmp_path):
     )
     assert samples_ok
     assert bits_ok
+
+
+# sha256 of the reference-config artifacts (configs/pipeline.json and
+# configs/stability.json at their own seeds); a refactor must keep them
+GOLDEN = {
+    "pipeline": {
+        "": "65d1ef36a2a4f8aeb53ec02198f55ec943c31f6903988f2a2b53f0654f509463",
+        ".autocorr.csv": "f8e79b9ae1ff0aa8f2f8b32bd887e8ad9c1c2edc59e7b77e14ec37ad17a00f46",
+        ".nist.csv": "f56cea3105db0b16c64a8a897c4164117b47dd6ac032fa32df1d5b300fd9927f",
+        ".report": "8941d43ce7166de7f5c079d5c4f4ea559a4d9592bf396949d13a32ef3732a612",
+    },
+    "stability": {
+        "": "26e2a078c3108fa6c97fedffcbde4604c85107fc5486964eac1870ca85d173f4",
+    },
+}
+
+
+def test_reference_artifacts_match_golden_digests(pipeline_artifacts, stability_artifacts):
+    assert artifact_digests(pipeline_artifacts["out"]) == GOLDEN["pipeline"]
+    assert artifact_digests(stability_artifacts["out"]) == GOLDEN["stability"]

@@ -15,9 +15,9 @@ import re
 
 import pytest
 
-from conftest import AC_REF, AQ_REF, CONV_GAIN, DELAY_TD, F_REF
+from conftest import AC_REF, AQ_REF, CONFIGS, CONV_GAIN, DELAY_TD, F_REF, artifact_digests
 
-from phaseqrng import cli, stats
+from phaseqrng import cli, runs, stats
 from phaseqrng import io as qio
 from phaseqrng.calib import read_sweep_csv
 
@@ -279,6 +279,26 @@ def test_calibrate_without_fringe_skips_quadrature(tmp_path, capsys):
     assert "quadrature phase" not in capsys.readouterr().out
 
 
+def test_calibrate_empty_fringe_scans_with_defaults(tmp_path, capsys, monkeypatch):
+    seen = {}
+
+    def fake_scan(run, phis):
+        seen["n_points"] = len(phis)
+        seen["samples"] = round(run.duration * run.chain.sample_rate_hz)
+        return [(phi, math.sin(phi) ** 2 + 0.1) for phi in phis]
+
+    monkeypatch.setattr(runs, "simulate_fringe_scan", fake_scan)
+    cfg = write_config(
+        tmp_path,
+        sweep={"powers": [3e-5, 1e-4, 3e-4, 1e-3], "samples_per_point": 20_000},
+        fringe={},
+    )
+    rc = cli.main(["calibrate", "--config", cfg, "--out", str(tmp_path / "fit.txt")])
+    assert rc == 0
+    assert seen == {"n_points": 17, "samples": 200_000}
+    assert "quadrature phase" in capsys.readouterr().out
+
+
 def test_calibrate_needs_four_powers(tmp_path, capsys):
     cfg = write_config(
         tmp_path, sweep={"powers": [1e-4, 2e-4, 3e-4], "samples_per_point": 10_000}
@@ -405,6 +425,23 @@ def test_pipeline_seed_override_changes_bits(pipeline_run, tmp_path):
     assert a.bits != b.bits
 
 
+def test_pipeline_runs_no_attenuated_sweep(tmp_path, monkeypatch):
+    # only calibrate reads the attenuation cross-check
+    calls = []
+    real_simulate = runs.simulate
+
+    def counting_simulate(run):
+        calls.append(run)
+        return real_simulate(run)
+
+    monkeypatch.setattr(runs, "simulate", counting_simulate)
+    cfg = write_config(tmp_path, **PIPELINE_SECTIONS)
+    rc = cli.main(["pipeline", "--config", cfg, "--out", str(tmp_path / "bits.qrng")])
+    assert rc == 0
+    # one run per direct sweep point, then the main run
+    assert len(calls) == len(PIPELINE_SECTIONS["sweep"]["powers"]) + 1
+
+
 def test_pipeline_rejects_ratio_above_budget(tmp_path, capsys):
     sections = copy.deepcopy(PIPELINE_SECTIONS)
     sections["entropy"]["extraction_ratio"] = 0.99
@@ -481,11 +518,11 @@ def stability_run(tmp_path_factory):
         rc = cli.main(["stability", "--config", cfg, "--out", str(out)])
     with open(out, newline="") as f:
         rows = list(csv.reader(f))
-    return rc, rows, buf.getvalue()
+    return rc, rows, buf.getvalue(), out
 
 
 def test_stability_series_shape(stability_run):
-    rc, rows, stdout = stability_run
+    rc, rows, stdout, _ = stability_run
     assert rc == 0
     assert rows[0] == STABILITY_HEADER
     assert len(rows) == 12  # header + t = 0, 20, ..., 200
@@ -495,7 +532,7 @@ def test_stability_series_shape(stability_run):
 
 
 def test_stability_recalibration_holds_entropy(stability_run):
-    _, rows, _ = stability_run
+    _, rows, _, _ = stability_run
     h_recal = [float(r[5]) for r in rows[1:]]
     h_free = [float(r[2]) for r in rows[1:]]
     assert max(h_recal) - min(h_recal) < 0.05
@@ -503,7 +540,7 @@ def test_stability_recalibration_holds_entropy(stability_run):
 
 
 def test_stability_free_run_variance_decays(stability_run):
-    _, rows, _ = stability_run
+    _, rows, _, _ = stability_run
     v_free = [float(r[1]) for r in rows[1:]]
     v_recal = [float(r[4]) for r in rows[1:]]
     assert v_free[-1] < 0.6 * v_free[0]
@@ -530,3 +567,50 @@ def test_stability_rejects_nonpositive_interval(tmp_path, capsys):
     rc = cli.main(["stability", "--config", cfg, "--out", str(tmp_path / "s.csv")])
     assert rc == 1
     assert "report_interval" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# golden digests: refactors must leave every output byte unchanged
+# ---------------------------------------------------------------------------
+
+GOLDEN = {
+    "calibrate": {
+        "": "b3b652a4d664653b6a42fe6283b44dd54ed114ce9c5b4c3e3400653200e37190",
+        ".qcnr.csv": "ccf68ce2416548439d6a61d617d3466c19a55c914e4c11a40dab59cbba206936",
+        ".sweep.csv": "d11ae5f20aeaedfcc395cc75a8019eaf1a7a5e297821a1b781091ce5f93f6eb6",
+    },
+    "pipeline": {
+        "": "de032912c7b6c349459ba5f8e52e74080841e8c04d9b367b3b33810aa877a6ae",
+        ".autocorr.csv": "755b93776937bcec3d5407165379b3ad7bc388c45d9286d30db3296bf5fc7fb7",
+        ".nist.csv": "753e53b05ff413096648c6a6b66b4b1b9b8f39727b34c586cdf1b7ab3f270233",
+        ".report": "919a68d7f48eca9b917566c89158c7172c4b33ca2eea843bf486e607fd4debd1",
+    },
+    "stability": {
+        "": "c02880c67b05ed86fbdd496bca13b4c6f1cc88aa1a8a7001033c8a44e00af6bd",
+    },
+    "simulate": {
+        "": "d30ae8d583671151767016c4af98cfe198989c1b92f7811d872f35adda45e239",
+    },
+}
+
+
+def test_calibrate_artifacts_match_golden_digests(calibrate_run):
+    _, out, _ = calibrate_run
+    assert artifact_digests(out) == GOLDEN["calibrate"]
+
+
+def test_pipeline_artifacts_match_golden_digests(pipeline_run):
+    _, out, _ = pipeline_run
+    assert artifact_digests(out) == GOLDEN["pipeline"]
+
+
+def test_stability_series_matches_golden_digest(stability_run):
+    *_, out = stability_run
+    assert artifact_digests(out) == GOLDEN["stability"]
+
+
+def test_simulate_reference_config_matches_golden_digest(tmp_path):
+    out = tmp_path / "samples.qrng"
+    cfg = str(CONFIGS / "simulate.json")
+    assert cli.main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+    assert artifact_digests(out) == GOLDEN["simulate"]
