@@ -49,6 +49,8 @@ class SweepConfig:
     def __post_init__(self) -> None:
         object.__setattr__(self, "powers", tuple(sorted(self.powers)))
         _check(len(self.powers) >= 4, "need at least 4 powers")
+        _check(len(set(self.powers)) >= 3,
+               "rank deficient: need at least 3 distinct powers")
         _check(all(0.0 < p <= self.source_power for p in self.powers),
                "every power must lie in (0, source_power]")
         _check(self.samples_per_point >= 2, "samples_per_point must be >= 2")

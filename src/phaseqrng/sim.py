@@ -7,11 +7,26 @@ Pipeline per internal step (running at ``sample_rate * oversample_factor``):
    Gaussian increment stream;
 2. form the interferometer phase difference ``dtheta(t) = theta(t) -
    theta(t - T_d)`` with a delay of ``L`` internal steps;
-3. photocurrent ``~ P * sin(dtheta + quadrature_offset)``;
-4. scale to volts and add white electronic noise;
-5. single-pole low-pass at the TIA cutoff;
-6. decimate to the ADC sample rate;
-7. remove DC and quantise to ``adc_bits`` over ``+-range_sigmas * sigma``.
+3. photocurrent ``~ P * sin(dtheta + quadrature_offset)``, scaled to volts,
+   plus any rf tones;
+4. single-pole low-pass at the TIA cutoff;
+
+then per output sample (stream v2):
+
+5. decimate to the ADC sample rate and remove the model DC
+   ``amp * sin(offset) * exp(-diff_rate * dt * L / 2)``, exact for Gaussian
+   ``dtheta``;
+6. add the electronic noise at the output rate.  White noise filtered by the
+   single pole and decimated is exactly AR(1) with coefficient ``rho^ovs``
+   and stationary variance ``F``, so it is drawn as that, n draws instead of
+   n * ovs, from its own sub-stream;
+7. quantise to ``adc_bits`` over ``+-range_sigmas * sigma_pred``, where
+   ``sigma_pred^2 = (AC P^2 + AQ P) cos^2(offset) + F`` plus the power of each
+   rf tone through the filter: the range comes from the model, with no pilot
+   run.
+
+No output sample depends on a statistic of the whole block, so a run is a
+prefix of the same run with a longer duration.
 
 Gain bookkeeping
 ----------------
@@ -24,8 +39,8 @@ moving-sum (Wiener delay difference, triangular autocovariance) with factor
     kappa_d = g0 * (L + 2 * sum_{m=1}^{L-1} rho^m (L - m)) / L,   rho = 1 - alpha.
 
 The signal amplitude is pre-compensated by ``1/sqrt(kappa_d)`` (plus the
-delay-rounding correction ``sqrt(T_d / (L dt))``) and the electronic noise is
-injected pre-filter with variance ``F / g0``, so the post-filter variance
+delay-rounding correction ``sqrt(T_d / (L dt))``) and the electronic noise
+enters with its post-filter variance ``F``, so the post-filter variance
 matches ``AC P^2 + AQ P + F`` with AC, AQ, F exactly as configured.
 """
 
@@ -39,7 +54,10 @@ import numpy as np
 from scipy.signal import lfilter
 
 from . import entropy as _entropy
-from .model import LaserNoiseModel, SampleBlock, SignalChainConfig, variance_coefficients
+from .model import (
+    LaserNoiseModel, SampleBlock, SignalChainConfig, quadrature_sensitivity,
+    variance_coefficients,
+)
 
 __all__ = [
     "SimulationRun",
@@ -51,12 +69,10 @@ __all__ = [
     "derive_seed",
 ]
 
-PILOT_SAMPLES = 100_000
-
 # Seed-derivation namespaces, every one in the package: the simulator's own
-# sub-streams (1-4) and the orchestration's in ``runs`` (5-11; 9 is unused).
-NS_PILOT = 1
-NS_MAIN = 2
+# sub-streams (2-4, 12) and the orchestration's in ``runs`` (5-11; 9 is
+# unused).  1 seeded the ADC-range pilot run of stream v1 and is retired.
+NS_PHASE = 2
 NS_FRINGE = 3
 NS_STABILITY = 4
 NS_SWEEP = 5
@@ -65,6 +81,7 @@ NS_PIPELINE = 7
 NS_EXTRACTOR = 8
 NS_STAB_FREE = 10
 NS_STAB_RECAL = 11
+NS_ELECTRONIC = 12
 
 
 @dataclass(frozen=True)
@@ -117,8 +134,8 @@ def derive_seed(seed: int, *keys: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def _filter_gains(chain: SignalChainConfig, ovs: int) -> tuple[float, float, float, int]:
-    """(alpha, g0, kappa_d, L) of the discrete single-pole TIA model."""
+def _filter_gains(chain: SignalChainConfig, ovs: int) -> tuple[float, float, int]:
+    """(alpha, kappa_d, L) of the discrete single-pole TIA model."""
     dt = 1.0 / (chain.sample_rate_hz * ovs)
     alpha = 1.0 - math.exp(-2.0 * math.pi * chain.tia_cutoff_hz * dt)
     rho = 1.0 - alpha
@@ -126,65 +143,95 @@ def _filter_gains(chain: SignalChainConfig, ovs: int) -> tuple[float, float, flo
     L = max(1, round(chain.delay_td / dt))
     m = np.arange(1, L)
     kappa_d = g0 * (L + 2.0 * float(np.sum(rho**m * (L - m)))) / L
-    return alpha, g0, kappa_d, L
+    return alpha, kappa_d, L
 
 
-def _analog_chain(
-    model: LaserNoiseModel,
-    chain: SignalChainConfig,
-    n_samples: int,
-    ovs: int,
-    rng: np.random.Generator,
-    rf_tones: tuple[tuple[float, float], ...] = (),
-) -> np.ndarray:
-    """Decimated analog voltage (volts), DC not yet removed."""
+def _model_sigma(run: SimulationRun) -> float:
+    """Predicted standard deviation (volts) of the decimated analog voltage.
+
+    The phase terms convert with ``cos^2`` of the quadrature offset, ``F`` is
+    already post-filter, and each rf tone passes the single pole with its
+    gain at the tone frequency.
+    """
+    chain = run.chain
+    ac, aq, f = variance_coefficients(run.model, chain)
+    p = run.model.power_p
+    var = (ac * p**2 + aq * p) * quadrature_sensitivity(chain.quadrature_offset) + f
+    alpha = _filter_gains(chain, run.oversample_factor)[0]
+    rho = 1.0 - alpha
+    dt = 1.0 / (chain.sample_rate_hz * run.oversample_factor)
+    for freq, amplitude in run.rf_tones:
+        cos_w = math.cos(2.0 * math.pi * freq * dt)
+        var += 0.5 * amplitude**2 * alpha**2 / (1.0 - 2.0 * rho * cos_w + rho**2)
+    return math.sqrt(var)
+
+
+def _analog_chain(run: SimulationRun, n_samples: int) -> np.ndarray:
+    """Decimated analog voltage (volts) about the model DC."""
+    model, chain, ovs = run.model, run.chain, run.oversample_factor
     dt = 1.0 / (chain.sample_rate_hz * ovs)
-    alpha, g0, kappa_d, L = _filter_gains(chain, ovs)
-    # warm up past the delay buffer and ~8 filter time constants
-    n_settle = int(math.ceil(8.0 / (2.0 * math.pi * chain.tia_cutoff_hz * dt)))
-    n_warm = L + n_settle
-    n_steps = n_warm + n_samples * ovs
+    alpha, kappa_d, L = _filter_gains(chain, ovs)
+    rho = 1.0 - alpha
 
-    if model.power_p > 0:
-        # combined Wiener increments for the two independent phase processes
-        diff_rate = (
-            model.quantum_diffusion_q / model.power_p + model.classical_diffusion_c
-        )
-        inc = rng.normal(0.0, math.sqrt(diff_rate * dt), size=n_steps)
-        theta = np.cumsum(inc)
-        dtheta = theta[L:] - theta[:-L]
-        del inc, theta
-        dtheta += chain.quadrature_offset
-        np.sin(dtheta, out=dtheta)
-        # amplitude pre-compensation: delay-buffer rounding and filter
-        # attenuation of the phase-difference spectrum (see module docstring)
-        amp = (
-            math.sqrt(chain.conversion_gain_a)
-            * model.power_p
-            * math.sqrt(chain.delay_td / (L * dt))
-            / math.sqrt(kappa_d)
-        )
-        v = dtheta
-        v *= amp
+    if model.power_p > 0 or run.rf_tones:
+        # settle ~8 filter time constants past the delay buffer
+        n_settle = int(math.ceil(8.0 / (2.0 * math.pi * chain.tia_cutoff_hz * dt)))
+        n_steps = n_settle + n_samples * ovs
+        dc = 0.0
+        if model.power_p > 0:
+            # combined Wiener increments for the two independent phase processes
+            diff_rate = (
+                model.quantum_diffusion_q / model.power_p + model.classical_diffusion_c
+            )
+            rng = np.random.default_rng(derive_seed(run.seed, NS_PHASE))
+            inc = rng.normal(0.0, math.sqrt(diff_rate * dt), size=L + n_steps)
+            theta = np.cumsum(inc, out=inc)
+            v = theta[L:] - theta[:-L]
+            del inc, theta
+            v += chain.quadrature_offset
+            np.sin(v, out=v)
+            # amplitude pre-compensation: delay-buffer rounding and filter
+            # attenuation of the phase-difference spectrum (see module docstring)
+            amp = (
+                math.sqrt(chain.conversion_gain_a)
+                * model.power_p
+                * math.sqrt(chain.delay_td / (L * dt))
+                / math.sqrt(kappa_d)
+            )
+            v *= amp
+            # E[sin(x + offset)] = sin(offset) * exp(-var(x) / 2) for Gaussian x
+            dc = (
+                amp
+                * math.sin(chain.quadrature_offset)
+                * math.exp(-diff_rate * dt * L / 2.0)
+            )
+        else:
+            v = np.zeros(n_steps)
+        for freq, amplitude in run.rf_tones:
+            t = (np.arange(n_steps) + L) * dt
+            v += amplitude * np.sin(2.0 * math.pi * freq * t)
+        # the filter starts at the DC, so no DC transient reaches the output
+        filtered, _ = lfilter([alpha], [1.0, -rho], v, zi=[rho * dc])
+        out = filtered[n_settle::ovs] - dc
     else:
-        v = np.zeros(n_steps - L)
+        out = np.zeros(n_samples)
 
-    if chain.electronic_noise_f > 0:
-        sigma_e = math.sqrt(chain.electronic_noise_f / g0)
-        v += rng.normal(0.0, sigma_e, size=v.size)
-
-    for freq, amplitude in rf_tones:
-        t = (np.arange(v.size) + L) * dt
-        v += amplitude * np.sin(2.0 * math.pi * freq * t)
-
-    filtered = lfilter([alpha], [1.0, -(1.0 - alpha)], v)
-    del v
-    out = filtered[n_warm - L :][::ovs]
-    return np.ascontiguousarray(out[:n_samples])
+    f = chain.electronic_noise_f
+    if f > 0:
+        r = rho**ovs
+        rng = np.random.default_rng(derive_seed(run.seed, NS_ELECTRONIC))
+        e = rng.standard_normal(n_samples)
+        e[0] *= math.sqrt(f)  # the first value from the stationary law
+        e[1:] *= math.sqrt(f * (1.0 - r * r))
+        out += lfilter([1.0], [1.0, -r], e)
+    return out
 
 
 def simulate(run: SimulationRun) -> SampleBlock:
-    """Produce one SampleBlock; bit-identical for identical runs."""
+    """Produce one SampleBlock; bit-identical for identical runs.
+
+    A run's samples are a prefix of the same run with a longer duration.
+    """
     chain = run.chain
     if run.duration < chain.delay_td:
         raise ValueError("duration too short to fill the delay buffer")
@@ -192,22 +239,12 @@ def simulate(run: SimulationRun) -> SampleBlock:
     if n_samples < 1:
         raise ValueError("duration shorter than one output sample")
 
-    # pilot sub-run sets the ADC range the way a scope range would be chosen
-    pilot_rng = np.random.default_rng(derive_seed(run.seed, NS_PILOT))
-    pilot = _analog_chain(
-        run.model, chain, PILOT_SAMPLES, run.oversample_factor, pilot_rng, run.rf_tones
-    )
-    sigma_configured = float(np.std(pilot - pilot.mean()))
-    del pilot
+    # the ADC range is set at this operating point from the model's sigma
+    sigma_configured = _model_sigma(run)
     if sigma_configured <= 0.0:
         raise ValueError("sigma_configured <= 0: the configured chain is silent")
 
-    rng = np.random.default_rng(derive_seed(run.seed, NS_MAIN))
-    analog = _analog_chain(
-        run.model, chain, n_samples, run.oversample_factor, rng, run.rf_tones
-    )
-    analog -= analog.mean()
-
+    analog = _analog_chain(run, n_samples)
     half_range = chain.adc_range_sigmas * sigma_configured
     n_codes = 1 << chain.adc_bits
     adc_scale = 2.0 * half_range / n_codes

@@ -450,13 +450,13 @@ def test_criterion_9_format_roundtrips(tmp_path):
 # configs/stability.json at their own seeds); a refactor must keep them
 GOLDEN = {
     "pipeline": {
-        "": "65d1ef36a2a4f8aeb53ec02198f55ec943c31f6903988f2a2b53f0654f509463",
-        ".autocorr.csv": "f8e79b9ae1ff0aa8f2f8b32bd887e8ad9c1c2edc59e7b77e14ec37ad17a00f46",
-        ".nist.csv": "f56cea3105db0b16c64a8a897c4164117b47dd6ac032fa32df1d5b300fd9927f",
-        ".report": "8941d43ce7166de7f5c079d5c4f4ea559a4d9592bf396949d13a32ef3732a612",
+        "": "aa68f619f05caaf1ffeaf086e3c6398926513a90d200ea0bb12c825a4766f88d",
+        ".autocorr.csv": "5121214df362b5240396a8e44fe23f389c3f7005448fd1de5d5ffef97c00465b",
+        ".nist.csv": "9edde405503abef8865f61662e47f06a6c7d4dc81b465bbb93bb286b6a32c36d",
+        ".report": "415dcca67a10906c64a279ae9a1e97045f994da041ef98bca2b756b79b366d24",
     },
     "stability": {
-        "": "26e2a078c3108fa6c97fedffcbde4604c85107fc5486964eac1870ca85d173f4",
+        "": "2711a3fba01fe0011c0f96371ec4841977374f3c4372f774456dc65f006110ff",
     },
 }
 

@@ -12,12 +12,13 @@ import csv
 import json
 import math
 import re
+import time
 
 import pytest
 
 from conftest import AC_REF, AQ_REF, CONFIGS, CONV_GAIN, DELAY_TD, F_REF, artifact_digests
 
-from phaseqrng import cli, runs, stats
+from phaseqrng import cli, runs, sim, stats
 from phaseqrng import io as qio
 from phaseqrng.calib import read_sweep_csv
 
@@ -308,14 +309,26 @@ def test_calibrate_needs_four_powers(tmp_path, capsys):
     assert "need at least 4 powers" in capsys.readouterr().err
 
 
-def test_calibrate_rejects_rank_deficient_sweep(tmp_path, capsys):
+def _no_simulation(*args, **kwargs):
+    raise AssertionError("a simulation started")
+
+
+def test_calibrate_rejects_rank_deficient_sweep(tmp_path, capsys, monkeypatch):
+    # fewer than 3 distinct powers is caught by the config, before any run
     cfg = write_config(
         tmp_path,
         sweep={"powers": [1e-4, 1e-4, 2e-4, 2e-4], "samples_per_point": 20_000},
     )
+    for module in (sim, runs, cli):
+        monkeypatch.setattr(module, "simulate", _no_simulation)
+    t0 = time.perf_counter()
     rc = cli.main(["calibrate", "--config", cfg, "--out", str(tmp_path / "fit.txt")])
+    elapsed = time.perf_counter() - t0
+    err = capsys.readouterr().err
     assert rc == 1
-    assert "rank deficient" in capsys.readouterr().err
+    assert len(err.splitlines()) == 1, err
+    assert "rank deficient" in err
+    assert elapsed < 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -575,21 +588,21 @@ def test_stability_rejects_nonpositive_interval(tmp_path, capsys):
 
 GOLDEN = {
     "calibrate": {
-        "": "b3b652a4d664653b6a42fe6283b44dd54ed114ce9c5b4c3e3400653200e37190",
-        ".qcnr.csv": "ccf68ce2416548439d6a61d617d3466c19a55c914e4c11a40dab59cbba206936",
-        ".sweep.csv": "d11ae5f20aeaedfcc395cc75a8019eaf1a7a5e297821a1b781091ce5f93f6eb6",
+        "": "69aa33ca58c9886e4589bbaad2254a05781ed13b6504b5aea7e3b1501131e302",
+        ".qcnr.csv": "82ddd9ab5511a5e12fc547627b89f8cd3a35d0b2001296e084cdf380eca5b974",
+        ".sweep.csv": "7c65ce644dd1b7055660654f9eb1a62eea05beb62a728f259f929b60d4359f2e",
     },
     "pipeline": {
-        "": "de032912c7b6c349459ba5f8e52e74080841e8c04d9b367b3b33810aa877a6ae",
-        ".autocorr.csv": "755b93776937bcec3d5407165379b3ad7bc388c45d9286d30db3296bf5fc7fb7",
-        ".nist.csv": "753e53b05ff413096648c6a6b66b4b1b9b8f39727b34c586cdf1b7ab3f270233",
-        ".report": "919a68d7f48eca9b917566c89158c7172c4b33ca2eea843bf486e607fd4debd1",
+        "": "9e0faf940000541f78ff073bd97e81ad9d33ea8000df6e1c69ea6eae06d37364",
+        ".autocorr.csv": "207c74d3b466c7a0e2b2c49b4c8e2bc0425aae09ac586298bb837ae220cd5f8d",
+        ".nist.csv": "acd1368adebbc46bbae9470e705ebbe50331f5e49bb53c3cf18fb78decb4c155",
+        ".report": "8a5e0246aa414efc6c543a6121b28d065be187d6490bae175f5ce23d29031001",
     },
     "stability": {
-        "": "c02880c67b05ed86fbdd496bca13b4c6f1cc88aa1a8a7001033c8a44e00af6bd",
+        "": "f8d010c89cd460ad0e120b0e7b53c082e4f3123da5f4c36e663d9b1869b47819",
     },
     "simulate": {
-        "": "d30ae8d583671151767016c4af98cfe198989c1b92f7811d872f35adda45e239",
+        "": "7e7c297c84a47ee10931cd70cb27f26d3779dcd9abe2d5215189ff365757ecb6",
     },
 }
 

@@ -1,10 +1,12 @@
 """Time-domain simulator: variance bookkeeping, fringes, drift scenarios."""
 
+import itertools
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from phaseqrng.calib import find_quadrature
 from phaseqrng.model import (
@@ -121,11 +123,73 @@ def test_offset_scales_variance_by_cos_squared():
     assert tilted.variance_volts() == pytest.approx(expected, rel=0.03)
 
 
-def test_adc_scale_follows_pilot_sigma():
+def test_adc_scale_follows_model_sigma():
     block = simulate(_run(duration=4e-5, seed=37))
     fit = VarianceFit(ac=AC_REF, aq=AQ_REF, f=F_REF, r_squared=1.0)
     sigma = math.sqrt(predicted_variance(fit, P_REF))
     assert block.adc_scale == pytest.approx(2 * 5.0 * sigma / 256, rel=0.05)
+
+
+SWEEP_POWERS = np.geomspace(1e-5, 1e-3, 5).tolist()
+OFFSETS = np.linspace(0.0, math.pi / 2, 5).tolist()
+TONE = (80e6, 5e-3)
+
+
+@pytest.mark.parametrize("tones", [(), (TONE,)])
+def test_adc_range_tracks_measured_sigma(tones):
+    # the range is range_sigmas * sigma from the model; over powers, offsets
+    # and an rf tone it must match the sigma the block itself measures
+    for i, (power, offset) in enumerate(itertools.product(SWEEP_POWERS, OFFSETS)):
+        run = replace(
+            _run(duration=1e-4, seed=300 + i, quadrature_offset=offset, rf_tones=tones),
+            model=make_ref_model(power),
+        )
+        block = simulate(run)
+        sigma_range = block.adc_scale * 2**8 / (2 * 5.0)
+        assert sigma_range == pytest.approx(
+            math.sqrt(block.variance_volts()), rel=0.02
+        ), (power, offset)
+
+
+@pytest.mark.parametrize("sample_rate_hz", [500e6, 5e9])
+def test_electronic_noise_is_ar1_at_output_rate(sample_rate_hz):
+    n, ovs = 200_000, 8
+    run = SimulationRun(
+        model=LaserNoiseModel(quantum_diffusion_q=0.0, classical_diffusion_c=0.0, power_p=0.0),
+        chain=_chain(sample_rate_hz=sample_rate_hz),
+        duration=n / sample_rate_hz,
+        oversample_factor=ovs,
+        seed=19,
+    )
+    block = simulate(run)
+    # one-pole filter (1 - alpha) = exp(-2 pi fc dt), decimated by ovs
+    r = math.exp(-2 * math.pi * 500e6 / (sample_rate_hz * ovs)) ** ovs
+    var_se = F_REF * math.sqrt(2 * (1 + r * r) / (n * (1 - r * r)))
+    assert block.variance_volts() == pytest.approx(F_REF, abs=4 * var_se)
+    r_se = math.sqrt((1 - r * r) / n)
+    assert autocorrelation(block.volts(), max_lag=1)[1] == pytest.approx(r, abs=4 * r_se)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 3000),
+    offset=st.floats(0.0, math.pi / 2),
+    power=st.sampled_from(SWEEP_POWERS),
+    tones=st.sampled_from([(), (TONE,)]),
+    seed=st.integers(0, 2**64 - 1),
+)
+def test_simulate_is_prefix_invariant(n, offset, power, tones, seed):
+    # a run's samples are the first samples of the same run made twice as
+    # long: no sample depends on a statistic of the whole block
+    run = replace(
+        _run(duration=n / 500e6, seed=seed, quadrature_offset=offset, rf_tones=tones),
+        model=make_ref_model(power),
+    )
+    short = simulate(run)
+    long = simulate(replace(run, duration=2 * run.duration))
+    assert len(long) == 2 * len(short)
+    assert long.adc_scale == short.adc_scale
+    np.testing.assert_array_equal(long.samples[: len(short)], short.samples)
 
 
 def test_samples_are_centred_and_in_range():
