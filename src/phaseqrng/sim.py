@@ -14,16 +14,18 @@ Pipeline per internal step (running at ``sample_rate * oversample_factor``):
 then per output sample (stream v2):
 
 5. decimate to the ADC sample rate and remove the model DC
-   ``amp * sin(offset) * exp(-diff_rate * dt * L / 2)``, exact for Gaussian
-   ``dtheta``;
+   ``amp * sin(offset) * exp(-s / 2)``, exact for Gaussian ``dtheta`` of
+   variance ``s = Q/P + C`` over the ``L``-step delay;
 6. add the electronic noise at the output rate.  White noise filtered by the
    single pole and decimated is exactly AR(1) with coefficient ``rho^ovs``
    and stationary variance ``F``, so it is drawn as that, n draws instead of
    n * ovs, from its own sub-stream;
 7. quantise to ``adc_bits`` over ``+-range_sigmas * sigma_pred``, where
-   ``sigma_pred^2 = (AC P^2 + AQ P) cos^2(offset) + F`` plus the power of each
-   rf tone through the filter: the range comes from the model, with no pilot
-   run.
+   ``sigma_pred^2`` is the model variance at the run's operating point: to
+   first order ``(AC P^2 + AQ P) cos^2(offset) + F``, with the exact Gaussian
+   second-order term that carries it at a fringe extremum, plus the power of
+   each rf tone through the filter.  The range comes from the model, with no
+   pilot run.
 
 No output sample depends on a statistic of the whole block, so a run is a
 prefix of the same run with a longer duration.
@@ -55,8 +57,8 @@ from scipy.signal import lfilter
 
 from . import entropy as _entropy
 from .model import (
-    LaserNoiseModel, SampleBlock, SignalChainConfig, quadrature_sensitivity,
-    variance_coefficients,
+    LaserNoiseModel, SampleBlock, SignalChainConfig, phase_difference_variance,
+    quadrature_sensitivity, variance_coefficients,
 )
 
 __all__ = [
@@ -106,6 +108,15 @@ class SimulationRun:
                 "internal step must be shorter than the interferometer delay; "
                 "raise oversample_factor or sample_rate"
             )
+        for freq, _ in self.rf_tones:
+            # decimated, such a tone is a constant or an alternating offset
+            # whose variance depends on its phase, not half its power
+            half_cycles = 2.0 * freq / self.chain.sample_rate_hz
+            if abs(half_cycles - round(half_cycles)) < 1e-9:
+                raise ValueError(
+                    f"rf tone at {freq:g} Hz aliases to DC or Nyquist: its "
+                    "frequency is a multiple of half the sample rate"
+                )
 
 
 @dataclass(frozen=True)
@@ -134,8 +145,17 @@ def derive_seed(seed: int, *keys: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def _filter_gains(chain: SignalChainConfig, ovs: int) -> tuple[float, float, int]:
-    """(alpha, kappa_d, L) of the discrete single-pole TIA model."""
+class _Gains(NamedTuple):
+    """The discrete single-pole TIA model at the internal step ``dt``."""
+
+    dt: float
+    alpha: float
+    rho: float
+    kappa_d: float
+    L: int
+
+
+def _filter_gains(chain: SignalChainConfig, ovs: int) -> _Gains:
     dt = 1.0 / (chain.sample_rate_hz * ovs)
     alpha = 1.0 - math.exp(-2.0 * math.pi * chain.tia_cutoff_hz * dt)
     rho = 1.0 - alpha
@@ -143,78 +163,79 @@ def _filter_gains(chain: SignalChainConfig, ovs: int) -> tuple[float, float, int
     L = max(1, round(chain.delay_td / dt))
     m = np.arange(1, L)
     kappa_d = g0 * (L + 2.0 * float(np.sum(rho**m * (L - m)))) / L
-    return alpha, kappa_d, L
+    return _Gains(dt, alpha, rho, kappa_d, L)
 
 
-def _model_sigma(run: SimulationRun) -> float:
+def _model_sigma(run: SimulationRun, gains: _Gains) -> float:
     """Predicted standard deviation (volts) of the decimated analog voltage.
 
-    The phase terms convert with ``cos^2`` of the quadrature offset, ``F`` is
-    already post-filter, and each rf tone passes the single pole with its
-    gain at the tone frequency.
+    Exact for the Gaussian phase difference, not just first order: lags
+    ``k`` of ``dtheta`` covary by ``c_k = s (1 - |k|/L)``, so ``sin(dtheta +
+    offset)`` covaries by ``exp(-s) (cos^2(offset) sinh(c_k) + sin^2(offset)
+    (cosh(c_k) - 1))``, and the filter weights lag ``k`` by ``rho^|k|``.  The
+    first-order part alone is ``(AC P^2 + AQ P) cos^2(offset)``, which
+    vanishes at a fringe extremum where the second-order part does not.
+    ``F`` is already post-filter, and each rf tone passes the single pole
+    with its gain at the tone frequency.
     """
-    chain = run.chain
-    ac, aq, f = variance_coefficients(run.model, chain)
-    p = run.model.power_p
-    var = (ac * p**2 + aq * p) * quadrature_sensitivity(chain.quadrature_offset) + f
-    alpha = _filter_gains(chain, run.oversample_factor)[0]
-    rho = 1.0 - alpha
-    dt = 1.0 / (chain.sample_rate_hz * run.oversample_factor)
+    chain, model = run.chain, run.model
+    dt, alpha, rho, _, L = gains
+    ac, aq, var = variance_coefficients(model, chain)
+    if model.power_p > 0:
+        s = phase_difference_variance(model, L * dt)
+        k = np.arange(1 - L, L)
+        w = rho ** np.abs(k)
+        c = s * (1.0 - np.abs(k) / L)
+        cos_sq = quadrature_sensitivity(chain.quadrature_offset)
+        # 2 sinh^2(c/2) is cosh(c) - 1 without the cancellation at small c
+        cov = cos_sq * np.sinh(c) + (1.0 - cos_sq) * 2.0 * np.sinh(c / 2.0) ** 2
+        # (AC P^2 + AQ P) is amp^2 g0 sum(w c), the first-order variance
+        p = model.power_p
+        var += (ac * p**2 + aq * p) * math.exp(-s) * float(w @ cov) / float(w @ c)
     for freq, amplitude in run.rf_tones:
         cos_w = math.cos(2.0 * math.pi * freq * dt)
         var += 0.5 * amplitude**2 * alpha**2 / (1.0 - 2.0 * rho * cos_w + rho**2)
     return math.sqrt(var)
 
 
-def _analog_chain(run: SimulationRun, n_samples: int) -> np.ndarray:
+def _analog_chain(run: SimulationRun, n_samples: int, gains: _Gains) -> np.ndarray:
     """Decimated analog voltage (volts) about the model DC."""
     model, chain, ovs = run.model, run.chain, run.oversample_factor
-    dt = 1.0 / (chain.sample_rate_hz * ovs)
-    alpha, kappa_d, L = _filter_gains(chain, ovs)
-    rho = 1.0 - alpha
-
-    if model.power_p > 0 or run.rf_tones:
-        # settle ~8 filter time constants past the delay buffer
-        n_settle = int(math.ceil(8.0 / (2.0 * math.pi * chain.tia_cutoff_hz * dt)))
-        n_steps = n_settle + n_samples * ovs
-        dc = 0.0
-        if model.power_p > 0:
-            # combined Wiener increments for the two independent phase processes
-            diff_rate = (
-                model.quantum_diffusion_q / model.power_p + model.classical_diffusion_c
-            )
-            rng = np.random.default_rng(derive_seed(run.seed, NS_PHASE))
-            inc = rng.normal(0.0, math.sqrt(diff_rate * dt), size=L + n_steps)
-            theta = np.cumsum(inc, out=inc)
-            v = theta[L:] - theta[:-L]
-            del inc, theta
-            v += chain.quadrature_offset
-            np.sin(v, out=v)
-            # amplitude pre-compensation: delay-buffer rounding and filter
-            # attenuation of the phase-difference spectrum (see module docstring)
-            amp = (
-                math.sqrt(chain.conversion_gain_a)
-                * model.power_p
-                * math.sqrt(chain.delay_td / (L * dt))
-                / math.sqrt(kappa_d)
-            )
-            v *= amp
-            # E[sin(x + offset)] = sin(offset) * exp(-var(x) / 2) for Gaussian x
-            dc = (
-                amp
-                * math.sin(chain.quadrature_offset)
-                * math.exp(-diff_rate * dt * L / 2.0)
-            )
-        else:
-            v = np.zeros(n_steps)
-        for freq, amplitude in run.rf_tones:
-            t = (np.arange(n_steps) + L) * dt
-            v += amplitude * np.sin(2.0 * math.pi * freq * t)
-        # the filter starts at the DC, so no DC transient reaches the output
-        filtered, _ = lfilter([alpha], [1.0, -rho], v, zi=[rho * dc])
-        out = filtered[n_settle::ovs] - dc
+    dt, alpha, rho, kappa_d, L = gains
+    # settle ~8 filter time constants past the delay buffer
+    n_settle = int(math.ceil(8.0 / (2.0 * math.pi * chain.tia_cutoff_hz * dt)))
+    n_steps = n_settle + n_samples * ovs
+    dc = 0.0
+    if model.power_p > 0:
+        # combined Wiener increments for the two independent phase processes,
+        # whose delay difference has variance s over the L-step buffer
+        s = phase_difference_variance(model, L * dt)
+        rng = np.random.default_rng(derive_seed(run.seed, NS_PHASE))
+        inc = rng.normal(0.0, math.sqrt(s / L), size=L + n_steps)
+        theta = np.cumsum(inc, out=inc)
+        v = theta[L:] - theta[:-L]
+        del inc, theta
+        v += chain.quadrature_offset
+        np.sin(v, out=v)
+        # amplitude pre-compensation: delay-buffer rounding and filter
+        # attenuation of the phase-difference spectrum (see module docstring)
+        amp = (
+            math.sqrt(chain.conversion_gain_a)
+            * model.power_p
+            * math.sqrt(chain.delay_td / (L * dt))
+            / math.sqrt(kappa_d)
+        )
+        v *= amp
+        # E[sin(x + offset)] = sin(offset) * exp(-var(x) / 2) for Gaussian x
+        dc = amp * math.sin(chain.quadrature_offset) * math.exp(-s / 2.0)
     else:
-        out = np.zeros(n_samples)
+        v = np.zeros(n_steps)
+    for freq, amplitude in run.rf_tones:
+        t = (np.arange(n_steps) + L) * dt
+        v += amplitude * np.sin(2.0 * math.pi * freq * t)
+    # the filter starts at the DC, so no DC transient reaches the output
+    filtered, _ = lfilter([alpha], [1.0, -rho], v, zi=[rho * dc])
+    out = filtered[n_settle::ovs] - dc
 
     f = chain.electronic_noise_f
     if f > 0:
@@ -240,11 +261,12 @@ def simulate(run: SimulationRun) -> SampleBlock:
         raise ValueError("duration shorter than one output sample")
 
     # the ADC range is set at this operating point from the model's sigma
-    sigma_configured = _model_sigma(run)
+    gains = _filter_gains(chain, run.oversample_factor)
+    sigma_configured = _model_sigma(run, gains)
     if sigma_configured <= 0.0:
         raise ValueError("sigma_configured <= 0: the configured chain is silent")
 
-    analog = _analog_chain(run, n_samples)
+    analog = _analog_chain(run, n_samples, gains)
     half_range = chain.adc_range_sigmas * sigma_configured
     n_codes = 1 << chain.adc_bits
     adc_scale = 2.0 * half_range / n_codes

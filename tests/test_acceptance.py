@@ -450,13 +450,13 @@ def test_criterion_9_format_roundtrips(tmp_path):
 # configs/stability.json at their own seeds); a refactor must keep them
 GOLDEN = {
     "pipeline": {
-        "": "aa68f619f05caaf1ffeaf086e3c6398926513a90d200ea0bb12c825a4766f88d",
-        ".autocorr.csv": "5121214df362b5240396a8e44fe23f389c3f7005448fd1de5d5ffef97c00465b",
-        ".nist.csv": "9edde405503abef8865f61662e47f06a6c7d4dc81b465bbb93bb286b6a32c36d",
-        ".report": "415dcca67a10906c64a279ae9a1e97045f994da041ef98bca2b756b79b366d24",
+        "": "069c1252439d8100125d16d7b38a79508aa893996be0ee2afc15dfd5104e478d",
+        ".autocorr.csv": "20ae66dc1f91f493a33788ddbf4aa084818152413ad0bb37f4e8e4021c570bf7",
+        ".nist.csv": "b00e7e005ad135499c7054063badcfa2219aa0a21f880333db91b3f2b2624e07",
+        ".report": "f165c227aabe6201b2ed22cf9eee015f58f529643e4a404ffe36bb07aea6fc9c",
     },
     "stability": {
-        "": "2711a3fba01fe0011c0f96371ec4841977374f3c4372f774456dc65f006110ff",
+        "": "71135c3371e123195b490b7f612a1d07c9b754ceda177aeb0273371da7afd649",
     },
 }
 

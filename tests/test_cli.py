@@ -588,21 +588,21 @@ def test_stability_rejects_nonpositive_interval(tmp_path, capsys):
 
 GOLDEN = {
     "calibrate": {
-        "": "69aa33ca58c9886e4589bbaad2254a05781ed13b6504b5aea7e3b1501131e302",
-        ".qcnr.csv": "82ddd9ab5511a5e12fc547627b89f8cd3a35d0b2001296e084cdf380eca5b974",
-        ".sweep.csv": "7c65ce644dd1b7055660654f9eb1a62eea05beb62a728f259f929b60d4359f2e",
+        "": "72ce1d0bd74eed70dae12928e30e285d926511f343b5e4bbf7a356f9ee6df3ae",
+        ".qcnr.csv": "2d3e8f3e400a953c644666c8e17984a742384176c431e5662e8c14fc8c20c75f",
+        ".sweep.csv": "32e954a499cdec48867bde808d4fd6edf16e4cbedfb1d110d290fb580ba79877",
     },
     "pipeline": {
-        "": "9e0faf940000541f78ff073bd97e81ad9d33ea8000df6e1c69ea6eae06d37364",
-        ".autocorr.csv": "207c74d3b466c7a0e2b2c49b4c8e2bc0425aae09ac586298bb837ae220cd5f8d",
+        "": "5fcef67ead7ecda6af50ddf41238ebd059387d3b8c62a3722966eda8d42ee250",
+        ".autocorr.csv": "7980a40321184f1dae72e2274ea7ed29f3d7ffaae96cb7018f498d044e7037fd",
         ".nist.csv": "acd1368adebbc46bbae9470e705ebbe50331f5e49bb53c3cf18fb78decb4c155",
-        ".report": "8a5e0246aa414efc6c543a6121b28d065be187d6490bae175f5ce23d29031001",
+        ".report": "9deb59eaebfc09cac75edc98b34b72c445697683a405400b84130a8c0bffc04a",
     },
     "stability": {
-        "": "f8d010c89cd460ad0e120b0e7b53c082e4f3123da5f4c36e663d9b1869b47819",
+        "": "ea61926afa0cad7375bc42613ad56cb2438150cbbb5f7c67d9e0e9a6c62e424f",
     },
     "simulate": {
-        "": "7e7c297c84a47ee10931cd70cb27f26d3779dcd9abe2d5215189ff365757ecb6",
+        "": "c47f3d5068e62a41c2696132b49e8c2a46ac2254ff34edffa7315553164e2e50",
     },
 }
 

@@ -129,6 +129,8 @@ OUT_OF_RANGE = [
     (("run",), "oversample_factor", 3),
     (("run",), "seed", -1),
     (("run",), "seed", 2**64),
+    (("run",), "rf_tones", [[5e8, 1e-4]]),
+    (("run",), "rf_tones", [[1e7, 1e-4], [2.5e8, 1e-4]]),
     (("sweep",), "powers", [1e-4, 2e-4, 3e-4]),
     (("sweep",), "powers", [0.0, 1e-4, 2e-4, 3e-4]),
     (("sweep",), "source_power", 1e-4),
@@ -286,6 +288,8 @@ def _with(section: str, **values) -> dict:
             _with("stability", power_drift={
                 "type": "sine", "relative_amplitude": 1.0, "period_s": 600.0}),
         ),
+        ("simulate", "run", _with("run", rf_tones=[[0.0, 1e-4]])),
+        ("simulate", "run", _with("run", rf_tones=[[7.5e8, 1e-4]])),
     ],
 )
 def test_known_bad_configs_fail_before_simulation(command, section, cfg):

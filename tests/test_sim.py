@@ -257,6 +257,32 @@ def _quantum_only_run(seed=53):
     )
 
 
+@pytest.mark.parametrize(
+    "offset",
+    [-math.pi / 2, math.pi / 2, -math.pi / 2 + 0.005, -math.pi / 2 - 0.005,
+     math.pi / 2 + 0.005, math.pi / 2 - 0.005],
+)
+def test_adc_range_holds_at_fringe_extremum(offset):
+    # with F = 0 the first-order term vanishes at an extremum; the range must
+    # still track the second-order sigma.  The signal there is -cos(dtheta),
+    # chi-square shaped, so its 5-sigma tail clips ~4e-3 of the codes, not
+    # the Gaussian 6e-7
+    base = _quantum_only_run(seed=61)
+    block = simulate(
+        replace(base, chain=replace(base.chain, quadrature_offset=offset), duration=4e-4)
+    )
+    sigma_range = block.adc_scale * 2**8 / (2 * 5.0)
+    assert sigma_range == pytest.approx(math.sqrt(block.variance_volts()), rel=0.05)
+    assert block.saturation_fraction() < 1e-2
+
+
+def test_rf_tone_aliasing_to_dc_or_nyquist_is_rejected():
+    for freq in (0.0, 250e6, 500e6, 1.25e9):
+        with pytest.raises(ValueError, match="aliases to DC or Nyquist"):
+            _run(rf_tones=((freq, 1e-3),))
+    _run(rf_tones=((249e6, 1e-3),))
+
+
 def test_fringe_scan_peaks_at_quadrature():
     phis = list(np.linspace(0.0, math.pi, 9))
     fringe = simulate_fringe_scan(_quantum_only_run(), phis)
