@@ -276,13 +276,6 @@ def test_adc_range_holds_at_fringe_extremum(offset):
     assert block.saturation_fraction() < 1e-2
 
 
-def test_rf_tone_aliasing_to_dc_or_nyquist_is_rejected():
-    for freq in (0.0, 250e6, 500e6, 1.25e9):
-        with pytest.raises(ValueError, match="aliases to DC or Nyquist"):
-            _run(rf_tones=((freq, 1e-3),))
-    _run(rf_tones=((249e6, 1e-3),))
-
-
 def test_fringe_scan_peaks_at_quadrature():
     phis = list(np.linspace(0.0, math.pi, 9))
     fringe = simulate_fringe_scan(_quantum_only_run(), phis)
