@@ -57,14 +57,8 @@ class PowerSweepPoint:
             raise ValueError("n_samples must be >= 2")
 
 
-def fit_variance_vs_power(
-    points: list[PowerSweepPoint], weighted: bool = False
-) -> VarianceFit:
-    """Least-squares fit of the quadratic variance model.
-
-    Plain (unweighted) OLS by default.  With ``weighted=True`` each point is
-    weighted by the inverse variance of its variance estimate,
-    ``n_i / (2 * variance_i^2)``, which is optional and off by default.
+def fit_variance_vs_power(points: list[PowerSweepPoint]) -> VarianceFit:
+    """Ordinary least-squares fit of the quadratic variance model.
 
     Coefficients that come out slightly negative — within their own standard
     error — are clamped to zero; a strongly negative coefficient means the
@@ -78,16 +72,11 @@ def fit_variance_vs_power(
         raise ValueError("rank deficient: need at least 3 distinct powers")
 
     design = np.column_stack([powers**2, powers, np.ones_like(powers)])
-    y = variances
-    if weighted:
-        w = np.sqrt(np.array([p.n_samples for p in points]) / (2.0 * y**2))
-        design = design * w[:, None]
-        y = y * w
-    coef, _, _, _ = np.linalg.lstsq(design, y, rcond=None)
+    coef, _, _, _ = np.linalg.lstsq(design, variances, rcond=None)
 
     # standard errors from the residuals (for the clamping tolerance)
     dof = len(points) - 3
-    resid = y - design @ coef
+    resid = variances - design @ coef
     if dof > 0:
         s2 = float(resid @ resid) / dof
         cov = s2 * np.linalg.inv(design.T @ design)

@@ -19,8 +19,7 @@ import sys
 from pathlib import Path
 
 from . import calib, entropy, io as qio, runs
-from .model import quadrature_sensitivity, variance_coefficients
-from .sim import simulate
+from .sim import model_sigma, simulate
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -32,10 +31,7 @@ def cmd_simulate(cfg: runs.Config, out: str) -> int:
     block = simulate(run)
     n_bytes = qio.write_samples(block, out)
 
-    ac, aq, f = variance_coefficients(run.model, run.chain)
-    p = run.model.power_p
-    sens = quadrature_sensitivity(run.chain.quadrature_offset)
-    predicted = (ac * p**2 + aq * p) * sens + f
+    predicted = model_sigma(run) ** 2  # the variance the ADC range is set from
     measured = block.variance_volts()
     print(f"samples written      : {len(block)} ({n_bytes} bytes)")
     print(f"measured variance    : {measured:.6e} V^2")

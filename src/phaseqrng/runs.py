@@ -24,8 +24,8 @@ from .model import (
 )
 from .sim import (
     NS_EXTRACTOR, NS_PIPELINE, NS_STAB_FREE, NS_STAB_RECAL, NS_SWEEP, NS_SWEEP_ATT,
-    DriftScenario, SimulationRun, StabilityPoint, derive_seed, simulate,
-    simulate_fringe_scan, simulate_stability,
+    SimulationRun, StabilityPoint, derive_seed, simulate, simulate_fringe_scan,
+    simulate_stability, simulate_variances,
 )
 
 
@@ -255,21 +255,18 @@ def _require(section, name: str):
 
 
 def _sweep(run: SimulationRun, sweep: SweepConfig, namespace: int, model_at):
-    """The block at each sweep power, one seeded run each, made as it is read."""
-    duration = sweep.samples_per_point / run.chain.sample_rate_hz
-    for i, power in enumerate(sweep.powers):
-        seed = derive_seed(run.seed, namespace, i)
-        yield simulate(
-            replace(run, model=model_at(power), duration=duration, seed=seed)
-        )
+    """Measured variance at each sweep power, one seeded sub-run each."""
+    run = replace(run, duration=sweep.samples_per_point / run.chain.sample_rate_hz)
+    variants = [(model_at(power), run.chain) for power in sweep.powers]
+    return simulate_variances(run, namespace, variants)
 
 
 def sweep_direct(run: SimulationRun, sweep: SweepConfig) -> list[calib.PowerSweepPoint]:
     """Measured variance at each sweep power."""
-    blocks = _sweep(run, sweep, NS_SWEEP, lambda p: replace(run.model, power_p=p))
+    variances = _sweep(run, sweep, NS_SWEEP, lambda p: replace(run.model, power_p=p))
     return [
-        calib.PowerSweepPoint(power=p, variance=b.variance_volts(), n_samples=len(b))
-        for p, b in zip(sweep.powers, blocks)
+        calib.PowerSweepPoint(power=p, variance=v, n_samples=sweep.samples_per_point)
+        for p, v in zip(sweep.powers, variances)
     ]
 
 
@@ -281,8 +278,7 @@ def sweep_attenuated(run: SimulationRun, sweep: SweepConfig) -> list[float]:
     cross-check, which only :func:`calibrate` reports.
     """
     bright = replace(run.model, power_p=sweep.source_power)
-    blocks = _sweep(run, sweep, NS_SWEEP_ATT, lambda p: attenuated_model(bright, p))
-    return [b.variance_volts() for b in blocks]
+    return _sweep(run, sweep, NS_SWEEP_ATT, lambda p: attenuated_model(bright, p))
 
 
 @dataclass(frozen=True)
@@ -396,13 +392,15 @@ def stability(cfg: Config) -> StabilityResult:
     """The drift scenario once free-running and once with recalibration."""
     stab = _require(cfg.stability, "stability")
     run = cfg.run
-    drift = DriftScenario(stab.phase_drift_rate, stab.power_drift)
-    recal = replace(drift, recalibration_period=stab.recalibration_period)
+    n_points = math.floor(stab.total_time / stab.report_interval) + 1
+    times = [k * stab.report_interval for k in range(n_points)]
     free, recalibrated = (
         simulate_stability(
             replace(run, seed=derive_seed(run.seed, namespace)),
-            scenario, stab.total_time, stab.report_interval,
+            stab.phase_drift_rate, stab.power_drift, period, times,
         )
-        for namespace, scenario in ((NS_STAB_FREE, drift), (NS_STAB_RECAL, recal))
+        for namespace, period in (
+            (NS_STAB_FREE, None), (NS_STAB_RECAL, stab.recalibration_period)
+        )
     )
     return StabilityResult(free, recalibrated)

@@ -50,7 +50,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, NamedTuple
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 from scipy.signal import lfilter
@@ -63,9 +63,10 @@ from .model import (
 
 __all__ = [
     "SimulationRun",
-    "DriftScenario",
     "StabilityPoint",
+    "model_sigma",
     "simulate",
+    "simulate_variances",
     "simulate_fringe_scan",
     "simulate_stability",
     "derive_seed",
@@ -119,19 +120,6 @@ class SimulationRun:
                 )
 
 
-@dataclass(frozen=True)
-class DriftScenario:
-    """Slow environmental drift applied on top of a SimulationRun."""
-
-    phase_drift_rate: float = 0.0
-    power_drift: Callable[[float], float] | None = None
-    recalibration_period: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.recalibration_period is not None and self.recalibration_period <= 0:
-            raise ValueError("recalibration_period must be > 0 when present")
-
-
 class StabilityPoint(NamedTuple):
     time: float
     variance: float
@@ -166,20 +154,21 @@ def _filter_gains(chain: SignalChainConfig, ovs: int) -> _Gains:
     return _Gains(dt, alpha, rho, kappa_d, L)
 
 
-def _model_sigma(run: SimulationRun, gains: _Gains) -> float:
+def model_sigma(run: SimulationRun) -> float:
     """Predicted standard deviation (volts) of the decimated analog voltage.
 
-    Exact for the Gaussian phase difference, not just first order: lags
-    ``k`` of ``dtheta`` covary by ``c_k = s (1 - |k|/L)``, so ``sin(dtheta +
-    offset)`` covaries by ``exp(-s) (cos^2(offset) sinh(c_k) + sin^2(offset)
-    (cosh(c_k) - 1))``, and the filter weights lag ``k`` by ``rho^|k|``.  The
+    :func:`simulate` sets the ADC range from it.  Exact for the Gaussian
+    phase difference, not just first order: lags ``k`` of ``dtheta`` covary
+    by ``c_k = s (1 - |k|/L)``, so ``sin(dtheta + offset)`` covaries by
+    ``exp(-s) (cos^2(offset) sinh(c_k) + sin^2(offset) (cosh(c_k) - 1))``,
+    and the filter weights lag ``k`` by ``rho^|k|``.  The
     first-order part alone is ``(AC P^2 + AQ P) cos^2(offset)``, which
     vanishes at a fringe extremum where the second-order part does not.
     ``F`` is already post-filter, and each rf tone passes the single pole
     with its gain at the tone frequency.
     """
     chain, model = run.chain, run.model
-    dt, alpha, rho, _, L = gains
+    dt, alpha, rho, _, L = _filter_gains(chain, run.oversample_factor)
     ac, aq, var = variance_coefficients(model, chain)
     if model.power_p > 0:
         s = phase_difference_variance(model, L * dt)
@@ -198,10 +187,10 @@ def _model_sigma(run: SimulationRun, gains: _Gains) -> float:
     return math.sqrt(var)
 
 
-def _analog_chain(run: SimulationRun, n_samples: int, gains: _Gains) -> np.ndarray:
+def _analog_chain(run: SimulationRun, n_samples: int) -> np.ndarray:
     """Decimated analog voltage (volts) about the model DC."""
     model, chain, ovs = run.model, run.chain, run.oversample_factor
-    dt, alpha, rho, kappa_d, L = gains
+    dt, alpha, rho, kappa_d, L = _filter_gains(chain, ovs)
     # settle ~8 filter time constants past the delay buffer
     n_settle = int(math.ceil(8.0 / (2.0 * math.pi * chain.tia_cutoff_hz * dt)))
     n_steps = n_settle + n_samples * ovs
@@ -261,12 +250,11 @@ def simulate(run: SimulationRun) -> SampleBlock:
         raise ValueError("duration shorter than one output sample")
 
     # the ADC range is set at this operating point from the model's sigma
-    gains = _filter_gains(chain, run.oversample_factor)
-    sigma_configured = _model_sigma(run, gains)
+    sigma_configured = model_sigma(run)
     if sigma_configured <= 0.0:
         raise ValueError("sigma_configured <= 0: the configured chain is silent")
 
-    analog = _analog_chain(run, n_samples, gains)
+    analog = _analog_chain(run, n_samples)
     half_range = chain.adc_range_sigmas * sigma_configured
     n_codes = 1 << chain.adc_bits
     adc_scale = 2.0 * half_range / n_codes
@@ -283,22 +271,37 @@ def simulate(run: SimulationRun) -> SampleBlock:
     )
 
 
+def simulate_variances(
+    run: SimulationRun,
+    namespace: int,
+    variants: Iterable[tuple[LaserNoiseModel, SignalChainConfig]],
+) -> list[float]:
+    """Measured variance of one seeded sub-run of ``run`` per (model, chain).
+
+    Point ``i`` runs with seed ``derive_seed(run.seed, namespace, i)``.  The
+    points are independent of each other; every sweep, fringe and stability
+    point is measured here.
+    """
+    return [
+        simulate(
+            replace(run, model=model, chain=chain,
+                    seed=derive_seed(run.seed, namespace, i))
+        ).variance_volts()
+        for i, (model, chain) in enumerate(variants)
+    ]
+
+
 def simulate_fringe_scan(
     run: SimulationRun, phi2_values: list[float]
 ) -> list[tuple[float, float]]:
     """Variance at each interferometer phase, one seeded sub-run per point."""
     if len(phi2_values) < 8:
         raise ValueError("need at least 8 fringe points")
-    results = []
-    for i, phi2 in enumerate(phi2_values):
-        sub = replace(
-            run,
-            chain=replace(run.chain, quadrature_offset=phi2 - math.pi / 2.0),
-            seed=derive_seed(run.seed, NS_FRINGE, i),
-        )
-        block = simulate(sub)
-        results.append((float(phi2), block.variance_volts()))
-    return results
+    variances = simulate_variances(run, NS_FRINGE, (
+        (run.model, replace(run.chain, quadrature_offset=phi2 - math.pi / 2.0))
+        for phi2 in phi2_values
+    ))
+    return [(float(phi2), v) for phi2, v in zip(phi2_values, variances)]
 
 
 def _point_min_entropy(
@@ -328,55 +331,41 @@ def _point_min_entropy(
 
 def simulate_stability(
     run: SimulationRun,
-    scenario: DriftScenario,
-    total_time: float,
-    report_interval: float,
+    phase_drift_rate: float,
+    power_drift: Callable[[float], float] | None,
+    recalibration_period: float | None,
+    times: Sequence[float],
 ) -> list[StabilityPoint]:
-    """Drifted long-term run, one short measurement per report interval.
+    """Drifted long-term run, one short measurement at each report time.
 
-    The interferometer phase drifts at ``scenario.phase_drift_rate`` away
-    from the operating point; when ``recalibration_period`` is set, each
-    recalibration re-centres the phase (fringe-scan servo) before the first
-    measurement that follows it.  Each report point carries the measured
-    variance and the min-entropy recomputed from it.
+    The interferometer phase drifts at ``phase_drift_rate`` away from the
+    operating point, and ``power_drift(t)`` scales the power.  With a
+    ``recalibration_period`` (``None`` runs free), each recalibration
+    re-centres the phase (fringe-scan servo) before the first measurement
+    that follows it.  Each report point carries the measured variance and
+    the min-entropy recomputed from it.
     """
-    if report_interval <= 0:
-        raise ValueError("report_interval must be > 0")
-    if total_time < 10.0 * report_interval:
-        raise ValueError("total_time must cover at least 10 report intervals")
 
+    def operating_point(t: float) -> tuple[float, float]:
+        last_recal = 0.0
+        if recalibration_period is not None:
+            last_recal = math.floor(t / recalibration_period) * recalibration_period
+        scale = 1.0 if power_drift is None else float(power_drift(t))
+        delta = run.chain.quadrature_offset + phase_drift_rate * (t - last_recal)
+        return run.model.power_p * scale, delta
+
+    operating = [operating_point(t) for t in times]
+    variances = simulate_variances(run, NS_STABILITY, (
+        (replace(run.model, power_p=power), replace(run.chain, quadrature_offset=delta))
+        for power, delta in operating
+    ))
     coeffs = variance_coefficients(run.model, run.chain)
-    n_points = int(math.floor(total_time / report_interval)) + 1
-    points = []
-    for k in range(n_points):
-        t = k * report_interval
-        if scenario.recalibration_period is not None:
-            last_recal = math.floor(t / scenario.recalibration_period) * (
-                scenario.recalibration_period
-            )
-        else:
-            last_recal = 0.0
-        delta = run.chain.quadrature_offset + scenario.phase_drift_rate * (
-            t - last_recal
+    return [
+        StabilityPoint(
+            time=t,
+            variance=sigma_sq,
+            applied_phi2=math.pi / 2.0 + delta,
+            min_entropy=_point_min_entropy(sigma_sq, power, coeffs, run.chain),
         )
-        power = run.model.power_p
-        if scenario.power_drift is not None:
-            power = power * float(scenario.power_drift(t))
-        sub = replace(
-            run,
-            model=replace(run.model, power_p=power),
-            chain=replace(run.chain, quadrature_offset=delta),
-            seed=derive_seed(run.seed, NS_STABILITY, k),
-        )
-        block = simulate(sub)
-        sigma_sq = block.variance_volts()
-        h_min = _point_min_entropy(sigma_sq, power, coeffs, run.chain)
-        points.append(
-            StabilityPoint(
-                time=t,
-                variance=sigma_sq,
-                applied_phi2=math.pi / 2.0 + delta,
-                min_entropy=h_min,
-            )
-        )
-    return points
+        for t, (power, delta), sigma_sq in zip(times, operating, variances)
+    ]

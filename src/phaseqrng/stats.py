@@ -44,6 +44,9 @@ __all__ = [
     "NIST_SUBSET_TESTS",
 ]
 
+# SP800-22 per-sequence significance: a sequence passes a test at p >= it
+SIGNIFICANCE = 0.01
+
 
 @dataclass(frozen=True)
 class TestReport:
@@ -315,16 +318,16 @@ def uniformity_pvalue(pvalues) -> float:
     return float(gammaincc(9 / 2.0, chi_sq / 2.0))
 
 
-def pass_rate_band(n_sequences: int, significance: float = 0.01) -> tuple[float, float]:
+def pass_rate_band(n_sequences: int) -> tuple[float, float]:
     """Three-sigma binomial band for the expected pass rate.
 
-    With per-sequence significance alpha, pass rates are expected inside
-    (1-alpha) +- 3 sqrt(alpha(1-alpha)/n).
+    With per-sequence significance alpha = ``SIGNIFICANCE``, pass rates are
+    expected inside (1-alpha) +- 3 sqrt(alpha(1-alpha)/n).
     """
     if n_sequences < 1:
         raise ValueError("n_sequences must be >= 1")
-    p0 = 1.0 - significance
-    delta = 3.0 * math.sqrt(p0 * significance / n_sequences)
+    p0 = 1.0 - SIGNIFICANCE
+    delta = 3.0 * math.sqrt(p0 * SIGNIFICANCE / n_sequences)
     return max(0.0, p0 - delta), min(1.0, p0 + delta)
 
 
@@ -380,7 +383,7 @@ def nist_subset(
         TestReport(
             test_name=rn,
             per_sequence_pvalues=tuple(ps),
-            pass_rate=float(np.mean([p >= 0.01 for p in ps])),
+            pass_rate=float(np.mean([p >= SIGNIFICANCE for p in ps])),
             uniformity_pvalue=uniformity_pvalue(ps),
         )
         for rn, ps in collected.items()

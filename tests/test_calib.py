@@ -57,15 +57,6 @@ def test_fit_recovers_unit_coefficients():
     assert fit.f == pytest.approx(1.0, rel=1e-9)
 
 
-def test_fit_weighted_agrees_on_exact_data():
-    pts = _exact_points(AC_REF, AQ_REF, F_REF, REF_POWERS)
-    plain = fit_variance_vs_power(pts)
-    weighted = fit_variance_vs_power(pts, weighted=True)
-    assert weighted.ac == pytest.approx(plain.ac, rel=1e-6)
-    assert weighted.aq == pytest.approx(plain.aq, rel=1e-6)
-    assert weighted.f == pytest.approx(plain.f, rel=1e-6)
-
-
 def test_fit_needs_four_points():
     with pytest.raises(ValueError, match="at least 4"):
         fit_variance_vs_power(_exact_points(1, 1, 1, [1, 2, 3]))

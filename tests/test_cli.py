@@ -152,14 +152,18 @@ def test_simulate_writes_readable_sample_file(tmp_path, capsys):
 
 
 def test_simulate_measured_tracks_predicted(tmp_path, capsys):
-    cfg = write_config(tmp_path)
-    out = tmp_path / "samples.qrng"
-    assert cli.main(["simulate", "--config", cfg, "--out", str(out)]) == 0
-    stdout = capsys.readouterr().out
-    measured = float(re.search(r"measured variance\s*:\s*(\S+)", stdout).group(1))
-    predicted = float(re.search(r"predicted variance\s*:\s*(\S+)", stdout).group(1))
-    assert measured == pytest.approx(predicted, rel=0.10)
-    assert qio.read_samples(str(out)).variance_volts() == pytest.approx(measured, rel=1e-6)
+    # the prediction includes the power of an rf tone through the filter
+    for run in ({}, {"rf_tones": [[8e7, 5e-3]]}):
+        cfg = write_config(tmp_path, run=run)
+        out = tmp_path / "samples.qrng"
+        assert cli.main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+        stdout = capsys.readouterr().out
+        measured = float(re.search(r"measured variance\s*:\s*(\S+)", stdout).group(1))
+        predicted = float(re.search(r"predicted variance\s*:\s*(\S+)", stdout).group(1))
+        assert measured == pytest.approx(predicted, rel=0.10)
+        assert qio.read_samples(str(out)).variance_volts() == pytest.approx(
+            measured, rel=1e-6
+        )
 
 
 def test_simulate_is_deterministic(tmp_path):
@@ -441,12 +445,14 @@ def test_pipeline_seed_override_changes_bits(pipeline_run, tmp_path):
 def test_pipeline_runs_no_attenuated_sweep(tmp_path, monkeypatch):
     # only calibrate reads the attenuation cross-check
     calls = []
-    real_simulate = runs.simulate
+    real_simulate = sim.simulate
 
     def counting_simulate(run):
         calls.append(run)
         return real_simulate(run)
 
+    # the sweep points run in sim's point loop, the main run in runs
+    monkeypatch.setattr(sim, "simulate", counting_simulate)
     monkeypatch.setattr(runs, "simulate", counting_simulate)
     cfg = write_config(tmp_path, **PIPELINE_SECTIONS)
     rc = cli.main(["pipeline", "--config", cfg, "--out", str(tmp_path / "bits.qrng")])

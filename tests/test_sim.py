@@ -16,7 +16,7 @@ from phaseqrng.model import (
     predicted_variance,
 )
 from phaseqrng.sim import (
-    DriftScenario,
+    NS_STABILITY,
     SimulationRun,
     derive_seed,
     simulate,
@@ -323,10 +323,17 @@ def test_fringe_scan_needs_eight_points():
 # ---------------------------------------------------------------------------
 
 
-def test_stability_without_drift_is_flat():
-    points = simulate_stability(
-        _run(seed=67), DriftScenario(), total_time=300.0, report_interval=30.0
+def _stability(run, total_time, report_interval, phase_drift_rate=0.0,
+               power_drift=None, recalibration_period=None):
+    n_points = math.floor(total_time / report_interval) + 1
+    times = [k * report_interval for k in range(n_points)]
+    return simulate_stability(
+        run, phase_drift_rate, power_drift, recalibration_period, times
     )
+
+
+def test_stability_without_drift_is_flat():
+    points = _stability(_run(seed=67), total_time=300.0, report_interval=30.0)
     assert len(points) == 11
     variances = np.array([p.variance for p in points])
     assert variances.std() / variances.mean() < 0.05
@@ -337,9 +344,9 @@ def test_stability_without_drift_is_flat():
 def test_stability_drift_degrades_variance():
     # pi radians per 10 minutes without recalibration: after 5 minutes the
     # operating point sits at the extremum and only the floor F remains
-    scenario = DriftScenario(phase_drift_rate=math.pi / 600.0)
-    points = simulate_stability(
-        _run(seed=71), scenario, total_time=300.0, report_interval=30.0
+    points = _stability(
+        _run(seed=71), total_time=300.0, report_interval=30.0,
+        phase_drift_rate=math.pi / 600.0,
     )
     assert points[-1].variance < 0.8 * points[0].variance
     assert points[-1].variance == pytest.approx(F_REF, rel=0.15)
@@ -349,31 +356,27 @@ def test_stability_drift_degrades_variance():
 def test_stability_recalibration_holds_variance():
     # same drift, but a 2-minute servo recal; reporting on the recal cadence
     # shows every measurement back at >= 90% of the initial maximum
-    scenario = DriftScenario(
-        phase_drift_rate=math.pi / 600.0, recalibration_period=120.0
-    )
-    points = simulate_stability(
-        _run(seed=73), scenario, total_time=1200.0, report_interval=120.0
+    points = _stability(
+        _run(seed=73), total_time=1200.0, report_interval=120.0,
+        phase_drift_rate=math.pi / 600.0, recalibration_period=120.0,
     )
     v0 = points[0].variance
     assert all(p.variance >= 0.9 * v0 for p in points)
 
 
 def test_stability_recalibration_bounds_entropy_swing():
-    scenario = DriftScenario(
-        phase_drift_rate=math.pi / 1800.0, recalibration_period=60.0
-    )
-    points = simulate_stability(
-        _run(seed=79), scenario, total_time=600.0, report_interval=60.0
+    points = _stability(
+        _run(seed=79), total_time=600.0, report_interval=60.0,
+        phase_drift_rate=math.pi / 1800.0, recalibration_period=60.0,
     )
     entropies = [p.min_entropy for p in points]
     assert max(entropies) - min(entropies) < 1.0
 
 
 def test_stability_power_drift_applies():
-    scenario = DriftScenario(power_drift=lambda t: 1.0 + 0.5 * (t > 100.0))
-    points = simulate_stability(
-        _run(seed=83), scenario, total_time=200.0, report_interval=20.0
+    points = _stability(
+        _run(seed=83), total_time=200.0, report_interval=20.0,
+        power_drift=lambda t: 1.0 + 0.5 * (t > 100.0),
     )
     early = points[0].variance
     late = points[-1].variance
@@ -382,12 +385,38 @@ def test_stability_power_drift_applies():
 
 
 def test_stability_reports_applied_phase():
-    scenario = DriftScenario(phase_drift_rate=1e-3)
-    points = simulate_stability(
-        _run(seed=89), scenario, total_time=100.0, report_interval=10.0
+    points = _stability(
+        _run(seed=89), total_time=100.0, report_interval=10.0, phase_drift_rate=1e-3
     )
     assert points[0].applied_phi2 == pytest.approx(math.pi / 2)
     assert points[-1].applied_phi2 == pytest.approx(math.pi / 2 + 0.1)
+
+
+def test_stability_recalibration_after_last_report_is_the_free_run():
+    run = _run(duration=1e-5, seed=101)
+    drift = dict(total_time=300.0, report_interval=30.0, phase_drift_rate=math.pi / 600.0)
+    free = _stability(run, **drift)
+    late = _stability(run, recalibration_period=300.5, **drift)
+    assert late == free
+
+
+def test_stability_point_is_one_seeded_simulate():
+    run = _run(duration=1e-5, seed=103)
+    points = _stability(
+        run, total_time=100.0, report_interval=10.0, phase_drift_rate=1e-3,
+        power_drift=lambda t: 1.0 + 1e-3 * t,
+    )
+    for k, point in enumerate(points):
+        t = point.time
+        sub = replace(
+            run,
+            model=replace(run.model, power_p=run.model.power_p * (1.0 + 1e-3 * t)),
+            chain=replace(
+                run.chain, quadrature_offset=run.chain.quadrature_offset + 1e-3 * t
+            ),
+            seed=derive_seed(run.seed, NS_STABILITY, k),
+        )
+        assert point.variance == simulate(sub).variance_volts()
 
 
 # ---------------------------------------------------------------------------
@@ -422,12 +451,3 @@ def test_silent_chain_rejected():
     )
     with pytest.raises(ValueError, match="silent"):
         simulate(run)
-
-
-def test_stability_validation():
-    with pytest.raises(ValueError):
-        simulate_stability(_run(), DriftScenario(), total_time=100.0, report_interval=0.0)
-    with pytest.raises(ValueError, match="at least 10 report intervals"):
-        simulate_stability(_run(), DriftScenario(), total_time=50.0, report_interval=10.0)
-    with pytest.raises(ValueError):
-        DriftScenario(recalibration_period=0.0)
