@@ -20,24 +20,21 @@ source,
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .io import write_csv
 from .model import VarianceFit
 
 __all__ = [
+    "MIN_FRINGE_POINTS",
     "PowerSweepPoint",
     "fit_variance_vs_power",
     "qcnr_from_fit",
     "qcnr_optimal_power",
     "qcnr_attenuation",
     "find_quadrature",
-    "read_sweep_csv",
-    "write_sweep_csv",
     "fit_report_text",
 ]
 
@@ -142,6 +139,10 @@ def qcnr_attenuation(sigma_sq: float, sigma_sq_att: float) -> float:
     return max(0.0, (sigma_sq - sigma_sq_att) / sigma_sq_att)
 
 
+# fewest points a fringe scan may have, here and in ``runs.FringeConfig``
+MIN_FRINGE_POINTS = 8
+
+
 def find_quadrature(fringe: list[tuple[float, float]]) -> float:
     """Locate the variance maximum of a fringe scan.
 
@@ -150,8 +151,8 @@ def find_quadrature(fringe: list[tuple[float, float]]) -> float:
     when the fringe has no contrast (max - min below three times the
     point-to-point noise estimate).
     """
-    if len(fringe) < 8:
-        raise ValueError("need at least 8 fringe points")
+    if len(fringe) < MIN_FRINGE_POINTS:
+        raise ValueError(f"need at least {MIN_FRINGE_POINTS} fringe points")
     pts = sorted(fringe, key=lambda t: t[0])
     phis = np.array([p for p, _ in pts], dtype=np.float64)
     vs = np.array([v for _, v in pts], dtype=np.float64)
@@ -180,24 +181,6 @@ def find_quadrature(fringe: list[tuple[float, float]]) -> float:
     vertex = -b / (2.0 * a)
     lo, hi = float(phis[i - 1]), float(phis[i + 1])
     return float(min(max(vertex, lo), hi))
-
-
-def write_sweep_csv(points: list[PowerSweepPoint], path) -> None:
-    """Write sweep data with columns power_w, variance_v2, n_samples."""
-    rows = ([repr(p.power), repr(p.variance), p.n_samples] for p in points)
-    write_csv(path, ["power_w", "variance_v2", "n_samples"], rows)
-
-
-def read_sweep_csv(path) -> list[PowerSweepPoint]:
-    with open(path, newline="") as f:
-        return [
-            PowerSweepPoint(
-                power=float(row["power_w"]),
-                variance=float(row["variance_v2"]),
-                n_samples=int(row["n_samples"]),
-            )
-            for row in csv.DictReader(f)
-        ]
 
 
 def fit_report_text(fit: VarianceFit) -> str:

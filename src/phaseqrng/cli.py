@@ -48,7 +48,12 @@ def cmd_calibrate(cfg: runs.Config, out: str) -> int:
 
     Path(out).write_text(calib.fit_report_text(fit))
     sweep_csv = out + ".sweep.csv"
-    calib.write_sweep_csv(result.points, sweep_csv)
+    qio.write_csv(
+        sweep_csv,
+        ["power_w", "variance_v2", "n_samples"],
+        ([repr(point.power), repr(point.variance), point.n_samples]
+         for point in result.points),
+    )
     qcnr_csv = out + ".qcnr.csv"
     qio.write_csv(
         qcnr_csv,

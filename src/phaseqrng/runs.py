@@ -64,7 +64,8 @@ class FringeConfig:
     samples_per_point: int = 200_000
 
     def __post_init__(self) -> None:
-        _check(self.n_points >= 8, "n_points must be >= 8")
+        _check(self.n_points >= calib.MIN_FRINGE_POINTS,
+               f"n_points must be >= {calib.MIN_FRINGE_POINTS}")
         _check(self.samples_per_point >= 2, "samples_per_point must be >= 2")
 
 
@@ -75,7 +76,6 @@ class EntropyConfig:
     n_in: int = entropy.DEFAULT_EXTRACTOR_N_IN
     security_eps_log2: float = -50.0
     min_entropy_override: float | None = None
-    extraction_ratio: float | None = None
 
     def __post_init__(self) -> None:
         _check(self.security_eps_log2 < 0.0 and 2.0**self.security_eps_log2 > 0.0,
@@ -84,8 +84,6 @@ class EntropyConfig:
                "n_in must exceed -2 * security_eps_log2 (the hashing penalty)")
         _check(self.min_entropy_override is None or self.min_entropy_override > 0,
                "min_entropy_override must be > 0")
-        _check(self.extraction_ratio is None or 0.0 < self.extraction_ratio <= 1.0,
-               "extraction_ratio must lie in (0, 1]")
 
 
 @dataclass(frozen=True)
@@ -342,6 +340,7 @@ def pipeline(cfg: Config) -> PipelineResult:
     )
 
     # size the main run from the predicted variance, then budget the real one
+    # (H_inf ignores the variance, so an override above it already fails here)
     provisional = budget(predicted_variance(fit, run.model.power_p))
     n_out_est = max(1, math.floor(provisional.extraction_ratio * ent.n_in))
     blocks_needed = math.ceil(pipe.n_output_bits / n_out_est) + 1
@@ -352,15 +351,7 @@ def pipeline(cfg: Config) -> PipelineResult:
     )
     report = budget(block.variance_volts())
 
-    ratio = report.extraction_ratio
-    if ent.extraction_ratio is not None:
-        if ent.extraction_ratio > ratio:
-            raise ConfigError(
-                "extraction exceeds entropy budget: configured ratio "
-                f"{ent.extraction_ratio} > budget {ratio:.4f}"
-            )
-        ratio = ent.extraction_ratio
-    n_out = max(1, math.floor(ratio * ent.n_in))
+    n_out = max(1, math.floor(report.extraction_ratio * ent.n_in))
     ext_seed = pipe.extractor_seed
     if ext_seed is None:  # not configured: derived from the run seed
         ext_seed = derive_seed(run.seed, NS_EXTRACTOR)

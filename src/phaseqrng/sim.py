@@ -295,8 +295,6 @@ def simulate_fringe_scan(
     run: SimulationRun, phi2_values: list[float]
 ) -> list[tuple[float, float]]:
     """Variance at each interferometer phase, one seeded sub-run per point."""
-    if len(phi2_values) < 8:
-        raise ValueError("need at least 8 fringe points")
     variances = simulate_variances(run, NS_FRINGE, (
         (run.model, replace(run.chain, quadrature_offset=phi2 - math.pi / 2.0))
         for phi2 in phi2_values

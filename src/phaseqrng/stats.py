@@ -1,4 +1,4 @@
-"""Statistical validation: autocorrelation, Welch PSD, NIST SP800-22 subset.
+"""Statistical validation: autocorrelation and a NIST SP800-22 subset.
 
 The implemented SP800-22 tests are Frequency (monobit), Block Frequency,
 Runs, Longest Run of Ones, Cumulative Sums (forward and reverse), Spectral
@@ -21,7 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.fft import rfft
-from scipy.signal import welch
 from scipy.special import erfc, gammaincc, ndtr
 
 from .model import BitStream
@@ -29,7 +28,6 @@ from .model import BitStream
 __all__ = [
     "TestReport",
     "autocorrelation",
-    "psd_welch",
     "frequency_test",
     "block_frequency_test",
     "runs_test",
@@ -93,30 +91,6 @@ def autocorrelation(samples, max_lag: int) -> np.ndarray:
     spec = np.fft.rfft(x, nfft)
     acov = np.fft.irfft(spec * np.conj(spec))[: max_lag + 1]
     return acov / acov[0]
-
-
-def psd_welch(samples, sample_rate_hz: float, segment_len: int):
-    """One-sided Welch PSD (Hann window, 50% overlap).
-
-    Returns ``(frequencies_hz, density)`` arrays.
-    """
-    x = np.asarray(samples, dtype=np.float64)
-    if segment_len < 2 or segment_len & (segment_len - 1):
-        raise ValueError("segment_len must be a power of two >= 2")
-    if x.size < 2 * segment_len:
-        raise ValueError("need at least 2 segments of data")
-    if sample_rate_hz <= 0:
-        raise ValueError("sample_rate_hz must be > 0")
-    freqs, density = welch(
-        x,
-        fs=sample_rate_hz,
-        window="hann",
-        nperseg=segment_len,
-        noverlap=segment_len // 2,
-        detrend="constant",
-        return_onesided=True,
-    )
-    return freqs, density
 
 
 # ---------------------------------------------------------------------------
@@ -240,9 +214,7 @@ def spectral_test(bits) -> float:
 
 
 def _pattern_counts(eps: np.ndarray, m: int) -> np.ndarray:
-    """Counts of all overlapping m-bit patterns in the circular extension."""
-    if m == 0:
-        return np.array([eps.size], dtype=np.int64)
+    """Counts of all overlapping m-bit patterns (m >= 1) in the circular extension."""
     ext = np.concatenate([eps, eps[: m - 1]])
     windows = np.lib.stride_tricks.sliding_window_view(ext, m)
     weights = 1 << np.arange(m - 1, -1, -1)
@@ -250,12 +222,17 @@ def _pattern_counts(eps: np.ndarray, m: int) -> np.ndarray:
     return np.bincount(values, minlength=1 << m)
 
 
-def _psi_sq(eps: np.ndarray, m: int) -> float:
-    if m <= 0:
+def _fold(counts: np.ndarray) -> np.ndarray:
+    """(m-1)-bit counts from m-bit ones: the (m-1)-bit window at a position is
+    the m-bit one there less its last, least significant, bit."""
+    return counts.reshape(-1, 2).sum(axis=1)
+
+
+def _psi_sq(counts: np.ndarray, n: int) -> float:
+    if counts.size == 1:  # m = 0
         return 0.0
-    counts = _pattern_counts(eps, m).astype(np.float64)
-    n = eps.size
-    return float((1 << m) / n * np.sum(counts**2) - n)
+    counts = counts.astype(np.float64)
+    return float(counts.size / n * np.sum(counts**2) - n)
 
 
 def serial_test(bits, m: int = 8) -> tuple[float, float]:
@@ -269,9 +246,11 @@ def serial_test(bits, m: int = 8) -> tuple[float, float]:
         raise ValueError("serial test needs m >= 2")
     if m >= eps.size:
         raise ValueError("pattern length m too large for the sequence")
-    psi_m = _psi_sq(eps, m)
-    psi_m1 = _psi_sq(eps, m - 1)
-    psi_m2 = _psi_sq(eps, m - 2)
+    counts_m = _pattern_counts(eps, m)
+    counts_m1 = _fold(counts_m)
+    psi_m = _psi_sq(counts_m, eps.size)
+    psi_m1 = _psi_sq(counts_m1, eps.size)
+    psi_m2 = _psi_sq(_fold(counts_m1), eps.size)
     d1 = psi_m - psi_m1
     d2 = psi_m - 2.0 * psi_m1 + psi_m2
     p1 = float(gammaincc(2 ** (m - 2), d1 / 2.0))
@@ -292,12 +271,12 @@ def approximate_entropy_test(bits, m: int = 6) -> float:
     if m + 1 >= n:
         raise ValueError("pattern length m too large for the sequence")
 
-    def phi(j: int) -> float:
-        counts = _pattern_counts(eps, j).astype(np.float64)
-        c = counts[counts > 0] / n
+    def phi(counts: np.ndarray) -> float:
+        c = counts[counts > 0].astype(np.float64) / n
         return float(np.sum(c * np.log(c)))
 
-    ap_en = phi(m) - phi(m + 1)
+    counts_m1 = _pattern_counts(eps, m + 1)
+    ap_en = phi(_fold(counts_m1)) - phi(counts_m1)
     chi_sq = 2.0 * n * (math.log(2.0) - ap_en)
     return float(gammaincc(2 ** (m - 1), chi_sq / 2.0))
 

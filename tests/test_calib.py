@@ -15,8 +15,6 @@ from phaseqrng.calib import (
     qcnr_attenuation,
     qcnr_from_fit,
     qcnr_optimal_power,
-    read_sweep_csv,
-    write_sweep_csv,
 )
 from phaseqrng.model import VarianceFit
 
@@ -270,20 +268,6 @@ def test_find_quadrature_within_grid_step(offset):
 # ---------------------------------------------------------------------------
 # persistence helpers
 # ---------------------------------------------------------------------------
-
-
-def test_sweep_csv_roundtrip(tmp_path):
-    pts = _exact_points(AC_REF, AQ_REF, F_REF, REF_POWERS, n=123457)
-    path = tmp_path / "sweep.csv"
-    write_sweep_csv(pts, path)
-    back = read_sweep_csv(path)
-    assert len(back) == len(pts)
-    for a, b in zip(pts, back):
-        assert b.power == a.power  # repr() round-trip is exact
-        assert b.variance == a.variance
-        assert b.n_samples == a.n_samples
-    header = path.read_text().splitlines()[0]
-    assert header == "power_w,variance_v2,n_samples"
 
 
 def test_fit_report_text_contents():

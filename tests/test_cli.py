@@ -20,7 +20,6 @@ from conftest import AC_REF, AQ_REF, CONFIGS, CONV_GAIN, DELAY_TD, F_REF, artifa
 
 from phaseqrng import cli, runs, sim, stats
 from phaseqrng import io as qio
-from phaseqrng.calib import read_sweep_csv
 
 BASE_CONFIG = {
     "model": {
@@ -247,12 +246,14 @@ def test_calibrate_locates_quadrature(calibrate_run):
 
 def test_calibrate_sweep_csv_roundtrips(calibrate_run):
     _, out, _ = calibrate_run
-    points = read_sweep_csv(str(out) + ".sweep.csv")
-    assert len(points) == 5
-    powers = [p.power for p in points]
-    assert powers == sorted(powers)
-    assert all(p.n_samples == 100_000 for p in points)
-    assert all(p.variance > 0 for p in points)
+    with open(str(out) + ".sweep.csv", newline="") as f:
+        reader = csv.DictReader(f)
+        rows = list(reader)
+    assert reader.fieldnames == ["power_w", "variance_v2", "n_samples"]
+    # repr() round-trips exactly: the configured powers come back unchanged
+    assert [float(r["power_w"]) for r in rows] == [1e-5, 3e-5, 1e-4, 3e-4, 1e-3]
+    assert all(int(r["n_samples"]) == 100_000 for r in rows)
+    assert all(float(r["variance_v2"]) > 0 for r in rows)
 
 
 def test_calibrate_qcnr_csv_cross_checks_methods(calibrate_run):
@@ -442,8 +443,9 @@ def test_pipeline_seed_override_changes_bits(pipeline_run, tmp_path):
     assert a.bits != b.bits
 
 
-def test_pipeline_runs_no_attenuated_sweep(tmp_path, monkeypatch):
-    # only calibrate reads the attenuation cross-check
+@pytest.fixture
+def simulate_calls(monkeypatch):
+    """Every run passed to ``simulate`` during the test, in order."""
     calls = []
     real_simulate = sim.simulate
 
@@ -454,20 +456,32 @@ def test_pipeline_runs_no_attenuated_sweep(tmp_path, monkeypatch):
     # the sweep points run in sim's point loop, the main run in runs
     monkeypatch.setattr(sim, "simulate", counting_simulate)
     monkeypatch.setattr(runs, "simulate", counting_simulate)
+    return calls
+
+
+def test_pipeline_runs_no_attenuated_sweep(tmp_path, simulate_calls):
+    # only calibrate reads the attenuation cross-check
     cfg = write_config(tmp_path, **PIPELINE_SECTIONS)
     rc = cli.main(["pipeline", "--config", cfg, "--out", str(tmp_path / "bits.qrng")])
     assert rc == 0
     # one run per direct sweep point, then the main run
-    assert len(calls) == len(PIPELINE_SECTIONS["sweep"]["powers"]) + 1
+    assert len(simulate_calls) == len(PIPELINE_SECTIONS["sweep"]["powers"]) + 1
 
 
-def test_pipeline_rejects_ratio_above_budget(tmp_path, capsys):
+def test_pipeline_rejects_override_above_budget_before_main_run(
+    tmp_path, capsys, simulate_calls
+):
+    # H_inf does not depend on the variance, so the provisional budget
+    # rejects the override right after the sweep
     sections = copy.deepcopy(PIPELINE_SECTIONS)
-    sections["entropy"]["extraction_ratio"] = 0.99
+    sections["entropy"]["min_entropy_override"] = 7.9
     cfg = write_config(tmp_path, **sections)
     rc = cli.main(["pipeline", "--config", cfg, "--out", str(tmp_path / "bits.qrng")])
     assert rc == 1
-    assert "exceeds entropy budget" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert "override exceeds" in err
+    assert len(simulate_calls) == len(PIPELINE_SECTIONS["sweep"]["powers"])
 
 
 def test_pipeline_rejects_short_output_for_suite(tmp_path, capsys):

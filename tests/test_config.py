@@ -57,7 +57,6 @@ VALID = {
         "n_in": 1024,
         "security_eps_log2": -50,
         "min_entropy_override": 5.0,
-        "extraction_ratio": 0.5,
     },
     "pipeline": {
         "n_output_bits": 30_000,
@@ -93,7 +92,6 @@ KINDS = {
     (("entropy",), "n_in"): "int",
     (("entropy",), "security_eps_log2"): "float",
     (("entropy",), "min_entropy_override"): "float",
-    (("entropy",), "extraction_ratio"): "float",
     **{(("pipeline",), k): "int" for k in VALID["pipeline"]},
     **{(("stability",), k): "float" for k in VALID["stability"] if k != "power_drift"},
     (("stability",), "power_drift"): "object",
@@ -143,8 +141,6 @@ OUT_OF_RANGE = [
     (("entropy",), "security_eps_log2", 5000.0),
     (("entropy",), "security_eps_log2", -2000.0),
     (("entropy",), "min_entropy_override", 0.0),
-    (("entropy",), "extraction_ratio", 0.0),
-    (("entropy",), "extraction_ratio", 1.5),
     (("pipeline",), "n_output_bits", 29_999),
     (("pipeline",), "seq_len_bits", 127),
     (("pipeline",), "n_sequences", 0),

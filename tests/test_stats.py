@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.signal import welch
 
 from phaseqrng.model import BitStream
 from phaseqrng.sim import SimulationRun, simulate
@@ -20,6 +21,7 @@ from phaseqrng.stats import (
     NIST_SUBSET_TESTS,
     TestReport as StatsReport,
     _cusum_pvalue,
+    _fold,
     _longest_run_per_block,
     _pattern_counts,
     approximate_entropy_test,
@@ -30,7 +32,6 @@ from phaseqrng.stats import (
     longest_run_test,
     nist_subset,
     pass_rate_band,
-    psd_welch,
     runs_test,
     serial_test,
     spectral_test,
@@ -99,31 +100,8 @@ def test_autocorrelation_validation():
 
 
 # ---------------------------------------------------------------------------
-# Welch PSD
+# spectrum of the simulated chain
 # ---------------------------------------------------------------------------
-
-
-def test_psd_parseval():
-    x = np.random.default_rng(7).standard_normal(2**16)
-    freqs, pxx = psd_welch(x, 1000.0, segment_len=1024)
-    df = freqs[1] - freqs[0]
-    assert float(np.sum(pxx) * df) == pytest.approx(float(np.var(x)), rel=0.05)
-
-
-def test_psd_peak_at_tone_frequency():
-    fs, f0 = 1000.0, 123.0
-    t = np.arange(2**14) / fs
-    x = np.sin(2 * np.pi * f0 * t) + 0.01 * np.random.default_rng(8).standard_normal(t.size)
-    freqs, pxx = psd_welch(x, fs, segment_len=1024)
-    assert abs(freqs[np.argmax(pxx)] - f0) <= freqs[1] - freqs[0]
-
-
-def test_psd_white_noise_is_flat():
-    x = np.random.default_rng(9).standard_normal(2**17)
-    freqs, pxx = psd_welch(x, 1.0, segment_len=512)
-    # average into coarse bands; a white spectrum stays within a factor ~1.5
-    usable = pxx[1 : (len(pxx) - 1) // 16 * 16 + 1].reshape(16, -1).mean(axis=1)
-    assert usable.max() / usable.min() < 1.5
 
 
 def test_psd_of_simulated_chain_rolls_off_at_cutoff():
@@ -147,7 +125,7 @@ def test_psd_of_simulated_chain_rolls_off_at_cutoff():
         oversample_factor=4,
     )
     block = simulate(run)
-    freqs, pxx = psd_welch(block.volts(), 5e9, segment_len=4096)
+    freqs, pxx = welch(block.volts(), fs=5e9, nperseg=4096)
     plateau = pxx[(freqs > 1e7) & (freqs < 1e8)].mean()
     half = plateau / 2.0
     nb = 100
@@ -159,16 +137,6 @@ def test_psd_of_simulated_chain_rolls_off_at_cutoff():
     f1, f2, p1, p2 = f_band[i - 1], f_band[i], p_band[i - 1], p_band[i]
     f3db = f1 + (half - p1) * (f2 - f1) / (p2 - p1)
     assert f3db == pytest.approx(500e6, rel=0.20)
-
-
-def test_psd_validation():
-    x = np.random.default_rng(10).standard_normal(4096)
-    with pytest.raises(ValueError, match="power of two"):
-        psd_welch(x, 1.0, segment_len=1000)
-    with pytest.raises(ValueError, match="2 segments"):
-        psd_welch(x[:100], 1.0, segment_len=1024)
-    with pytest.raises(ValueError):
-        psd_welch(x, 0.0, segment_len=256)
 
 
 # ---------------------------------------------------------------------------
@@ -278,9 +246,12 @@ def test_pattern_counts_match_naive():
     for _ in range(10):
         eps = rng.integers(0, 2, int(rng.integers(16, 200)), dtype=np.uint8)
         m = int(rng.integers(1, 6))
-        np.testing.assert_array_equal(
-            _pattern_counts(eps, m), _naive_pattern_counts(eps, m)
-        )
+        counts = _pattern_counts(eps, m)
+        np.testing.assert_array_equal(counts, _naive_pattern_counts(eps, m))
+        if m >= 2:  # serial and ApEn fold the m-bit counts to m - 1 bits
+            np.testing.assert_array_equal(
+                _fold(counts), _naive_pattern_counts(eps, m - 1)
+            )
     # total count equals the (circular) sequence length
     eps = rng.integers(0, 2, 100, dtype=np.uint8)
     assert _pattern_counts(eps, 3).sum() == 100
