@@ -71,15 +71,12 @@ def fit_variance_vs_power(points: list[PowerSweepPoint]) -> VarianceFit:
     design = np.column_stack([powers**2, powers, np.ones_like(powers)])
     coef, _, _, _ = np.linalg.lstsq(design, variances, rcond=None)
 
-    # standard errors from the residuals (for the clamping tolerance)
-    dof = len(points) - 3
+    # standard errors from the residuals (for the clamping tolerance); the
+    # 4-point minimum above leaves at least one degree of freedom
     resid = variances - design @ coef
-    if dof > 0:
-        s2 = float(resid @ resid) / dof
-        cov = s2 * np.linalg.inv(design.T @ design)
-        ses = np.sqrt(np.maximum(np.diag(cov), 0.0))
-    else:
-        ses = np.zeros(3)
+    s2 = float(resid @ resid) / (len(points) - 3)
+    cov = s2 * np.linalg.inv(design.T @ design)
+    ses = np.sqrt(np.maximum(np.diag(cov), 0.0))
 
     clamped = coef.copy()
     for i in range(3):
@@ -162,7 +159,7 @@ def find_quadrature(fringe: list[tuple[float, float]]) -> float:
     # point-to-point noise from second differences (robust to the smooth
     # fringe shape, exact zero for a constant scan)
     d2 = np.diff(vs, n=2)
-    noise = float(np.sqrt(np.mean(d2**2) / 6.0)) if d2.size else 0.0
+    noise = float(np.sqrt(np.mean(d2**2) / 6.0))
     contrast = float(vs.max() - vs.min())
     if contrast <= 3.0 * noise:
         raise ValueError("no interference contrast: fringe is flat")

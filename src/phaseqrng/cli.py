@@ -63,10 +63,11 @@ def cmd_calibrate(cfg: runs.Config, out: str) -> int:
          for point, var_att in zip(result.points, result.attenuated_variances)),
     )
 
-    p_star, q_max = calib.qcnr_optimal_power(fit)
     print(f"fit: ac = {fit.ac:.4f} V^2/W^2, aq = {fit.aq:.6f} V^2/W, "
           f"f = {fit.f:.4e} V^2, R^2 = {fit.r_squared:.6f}")
-    print(f"QCNR peak            : {q_max:.3f} at {p_star:.3e} W")
+    if fit.ac > 0 and fit.f > 0:  # else QCNR has no interior optimum
+        p_star, q_max = calib.qcnr_optimal_power(fit)
+        print(f"QCNR peak            : {q_max:.3f} at {p_star:.3e} W")
     print(f"reports              : {out}, {sweep_csv}, {qcnr_csv}")
     return EXIT_OK
 
@@ -174,6 +175,9 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         cfg = runs.load_config(args.config, args.seed)
+        out_dir = Path(args.out).parent
+        if not out_dir.is_dir():
+            raise ValueError(f"output directory {out_dir} does not exist")
         return _COMMANDS[args.command](cfg, args.out)
     except ValueError as exc:  # runs.ConfigError and library validation
         print(f"error: {exc}", file=sys.stderr)

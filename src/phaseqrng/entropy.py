@@ -97,8 +97,8 @@ def extraction_ratio(
     """Leftover-hash output fraction per raw input bit.
 
     ``h_min/sample_bits`` minus the finite-block penalty
-    ``2*log2(1/eps)/n_in``, clamped to (0, 1].  Raises if the penalty eats
-    the whole budget.
+    ``2*log2(1/eps)/n_in``, below 1 since the penalty is positive.  Raises
+    if the penalty eats the whole budget.
     """
     if not 0 < h_min <= sample_bits:
         raise ValueError("h_min must lie in (0, sample_bits]")
@@ -113,7 +113,7 @@ def extraction_ratio(
             f"block too small for requested security: ratio {ratio:.3e} <= 0 "
             f"(penalty {penalty:.3e} with n_in={n_in})"
         )
-    return min(ratio, 1.0)
+    return ratio
 
 
 def generation_rate(h_min: float, sample_rate_hz: float) -> float:

@@ -197,24 +197,6 @@ def read_bits(source) -> BitStream:
     return BitStream(bits=payload, count=count, provenance=provenance)
 
 
-def export_bits_ascii(stream: BitStream, sink, per_line: int = 64) -> int:
-    """Export bits as ASCII '0'/'1' characters for external test suites.
-
-    Lines hold ``per_line`` characters; no trailing newline, so exporting the
-    3-bit stream 1,0,1 yields exactly ``101``.  Returns bytes written.
-    """
-    bits = stream.as_bit_array()
-    chars = np.array([ord("0"), ord("1")], dtype=np.uint8)[bits]
-    chunks = [
-        chars[i : i + per_line].tobytes()
-        for i in range(0, len(chars), per_line)
-    ]
-    data = b"\n".join(chunks)
-    with _opened(sink, "wb") as f:
-        f.write(data)
-    return len(data)
-
-
 def write_csv(path, header: list[str], rows) -> None:
     """Write a CSV file: the header row, then ``rows``."""
     with open(path, "w", newline="") as f:

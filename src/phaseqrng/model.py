@@ -42,7 +42,6 @@ __all__ = [
     "phase_difference_variance",
     "predicted_variance",
     "variance_coefficients",
-    "model_from_coefficients",
     "attenuated_model",
 ]
 
@@ -288,28 +287,6 @@ def variance_coefficients(
     ac = a * model.classical_diffusion_c * td
     aq = a * model.quantum_diffusion_q * td
     return ac, aq, chain.electronic_noise_f
-
-
-def model_from_coefficients(
-    ac: float,
-    aq: float,
-    power: float,
-    *,
-    conversion_gain_a: float,
-    delay_td: float,
-) -> LaserNoiseModel:
-    """Invert :func:`variance_coefficients`: diffusion rates from (AC, AQ).
-
-    Handy for configuring the simulator so that a calibration run should
-    reproduce a given set of fitted coefficients.
-    """
-    if conversion_gain_a <= 0 or delay_td <= 0:
-        raise ValueError("conversion_gain_a and delay_td must be > 0")
-    q = aq / (conversion_gain_a * delay_td)
-    c = ac / (conversion_gain_a * delay_td)
-    return LaserNoiseModel(
-        quantum_diffusion_q=q, classical_diffusion_c=c, power_p=power
-    )
 
 
 def attenuated_model(model: LaserNoiseModel, detected_power: float) -> LaserNoiseModel:

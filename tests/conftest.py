@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from phaseqrng.model import SignalChainConfig, VarianceFit, model_from_coefficients
+from phaseqrng.model import LaserNoiseModel, SignalChainConfig, VarianceFit
 
 # reference variance-fit coefficients used as the standard test operating point
 AC_REF = 22.519        # V^2 / W^2
@@ -55,8 +55,10 @@ def ref_chain() -> SignalChainConfig:
 
 def make_ref_model(power: float):
     """Laser model whose chain coefficients equal the reference fit values."""
-    return model_from_coefficients(
-        AC_REF, AQ_REF, power, conversion_gain_a=CONV_GAIN, delay_td=DELAY_TD
+    return LaserNoiseModel(
+        quantum_diffusion_q=AQ_REF / (CONV_GAIN * DELAY_TD),
+        classical_diffusion_c=AC_REF / (CONV_GAIN * DELAY_TD),
+        power_p=power,
     )
 
 

@@ -18,8 +18,9 @@ import pytest
 
 from conftest import AC_REF, AQ_REF, CONFIGS, CONV_GAIN, DELAY_TD, F_REF, artifact_digests
 
-from phaseqrng import cli, runs, sim, stats
+from phaseqrng import calib, cli, runs, sim, stats
 from phaseqrng import io as qio
+from phaseqrng.model import VarianceFit
 
 BASE_CONFIG = {
     "model": {
@@ -336,6 +337,25 @@ def test_calibrate_rejects_rank_deficient_sweep(tmp_path, capsys, monkeypatch):
     assert elapsed < 1.0
 
 
+def test_calibrate_without_interior_optimum_prints_no_peak(tmp_path, capsys, monkeypatch):
+    # with no electronic noise the fitted f can clamp to 0, and QCNR then
+    # rises with power to the end of the sweep: there is no peak to print
+    monkeypatch.setattr(
+        calib, "fit_variance_vs_power",
+        lambda points: VarianceFit(ac=AC_REF, aq=AQ_REF, f=0.0, r_squared=0.9999),
+    )
+    cfg = write_config(
+        tmp_path,
+        sweep={"powers": [3e-5, 1e-4, 3e-4, 1e-3], "samples_per_point": 10_000},
+    )
+    out = tmp_path / "fit.txt"
+    rc = cli.main(["calibrate", "--config", cfg, "--out", str(out)])
+    assert rc == 0
+    assert set(artifact_digests(out)) == {"", ".sweep.csv", ".qcnr.csv"}
+    assert "qcnr_peak" not in out.read_text()
+    assert "QCNR peak" not in capsys.readouterr().out
+
+
 # ---------------------------------------------------------------------------
 # pipeline
 # ---------------------------------------------------------------------------
@@ -600,6 +620,27 @@ def test_stability_rejects_nonpositive_interval(tmp_path, capsys):
     rc = cli.main(["stability", "--config", cfg, "--out", str(tmp_path / "s.csv")])
     assert rc == 1
     assert "report_interval" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["simulate", "calibrate", "pipeline", "stability"])
+def test_out_in_missing_directory_fails_before_any_run(
+    tmp_path, capsys, monkeypatch, command
+):
+    for module in (sim, runs, cli):
+        monkeypatch.setattr(module, "simulate", _no_simulation)
+    sections = {
+        "simulate": {},
+        "calibrate": {"sweep": PIPELINE_SECTIONS["sweep"]},
+        "pipeline": PIPELINE_SECTIONS,
+        "stability": {"stability": {"total_time": 200.0, "report_interval": 20.0}},
+    }[command]
+    cfg = write_config(tmp_path, **sections)
+    out = tmp_path / "missing" / "out"
+    rc = cli.main([command, "--config", cfg, "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert len(err.splitlines()) == 1, err
+    assert err.startswith("error: output directory") and "does not exist" in err
 
 
 # ---------------------------------------------------------------------------

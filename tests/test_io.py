@@ -14,7 +14,6 @@ from phaseqrng.io import (
     FormatError,
     TruncatedFileError,
     UnsupportedVersionError,
-    export_bits_ascii,
     read_bits,
     read_report,
     read_samples,
@@ -239,41 +238,6 @@ def test_bits_count_payload_mismatch_rejected():
     blob[11:19] = struct.pack("<Q", 1)
     with pytest.raises(TruncatedFileError):
         read_bits(io.BytesIO(bytes(blob[:-1])))
-
-
-# ---------------------------------------------------------------------------
-# ASCII export
-# ---------------------------------------------------------------------------
-
-
-def test_ascii_export_exact_bytes():
-    stream = BitStream.from_bit_array(np.array([1, 0, 1], dtype=np.uint8))
-    buf = io.BytesIO()
-    n = export_bits_ascii(stream, buf)
-    assert buf.getvalue() == b"101"
-    assert n == 3
-
-
-def test_ascii_export_wraps_lines_without_trailing_newline():
-    bits = np.tile(np.array([1, 0], dtype=np.uint8), 70)[:130]
-    stream = BitStream.from_bit_array(bits)
-    buf = io.BytesIO()
-    export_bits_ascii(stream, buf, per_line=64)
-    text = buf.getvalue().decode()
-    lines = text.split("\n")
-    assert [len(line) for line in lines] == [64, 64, 2]
-    assert not text.endswith("\n")
-    assert set(text) <= {"0", "1", "\n"}
-    # concatenated characters reproduce the bit sequence
-    flat = text.replace("\n", "")
-    np.testing.assert_array_equal([int(c) for c in flat], bits)
-
-
-def test_ascii_export_to_file(tmp_path):
-    stream = BitStream.from_bit_array(np.zeros(10, dtype=np.uint8))
-    path = tmp_path / "bits.txt"
-    export_bits_ascii(stream, path)
-    assert path.read_bytes() == b"0" * 10
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from phaseqrng.model import (
@@ -15,7 +15,6 @@ from phaseqrng.model import (
     SignalChainConfig,
     VarianceFit,
     attenuated_model,
-    model_from_coefficients,
     phase_difference_variance,
     predicted_variance,
     quadrature_sensitivity,
@@ -107,21 +106,6 @@ def test_variance_coefficients_roundtrip_reference():
     assert ac == pytest.approx(AC_REF, rel=1e-12)
     assert aq == pytest.approx(AQ_REF, rel=1e-12)
     assert f == F_REF
-
-
-@given(
-    ac=st.floats(min_value=1e-3, max_value=1e3),
-    aq=st.floats(min_value=1e-6, max_value=1.0),
-    a=st.floats(min_value=1.0, max_value=1e9),
-    td=st.floats(min_value=1e-12, max_value=1e-9),
-)
-@settings(max_examples=50)
-def test_model_from_coefficients_inverts_variance_coefficients(ac, aq, a, td):
-    m = model_from_coefficients(ac, aq, 1e-3, conversion_gain_a=a, delay_td=td)
-    chain = SignalChainConfig(delay_td=td, conversion_gain_a=a, electronic_noise_f=0.0)
-    ac2, aq2, _ = variance_coefficients(m, chain)
-    assert ac2 == pytest.approx(ac, rel=1e-9)
-    assert aq2 == pytest.approx(aq, rel=1e-9)
 
 
 def test_chain_variance_identity_at_reference_point():
