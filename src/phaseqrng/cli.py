@@ -178,6 +178,8 @@ def main(argv: list[str] | None = None) -> int:
         out_dir = Path(args.out).parent
         if not out_dir.is_dir():
             raise ValueError(f"output directory {out_dir} does not exist")
+        if Path(args.out).is_dir():
+            raise ValueError(f"output path {args.out} is a directory")
         return _COMMANDS[args.command](cfg, args.out)
     except ValueError as exc:  # runs.ConfigError and library validation
         print(f"error: {exc}", file=sys.stderr)

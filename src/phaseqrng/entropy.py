@@ -140,7 +140,7 @@ def entropy_report(
     the recomputed value) for deriving the extraction budget; the
     recomputation is otherwise authoritative.
     """
-    if sigma_sq_total <= 0:
+    if not sigma_sq_total > 0:
         raise ValueError("sigma_sq_total must be > 0")
     h_min = min_entropy_quantum(sigma_sq_total, qcnr, adc_bits, range_sigmas)
     if min_entropy_override is not None:

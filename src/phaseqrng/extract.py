@@ -7,11 +7,11 @@ by ``n_in + n_out - 1`` seed bits: the first column of ``T`` is
 ``seed[n_out - 1 : n_in + n_out - 1]`` (left to right); column and row share
 the corner element ``seed[n_out - 1]``, i.e. ``T[i, j] = seed[n_out-1-i+j]``.
 
-Because a Toeplitz matrix-vector product is a slice of a full convolution,
-the production implementation hashes blocks with an FFT convolution in
-O(n log n) instead of forming ``T``.  The convolution counts are small
-integers (bounded by n_in), so rounding the FFT output to the nearest
-integer before reducing mod 2 is exact.
+A Toeplitz matrix-vector product is a slice of a convolution, so blocks are
+hashed by a real-FFT circular correlation of length >= n_in + n_out - 1, at
+which no wrapped term reaches the kept lags, in O(n log n) without forming
+``T``.  The counts are small integers (bounded by n_in), so rounding them to
+the nearest integer before reducing mod 2 is exact.
 
 Security note: the hash itself is deterministic and carries no entropy
 accounting — choosing ``n_out`` within the leftover-hash budget (see
@@ -25,7 +25,7 @@ import hashlib
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import fftconvolve
+from scipy.fft import irfft, next_fast_len, rfft
 
 from .model import BitStream, EntropyReport, SampleBlock
 
@@ -78,13 +78,17 @@ def toeplitz_matrix(seed: ToeplitzSeed) -> np.ndarray:
 def _hash_blocks(seed: ToeplitzSeed, blocks: np.ndarray) -> np.ndarray:
     """Hash a (n_blocks, n_in) bit matrix; returns (n_blocks, n_out) bits.
 
-    y[i] = sum_j seed[n_out-1-i+j] * x[j] is the full convolution of the
-    reversed seed with x evaluated at lag n_in - 1 + i.
+    y[i] = sum_j seed[n_out-1-i+j] * x[j] is the reversed seed convolved with
+    x at lag n_in - 1 + i; hashing 256 blocks at a time bounds the memory.
     """
-    rev = seed.bits[::-1].astype(np.float64)
-    conv = fftconvolve(blocks.astype(np.float64), rev[None, :], axes=1)
-    counts = np.rint(conv[:, seed.n_in - 1 : seed.n_in - 1 + seed.n_out])
-    return (counts.astype(np.int64) & 1).astype(np.uint8)
+    n = next_fast_len(seed.n_in + seed.n_out - 1, real=True)
+    seed_spectrum = rfft(seed.bits[::-1].astype(np.float64), n)
+    out = np.empty((len(blocks), seed.n_out), dtype=np.uint8)
+    for k in range(0, len(blocks), 256):
+        conv = irfft(rfft(blocks[k : k + 256], n, axis=1) * seed_spectrum, n, axis=1)
+        counts = np.rint(conv[:, seed.n_in - 1 : seed.n_in - 1 + seed.n_out])
+        out[k : k + 256] = counts.astype(np.int64) & 1
+    return out
 
 
 def toeplitz_hash(seed: ToeplitzSeed, block: np.ndarray) -> np.ndarray:
@@ -140,8 +144,5 @@ def extract_stream(
         "seed_rng": seed.seed_rng,
         "extraction_ratio": repr(report.extraction_ratio),
     }
-    if n_blocks == 0:
-        return BitStream.from_bit_array(np.zeros(0, dtype=np.uint8), provenance)
     blocks = raw_bits[: n_blocks * seed.n_in].reshape(n_blocks, seed.n_in)
-    out = _hash_blocks(seed, blocks)
-    return BitStream.from_bit_array(out.reshape(-1), provenance)
+    return BitStream.from_bit_array(_hash_blocks(seed, blocks).reshape(-1), provenance)

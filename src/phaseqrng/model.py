@@ -174,10 +174,9 @@ class SampleBlock:
         object.__setattr__(self, "samples", arr)
         if not 1 <= int(self.adc_bits) <= 16:
             raise ValueError("adc_bits must be in [1, 16]")
-        if self.adc_scale <= 0:
-            raise ValueError("adc_scale must be > 0")
-        if self.sample_rate_hz <= 0:
-            raise ValueError("sample_rate_hz must be > 0")
+        for name in ("adc_scale", "sample_rate_hz"):  # NaN fails both bounds
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and > 0")
         if self.origin not in _SAMPLE_ORIGINS:
             raise ValueError(f"origin must be one of {_SAMPLE_ORIGINS}")
         lo, hi = self.code_range()
@@ -308,13 +307,3 @@ def attenuated_model(model: LaserNoiseModel, detected_power: float) -> LaserNois
         quantum_diffusion_q=model.quantum_diffusion_q * scale,
         power_p=detected_power,
     )
-
-
-def quadrature_sensitivity(offset: float) -> float:
-    """First-order variance sensitivity factor cos^2(offset).
-
-    At the quadrature point (offset 0) phase noise converts to intensity at
-    first order; drifting off quadrature suppresses the converted variance by
-    cos^2 of the offset.
-    """
-    return math.cos(offset) ** 2

@@ -9,17 +9,17 @@ Pipeline per internal step (running at ``sample_rate * oversample_factor``):
    theta(t - T_d)`` with a delay of ``L`` internal steps;
 3. photocurrent ``~ P * sin(dtheta + quadrature_offset)``, scaled to volts,
    plus any rf tones;
-4. single-pole low-pass at the TIA cutoff;
+4. single-pole low-pass at the TIA cutoff, read only at the kept samples:
+   an ``ovs``-tap FIR (weights ``alpha * rho^j``) into an output-rate
+   AR(1) with coefficient ``r = rho^ovs``, solved by one doubling scan;
 
 then per output sample (stream v2):
 
-5. decimate to the ADC sample rate and remove the model DC
-   ``amp * sin(offset) * exp(-s / 2)``, exact for Gaussian ``dtheta`` of
-   variance ``s = Q/P + C`` over the ``L``-step delay;
-6. add the electronic noise at the output rate.  White noise filtered by the
-   single pole and decimated is exactly AR(1) with coefficient ``rho^ovs``
-   and stationary variance ``F``, so it is drawn as that, n draws instead of
-   n * ovs, from its own sub-stream;
+5. the electronic noise enters that AR(1)'s input: white noise filtered by
+   the pole and decimated is exactly AR(1) in ``r`` with variance ``F``, so
+   it is n draws of its innovations, not n * ovs, on its own sub-stream;
+6. remove the model DC ``amp * sin(offset) * exp(-s / 2)``, exact for
+   Gaussian ``dtheta`` of variance ``s = Q/P + C`` over the ``L`` steps;
 7. quantise to ``adc_bits`` over ``+-range_sigmas * sigma_pred``, where
    ``sigma_pred^2`` is the model variance at the run's operating point: to
    first order ``(AC P^2 + AQ P) cos^2(offset) + F``, with the exact Gaussian
@@ -53,12 +53,11 @@ from dataclasses import dataclass, replace
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
-from scipy.signal import lfilter
 
 from . import entropy as _entropy
 from .model import (
     LaserNoiseModel, SampleBlock, SignalChainConfig, phase_difference_variance,
-    quadrature_sensitivity, variance_coefficients,
+    variance_coefficients,
 )
 
 __all__ = [
@@ -175,7 +174,7 @@ def model_sigma(run: SimulationRun) -> float:
         k = np.arange(1 - L, L)
         w = rho ** np.abs(k)
         c = s * (1.0 - np.abs(k) / L)
-        cos_sq = quadrature_sensitivity(chain.quadrature_offset)
+        cos_sq = math.cos(chain.quadrature_offset) ** 2
         # 2 sinh^2(c/2) is cosh(c) - 1 without the cancellation at small c
         cov = cos_sq * np.sinh(c) + (1.0 - cos_sq) * 2.0 * np.sinh(c / 2.0) ** 2
         # (AC P^2 + AQ P) is amp^2 g0 sum(w c), the first-order variance
@@ -193,16 +192,21 @@ def _analog_chain(run: SimulationRun, n_samples: int) -> np.ndarray:
     dt, alpha, rho, kappa_d, L = _filter_gains(chain, ovs)
     # settle ~8 filter time constants past the delay buffer
     n_settle = int(math.ceil(8.0 / (2.0 * math.pi * chain.tia_cutoff_hz * dt)))
-    n_steps = n_settle + n_samples * ovs
+    # front-pad with the DC so that every row of ovs internal samples ends
+    # on a kept one; no step after the last kept sample is computed
+    pad = -(n_settle + 1) % ovs
+    n_rows = (pad + n_settle + 1) // ovs + n_samples - 1
+    w = np.zeros(n_rows * ovs)
+    v = w[pad:]
     dc = 0.0
     if model.power_p > 0:
         # combined Wiener increments for the two independent phase processes,
         # whose delay difference has variance s over the L-step buffer
         s = phase_difference_variance(model, L * dt)
         rng = np.random.default_rng(derive_seed(run.seed, NS_PHASE))
-        inc = rng.normal(0.0, math.sqrt(s / L), size=L + n_steps)
+        inc = rng.normal(0.0, math.sqrt(s / L), size=L + v.size)
         theta = np.cumsum(inc, out=inc)
-        v = theta[L:] - theta[:-L]
+        np.subtract(theta[L:], theta[:-L], out=v)
         del inc, theta
         v += chain.quadrature_offset
         np.sin(v, out=v)
@@ -217,24 +221,28 @@ def _analog_chain(run: SimulationRun, n_samples: int) -> np.ndarray:
         v *= amp
         # E[sin(x + offset)] = sin(offset) * exp(-var(x) / 2) for Gaussian x
         dc = amp * math.sin(chain.quadrature_offset) * math.exp(-s / 2.0)
-    else:
-        v = np.zeros(n_steps)
+        w[:pad] = dc
     for freq, amplitude in run.rf_tones:
-        t = (np.arange(n_steps) + L) * dt
+        t = (np.arange(v.size) + L) * dt
         v += amplitude * np.sin(2.0 * math.pi * freq * t)
-    # the filter starts at the DC, so no DC transient reaches the output
-    filtered, _ = lfilter([alpha], [1.0, -rho], v, zi=[rho * dc])
-    out = filtered[n_settle::ovs] - dc
-
+    # the pole read every ovs steps: an ovs-tap FIR into an AR(1) in r, whose
+    # state starts at the DC, so no DC transient reaches the output
+    r = rho**ovs
+    u = w.reshape(n_rows, ovs) @ (alpha * rho ** np.arange(ovs - 1, -1, -1.0))
+    u[0] += r * dc
     f = chain.electronic_noise_f
     if f > 0:
-        r = rho**ovs
         rng = np.random.default_rng(derive_seed(run.seed, NS_ELECTRONIC))
         e = rng.standard_normal(n_samples)
         e[0] *= math.sqrt(f)  # the first value from the stationary law
         e[1:] *= math.sqrt(f * (1.0 - r * r))
-        out += lfilter([1.0], [1.0, -r], e)
-    return out
+        u[-n_samples:] += e
+    # y[i] = u[i] + r y[i-1] by recursive doubling (Blelloch 1990) until r = 0
+    step = 1
+    while step < u.size and r > 0.0:
+        u[step:] += r * u[:-step]
+        r, step = r * r, 2 * step
+    return u[-n_samples:] - dc
 
 
 def simulate(run: SimulationRun) -> SampleBlock:

@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import rfft
+from scipy.fft import irfft, rfft
 from scipy.special import erfc, gammaincc, ndtr
 
 from .model import BitStream
@@ -88,8 +88,8 @@ def autocorrelation(samples, max_lag: int) -> np.ndarray:
     if denom <= 0.0:
         raise ValueError("zero variance: autocorrelation undefined")
     nfft = 1 << int(np.ceil(np.log2(2 * x.size)))
-    spec = np.fft.rfft(x, nfft)
-    acov = np.fft.irfft(spec * np.conj(spec))[: max_lag + 1]
+    spec = rfft(x, nfft)
+    acov = irfft(spec * np.conj(spec))[: max_lag + 1]
     return acov / acov[0]
 
 

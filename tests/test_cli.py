@@ -11,8 +11,12 @@ import copy
 import csv
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -66,6 +70,19 @@ def write_config(dirpath, name="config.json", **sections):
     path = dirpath / name
     path.write_text(json.dumps(cfg))
     return str(path)
+
+
+def test_cli_import_loads_neither_scipy_signal_nor_stats():
+    # each command pays its imports at start-up; scipy.signal alone (with
+    # the scipy.stats it pulls in) took over a second of it
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = ("import sys, phaseqrng.cli; print(sorted(m for m in sys.modules "
+            "if m.startswith(('scipy.signal', 'scipy.stats'))))")
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "[]"
 
 
 # ---------------------------------------------------------------------------
@@ -622,9 +639,15 @@ def test_stability_rejects_nonpositive_interval(tmp_path, capsys):
     assert "report_interval" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["simulate", "calibrate", "pipeline", "stability"])
+COMMANDS = ["simulate", "calibrate", "pipeline", "stability"]
+
+
+@pytest.mark.parametrize("command, out_is_dir", [
+    *(pytest.param(c, False, id=c) for c in COMMANDS),
+    *(pytest.param(c, True, id=f"{c}-out-is-a-directory") for c in COMMANDS),
+])
 def test_out_in_missing_directory_fails_before_any_run(
-    tmp_path, capsys, monkeypatch, command
+    tmp_path, capsys, monkeypatch, command, out_is_dir
 ):
     for module in (sim, runs, cli):
         monkeypatch.setattr(module, "simulate", _no_simulation)
@@ -635,12 +658,15 @@ def test_out_in_missing_directory_fails_before_any_run(
         "stability": {"stability": {"total_time": 200.0, "report_interval": 20.0}},
     }[command]
     cfg = write_config(tmp_path, **sections)
-    out = tmp_path / "missing" / "out"
+    out = tmp_path if out_is_dir else tmp_path / "missing" / "out"
     rc = cli.main([command, "--config", cfg, "--out", str(out)])
     err = capsys.readouterr().err
     assert rc == 1
     assert len(err.splitlines()) == 1, err
-    assert err.startswith("error: output directory") and "does not exist" in err
+    if out_is_dir:
+        assert err.startswith("error: output path") and "is a directory" in err
+    else:
+        assert err.startswith("error: output directory") and "does not exist" in err
 
 
 # ---------------------------------------------------------------------------

@@ -238,6 +238,8 @@ def test_entropy_report_override_cannot_exceed_recomputed():
 def test_entropy_report_validation():
     with pytest.raises(ValueError):
         entropy_report(0.0, 3.38, adc_bits=8)
+    with pytest.raises(ValueError, match="sigma_sq_total must be > 0"):
+        entropy_report(math.nan, 3.38, adc_bits=8)
 
 
 @given(qcnr=st.floats(min_value=0.2, max_value=50.0))

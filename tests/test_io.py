@@ -10,10 +10,12 @@ from hypothesis import strategies as st
 
 from phaseqrng.io import (
     _HEADER,
+    KIND_SAMPLES,
     BadMagicError,
     FormatError,
     TruncatedFileError,
     UnsupportedVersionError,
+    _write_container,
     read_bits,
     read_report,
     read_samples,
@@ -178,6 +180,23 @@ def test_wrong_kind_rejected():
     buf.seek(0)
     with pytest.raises(FormatError):
         read_bits(buf)
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("adc_scale", "nan"), ("adc_scale", "inf"), ("sample_rate_hz", "inf")],
+)
+def test_non_finite_sample_metadata_rejected(key, value):
+    # NaN and inf pass a bare "<= 0" check; an imported block must not
+    # reach the entropy budget with either
+    meta = {"sample_rate_hz": "500000000.0", "adc_bits": 8,
+            "adc_scale": "0.00032", "origin": "imported", "n_samples": 3}
+    meta[key] = value
+    buf = io.BytesIO()
+    _write_container(buf, KIND_SAMPLES, meta, bytes([1, 2, 3]))
+    buf.seek(0)
+    with pytest.raises(ValueError, match=f"{key} must be finite and > 0"):
+        read_samples(buf)
 
 
 def test_format_errors_are_value_errors():

@@ -1,7 +1,5 @@
 """Core dataclasses and the closed-form variance/phase relations."""
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given
@@ -17,7 +15,6 @@ from phaseqrng.model import (
     attenuated_model,
     phase_difference_variance,
     predicted_variance,
-    quadrature_sensitivity,
     variance_coefficients,
 )
 
@@ -131,12 +128,6 @@ def test_attenuated_model_rejects_gain():
     m = make_ref_model(2.47e-4)
     with pytest.raises(ValueError):
         attenuated_model(m, 1.0)  # more power than the source emits
-
-
-def test_quadrature_sensitivity():
-    assert quadrature_sensitivity(0.0) == 1.0
-    assert quadrature_sensitivity(math.pi / 2) == pytest.approx(0.0, abs=1e-30)
-    assert quadrature_sensitivity(math.pi / 4) == pytest.approx(0.5, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -7,19 +7,25 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.signal import welch
+from scipy.signal import lfilter, welch
 
 from phaseqrng.calib import find_quadrature
 from phaseqrng.model import (
     LaserNoiseModel,
     SignalChainConfig,
     VarianceFit,
+    phase_difference_variance,
     predicted_variance,
 )
 from phaseqrng.sim import (
+    NS_ELECTRONIC,
+    NS_PHASE,
     NS_STABILITY,
     SimulationRun,
+    _analog_chain,
+    _filter_gains,
     derive_seed,
+    model_sigma,
     simulate,
     simulate_fringe_scan,
     simulate_stability,
@@ -169,6 +175,55 @@ def test_electronic_noise_is_ar1_at_output_rate(sample_rate_hz):
     assert block.variance_volts() == pytest.approx(F_REF, abs=4 * var_se)
     r_se = math.sqrt((1 - r * r) / n)
     assert autocorrelation(block.volts(), max_lag=1)[1] == pytest.approx(r, abs=4 * r_se)
+
+
+def _direct_form_chain(run, n_samples):
+    """The analog chain with the pole run at the internal rate, then
+    decimated, and the electronic AR(1) through a second filter.
+
+    Returns the decimated voltage about the DC, and the DC.
+    """
+    model, chain, ovs = run.model, run.chain, run.oversample_factor
+    dt, alpha, rho, kappa_d, L = _filter_gains(chain, ovs)
+    n_settle = int(math.ceil(8.0 / (2.0 * math.pi * chain.tia_cutoff_hz * dt)))
+    n_steps = n_settle + n_samples * ovs
+    s = phase_difference_variance(model, L * dt)
+    rng = np.random.default_rng(derive_seed(run.seed, NS_PHASE))
+    theta = np.cumsum(rng.normal(0.0, math.sqrt(s / L), size=L + n_steps))
+    amp = (math.sqrt(chain.conversion_gain_a) * model.power_p
+           * math.sqrt(chain.delay_td / (L * dt)) / math.sqrt(kappa_d))
+    v = amp * np.sin(theta[L:] - theta[:-L] + chain.quadrature_offset)
+    dc = amp * math.sin(chain.quadrature_offset) * math.exp(-s / 2.0)
+    for freq, amplitude in run.rf_tones:
+        t = (np.arange(n_steps) + L) * dt
+        v += amplitude * np.sin(2.0 * math.pi * freq * t)
+    filtered, _ = lfilter([alpha], [1.0, -rho], v, zi=[rho * dc])
+    out = filtered[n_settle::ovs] - dc
+    f = chain.electronic_noise_f
+    if f > 0:
+        r = rho**ovs
+        e = np.random.default_rng(derive_seed(run.seed, NS_ELECTRONIC)).standard_normal(n_samples)
+        e[0] *= math.sqrt(f)
+        e[1:] *= math.sqrt(f * (1.0 - r * r))
+        out += lfilter([1.0], [1.0, -r], e)
+    return out, dc
+
+
+@pytest.mark.parametrize("ovs", [4, 8, 16])
+# r = rho^ovs = 1.87e-3 at the reference cutoff, 0.999 at 80 kHz
+@pytest.mark.parametrize("tia_cutoff_hz", [500e6, 8e4])
+def test_analog_chain_matches_direct_form(ovs, tia_cutoff_hz):
+    n = 20_000
+    cases = itertools.product([F_REF, 0.0], [(), (TONE,)], [0.0, 1.2])
+    for f, tones, offset in cases:
+        run = _run(duration=n / 500e6, seed=37, oversample_factor=ovs, rf_tones=tones,
+                   tia_cutoff_hz=tia_cutoff_hz, electronic_noise_f=f,
+                   quadrature_offset=offset)
+        expected, dc = _direct_form_chain(run, n)
+        # both round at the scale of the DC, which is 0 at quadrature
+        tol = 1e-12 * (model_sigma(run) + abs(dc))
+        np.testing.assert_allclose(_analog_chain(run, n), expected, rtol=0, atol=tol,
+                                   err_msg=str((f, tones, offset)))
 
 
 @settings(max_examples=60, deadline=None)
