@@ -15,6 +15,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -180,6 +181,8 @@ def main(argv: list[str] | None = None) -> int:
             raise ValueError(f"output directory {out_dir} does not exist")
         if Path(args.out).is_dir():
             raise ValueError(f"output path {args.out} is a directory")
+        if not os.access(out_dir, os.W_OK):
+            raise ValueError(f"output directory {out_dir} is not writable")
         return _COMMANDS[args.command](cfg, args.out)
     except ValueError as exc:  # runs.ConfigError and library validation
         print(f"error: {exc}", file=sys.stderr)

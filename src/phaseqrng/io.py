@@ -15,6 +15,10 @@ Sample payloads are two's-complement signed integers at the declared ADC bit
 width, padded to whole bytes (1 byte per sample up to 8 bits, 2 bytes up to
 16).  Bit payloads are packed LSB-first within each byte.  Report payloads
 are UTF-8 JSON.
+
+Every malformed container raises a :class:`FormatError` subclass: bad magic,
+version or kind, truncation, metadata not UTF-8 or lacking a parsable key, a
+payload whose length disagrees with its metadata, or a report not JSON.
 """
 
 from __future__ import annotations
@@ -98,18 +102,31 @@ def _read_exact(source: BinaryIO, n: int, what: str) -> bytes:
     return data
 
 
-def _read_container(source: BinaryIO, expect_kind: int) -> tuple[dict[str, str], bytes]:
-    header = _read_exact(source, _HEADER.size, "header")
-    magic, version, kind, meta_len, payload_len = _HEADER.unpack(header)
-    if magic != MAGIC:
-        raise BadMagicError(f"bad magic {magic!r}")
-    if version != VERSION:
-        raise UnsupportedVersionError(f"unsupported format version {version}")
-    if kind != expect_kind:
-        raise FormatError(f"payload kind {kind}, expected {expect_kind}")
-    meta = _decode_metadata(_read_exact(source, meta_len, "metadata"))
-    payload = _read_exact(source, payload_len, "payload")
-    return meta, payload
+@contextlib.contextmanager
+def _read_container(source, expect_kind: int):
+    """Yield the metadata dict and payload of a container (path or binary file).
+
+    A missing key or a ValueError in the ``with`` body leaves as a FormatError.
+    """
+    with _opened(source, "rb") as f:
+        header = _read_exact(f, _HEADER.size, "header")
+        magic, version, kind, meta_len, payload_len = _HEADER.unpack(header)
+        if magic != MAGIC:
+            raise BadMagicError(f"bad magic {magic!r}")
+        if version != VERSION:
+            raise UnsupportedVersionError(f"unsupported format version {version}")
+        if kind != expect_kind:
+            raise FormatError(f"payload kind {kind}, expected {expect_kind}")
+        raw_meta = _read_exact(f, meta_len, "metadata")
+        payload = _read_exact(f, payload_len, "payload")
+    try:
+        yield _decode_metadata(raw_meta), payload
+    except KeyError as exc:
+        raise FormatError(f"missing metadata key {exc}") from exc
+    except FormatError:
+        raise
+    except ValueError as exc:  # also UnicodeDecodeError and JSONDecodeError
+        raise FormatError(f"malformed container: {exc}") from exc
 
 
 @contextlib.contextmanager
@@ -143,30 +160,23 @@ def write_samples(block: SampleBlock, sink) -> int:
 
 
 def read_samples(source) -> SampleBlock:
-    with _opened(source, "rb") as f:
-        meta, payload = _read_container(f, KIND_SAMPLES)
-    try:
-        adc_bits = int(meta["adc_bits"])
-        n_samples = int(meta["n_samples"])
-        sample_rate = float(meta["sample_rate_hz"])
-        adc_scale = float(meta["adc_scale"])
-        origin = meta.get("origin", "imported")
-    except KeyError as exc:
-        raise FormatError(f"missing metadata key {exc}") from exc
-    samples = np.frombuffer(payload, dtype=_sample_dtype(adc_bits))
-    if samples.size != n_samples:
-        raise TruncatedFileError(
-            f"payload holds {samples.size} samples, header says {n_samples}"
+    with _read_container(source, KIND_SAMPLES) as (meta, payload):
+        adc_bits, n_samples = int(meta["adc_bits"]), int(meta["n_samples"])
+        dtype = _sample_dtype(adc_bits)
+        if len(payload) != n_samples * dtype.itemsize:
+            raise TruncatedFileError(
+                f"payload holds {len(payload)} bytes, header says {n_samples} "
+                f"samples of {dtype.itemsize}"
+            )
+        seed = meta.get("rng_seed")
+        return SampleBlock(
+            samples=np.frombuffer(payload, dtype=dtype).astype(np.int16),
+            adc_bits=adc_bits,
+            sample_rate_hz=float(meta["sample_rate_hz"]),
+            adc_scale=float(meta["adc_scale"]),
+            origin=meta.get("origin", "imported"),
+            rng_seed=int(seed) if seed is not None else None,
         )
-    seed = meta.get("rng_seed")
-    return SampleBlock(
-        samples=samples.astype(np.int16),
-        adc_bits=adc_bits,
-        sample_rate_hz=sample_rate,
-        adc_scale=adc_scale,
-        origin=origin,
-        rng_seed=int(seed) if seed is not None else None,
-    )
 
 
 def write_bits(stream: BitStream, sink) -> int:
@@ -179,22 +189,18 @@ def write_bits(stream: BitStream, sink) -> int:
 
 
 def read_bits(source) -> BitStream:
-    with _opened(source, "rb") as f:
-        meta, payload = _read_container(f, KIND_BITS)
-    try:
+    with _read_container(source, KIND_BITS) as (meta, payload):
         count = int(meta["count"])
-    except KeyError as exc:
-        raise FormatError(f"missing metadata key {exc}") from exc
-    if count > 8 * len(payload):
-        raise TruncatedFileError(
-            f"payload holds {8 * len(payload)} bits, header says {count}"
-        )
-    provenance = {
-        key[len("prov_") :]: value
-        for key, value in meta.items()
-        if key.startswith("prov_")
-    }
-    return BitStream(bits=payload, count=count, provenance=provenance)
+        if count > 8 * len(payload):
+            raise TruncatedFileError(
+                f"payload holds {8 * len(payload)} bits, header says {count}"
+            )
+        provenance = {
+            key[len("prov_") :]: value
+            for key, value in meta.items()
+            if key.startswith("prov_")
+        }
+        return BitStream(bits=payload, count=count, provenance=provenance)
 
 
 def write_csv(path, header: list[str], rows) -> None:
@@ -213,6 +219,5 @@ def write_report(report: dict, sink) -> int:
 
 
 def read_report(source) -> dict:
-    with _opened(source, "rb") as f:
-        _, payload = _read_container(f, KIND_REPORT)
-    return json.loads(payload.decode("utf-8"))
+    with _read_container(source, KIND_REPORT) as (_, payload):
+        return json.loads(payload.decode("utf-8"))

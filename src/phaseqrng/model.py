@@ -224,12 +224,11 @@ class BitStream:
             raise ValueError("count must be >= 0")
         if self.count > 8 * len(self.bits):
             raise ValueError("count exceeds packed storage")
-        # trailing pad bits (beyond count) must be zero
-        if self.count < 8 * len(self.bits):
-            arr = np.frombuffer(self.bits, dtype=np.uint8)
-            tail = np.unpackbits(arr, bitorder="little")[self.count :]
-            if tail.any():
-                raise ValueError("trailing pad bits must be zero")
+        # trailing pad bits (beyond count) must be zero; read as a little-endian
+        # integer from byte count // 8 on, they are its bits from count % 8 up
+        full_bytes, rem = divmod(self.count, 8)
+        if int.from_bytes(self.bits[full_bytes:], "little") >> rem:
+            raise ValueError("trailing pad bits must be zero")
 
     def __len__(self) -> int:
         return self.count

@@ -23,8 +23,8 @@ from .model import (
     attenuated_model, predicted_variance,
 )
 from .sim import (
-    NS_EXTRACTOR, NS_PIPELINE, NS_STAB_FREE, NS_STAB_RECAL, NS_SWEEP, NS_SWEEP_ATT,
-    SimulationRun, StabilityPoint, derive_seed, simulate, simulate_fringe_scan,
+    NS_EXTRACTOR, NS_FRINGE, NS_PIPELINE, NS_STAB_FREE, NS_STAB_RECAL, NS_SWEEP,
+    NS_SWEEP_ATT, SimulationRun, StabilityPoint, derive_seed, simulate,
     simulate_stability, simulate_variances,
 )
 
@@ -252,16 +252,17 @@ def _require(section, name: str):
     return section
 
 
-def _sweep(run: SimulationRun, sweep: SweepConfig, namespace: int, model_at):
-    """Measured variance at each sweep power, one seeded sub-run each."""
-    run = replace(run, duration=sweep.samples_per_point / run.chain.sample_rate_hz)
-    variants = [(model_at(power), run.chain) for power in sweep.powers]
+def _variances(run: SimulationRun, n_samples: int, namespace: int, variants):
+    """Measured variance of ``n_samples`` per (model, chain), one seeded sub-run each."""
+    run = replace(run, duration=n_samples / run.chain.sample_rate_hz)
     return simulate_variances(run, namespace, variants)
 
 
 def sweep_direct(run: SimulationRun, sweep: SweepConfig) -> list[calib.PowerSweepPoint]:
     """Measured variance at each sweep power."""
-    variances = _sweep(run, sweep, NS_SWEEP, lambda p: replace(run.model, power_p=p))
+    variances = _variances(run, sweep.samples_per_point, NS_SWEEP, [
+        (replace(run.model, power_p=p), run.chain) for p in sweep.powers
+    ])
     return [
         calib.PowerSweepPoint(power=p, variance=v, n_samples=sweep.samples_per_point)
         for p, v in zip(sweep.powers, variances)
@@ -276,7 +277,9 @@ def sweep_attenuated(run: SimulationRun, sweep: SweepConfig) -> list[float]:
     cross-check, which only :func:`calibrate` reports.
     """
     bright = replace(run.model, power_p=sweep.source_power)
-    return _sweep(run, sweep, NS_SWEEP_ATT, lambda p: attenuated_model(bright, p))
+    return _variances(run, sweep.samples_per_point, NS_SWEEP_ATT, [
+        (attenuated_model(bright, p), run.chain) for p in sweep.powers
+    ])
 
 
 @dataclass(frozen=True)
@@ -296,10 +299,11 @@ def calibrate(cfg: Config) -> Calibration:
     quad_phi = None
     if cfg.fringe is not None:
         phis = np.linspace(0.0, math.pi, cfg.fringe.n_points).tolist()
-        duration = cfg.fringe.samples_per_point / run.chain.sample_rate_hz
-        quad_phi = calib.find_quadrature(
-            simulate_fringe_scan(replace(run, duration=duration), phis)
-        )
+        variances = _variances(run, cfg.fringe.samples_per_point, NS_FRINGE, [
+            (run.model, replace(run.chain, quadrature_offset=phi - math.pi / 2.0))
+            for phi in phis
+        ])
+        quad_phi = calib.find_quadrature(list(zip(phis, variances)))
         run = replace(
             run, chain=replace(run.chain, quadrature_offset=quad_phi - math.pi / 2.0)
         )

@@ -66,13 +66,12 @@ __all__ = [
     "model_sigma",
     "simulate",
     "simulate_variances",
-    "simulate_fringe_scan",
     "simulate_stability",
     "derive_seed",
 ]
 
 # Seed-derivation namespaces, every one in the package: the simulator's own
-# sub-streams (2-4, 12) and the orchestration's in ``runs`` (5-11; 9 is
+# sub-streams (2, 4, 12) and the orchestration's in ``runs`` (3, 5-11; 9 is
 # unused).  1 seeded the ADC-range pilot run of stream v1 and is retired.
 NS_PHASE = 2
 NS_FRINGE = 3
@@ -297,17 +296,6 @@ def simulate_variances(
         ).variance_volts()
         for i, (model, chain) in enumerate(variants)
     ]
-
-
-def simulate_fringe_scan(
-    run: SimulationRun, phi2_values: list[float]
-) -> list[tuple[float, float]]:
-    """Variance at each interferometer phase, one seeded sub-run per point."""
-    variances = simulate_variances(run, NS_FRINGE, (
-        (run.model, replace(run.chain, quadrature_offset=phi2 - math.pi / 2.0))
-        for phi2 in phi2_values
-    ))
-    return [(float(phi2), v) for phi2, v in zip(phi2_values, variances)]
 
 
 def _point_min_entropy(

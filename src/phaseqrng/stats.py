@@ -310,22 +310,18 @@ def pass_rate_band(n_sequences: int) -> tuple[float, float]:
     return max(0.0, p0 - delta), min(1.0, p0 + delta)
 
 
-# (name, callable, number of p-values per sequence)
+# (name, callable, report rows: one per p-value the callable returns)
 NIST_SUBSET_TESTS = (
-    ("frequency", frequency_test, 1),
-    ("block_frequency", block_frequency_test, 1),
-    ("runs", runs_test, 1),
-    ("longest_run", longest_run_test, 1),
-    ("cumulative_sums", cumulative_sums_test, 2),
-    ("spectral", spectral_test, 1),
-    ("serial", serial_test, 2),
-    ("approximate_entropy", approximate_entropy_test, 1),
+    ("frequency", frequency_test, ("frequency",)),
+    ("block_frequency", block_frequency_test, ("block_frequency",)),
+    ("runs", runs_test, ("runs",)),
+    ("longest_run", longest_run_test, ("longest_run",)),
+    ("cumulative_sums", cumulative_sums_test,
+     ("cumulative_sums_forward", "cumulative_sums_reverse")),
+    ("spectral", spectral_test, ("spectral",)),
+    ("serial", serial_test, ("serial_1", "serial_2")),
+    ("approximate_entropy", approximate_entropy_test, ("approximate_entropy",)),
 )
-
-_REPORT_NAMES = {
-    "cumulative_sums": ("cumulative_sums_forward", "cumulative_sums_reverse"),
-    "serial": ("serial_1", "serial_2"),
-}
 
 
 def nist_subset(
@@ -346,24 +342,17 @@ def nist_subset(
             f"insufficient bits: need {n_sequences * seq_len_bits}, "
             f"have {bits.count}"
         )
-    arr = bits.as_bit_array()
-    collected: dict[str, list[float]] = {  # report rows, in order
-        rn: [] for name, _, _ in NIST_SUBSET_TESTS
-        for rn in _REPORT_NAMES.get(name, (name,))
-    }
-    for s in range(n_sequences):
-        seq = arr[s * seq_len_bits : (s + 1) * seq_len_bits]
-        for name, func, n_p in NIST_SUBSET_TESTS:
-            result = func(seq)
-            pvalues = (result,) if n_p == 1 else result
-            for rn, p in zip(_REPORT_NAMES.get(name, (name,)), pvalues):
-                collected[rn].append(float(p))
+    seqs = bits.as_bit_array()[: n_sequences * seq_len_bits].reshape(n_sequences, -1)
+    pvalues = np.array([  # one row per sequence, one column per report row
+        np.hstack([func(seq) for _, func, _ in NIST_SUBSET_TESTS]) for seq in seqs
+    ])
+    names = [row for _, _, rows in NIST_SUBSET_TESTS for row in rows]
     return [
         TestReport(
-            test_name=rn,
+            test_name=name,
             per_sequence_pvalues=tuple(ps),
-            pass_rate=float(np.mean([p >= SIGNIFICANCE for p in ps])),
+            pass_rate=float(np.mean(ps >= SIGNIFICANCE)),
             uniformity_pvalue=uniformity_pvalue(ps),
         )
-        for rn, ps in collected.items()
+        for name, ps in zip(names, pvalues.T)
     ]

@@ -16,8 +16,10 @@ import re
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from conftest import AC_REF, AQ_REF, CONFIGS, CONV_GAIN, DELAY_TD, F_REF, artifact_digests
@@ -305,13 +307,17 @@ def test_calibrate_without_fringe_skips_quadrature(tmp_path, capsys):
 
 def test_calibrate_empty_fringe_scans_with_defaults(tmp_path, capsys, monkeypatch):
     seen = {}
+    simulate_variances = runs.simulate_variances
 
-    def fake_scan(run, phis):
-        seen["n_points"] = len(phis)
+    def fake_variances(run, namespace, variants):
+        if namespace != sim.NS_FRINGE:
+            return simulate_variances(run, namespace, variants)
+        seen["n_points"] = len(variants)
         seen["samples"] = round(run.duration * run.chain.sample_rate_hz)
-        return [(phi, math.sin(phi) ** 2 + 0.1) for phi in phis]
+        # the fringe sin^2(phi) + 0.1 at phi = offset + pi/2
+        return [math.cos(chain.quadrature_offset) ** 2 + 0.1 for _, chain in variants]
 
-    monkeypatch.setattr(runs, "simulate_fringe_scan", fake_scan)
+    monkeypatch.setattr(runs, "simulate_variances", fake_variances)
     cfg = write_config(
         tmp_path,
         sweep={"powers": [3e-5, 1e-4, 3e-4, 1e-3], "samples_per_point": 20_000},
@@ -321,6 +327,30 @@ def test_calibrate_empty_fringe_scans_with_defaults(tmp_path, capsys, monkeypatc
     assert rc == 0
     assert seen == {"n_points": 17, "samples": 200_000}
     assert "quadrature phase" in capsys.readouterr().out
+
+
+def test_calibrate_fringe_points_are_seeded_sub_runs(tmp_path, monkeypatch):
+    # no golden digest covers the fringe scan: pin point i to its own sub-run
+    fringe = []
+    monkeypatch.setattr(
+        calib, "find_quadrature", lambda points: fringe.extend(points) or math.pi / 2
+    )
+    cfg = runs.load_config(write_config(
+        tmp_path,
+        sweep={"powers": [3e-5, 1e-4, 3e-4, 1e-3], "samples_per_point": 10_000},
+        fringe={"n_points": 8, "samples_per_point": 3_000},
+    ))
+    runs.calibrate(cfg)
+    run = cfg.run
+    assert [phi for phi, _ in fringe] == np.linspace(0.0, math.pi, 8).tolist()
+    for i, (phi, variance) in enumerate(fringe):
+        point = replace(
+            run,
+            chain=replace(run.chain, quadrature_offset=phi - math.pi / 2),
+            duration=3_000 / run.chain.sample_rate_hz,
+            seed=sim.derive_seed(run.seed, sim.NS_FRINGE, i),
+        )
+        assert variance == sim.simulate(point).variance_volts()
 
 
 def test_calibrate_needs_four_powers(tmp_path, capsys):
@@ -642,15 +672,18 @@ def test_stability_rejects_nonpositive_interval(tmp_path, capsys):
 COMMANDS = ["simulate", "calibrate", "pipeline", "stability"]
 
 
-@pytest.mark.parametrize("command, out_is_dir", [
-    *(pytest.param(c, False, id=c) for c in COMMANDS),
-    *(pytest.param(c, True, id=f"{c}-out-is-a-directory") for c in COMMANDS),
+@pytest.mark.parametrize("command, case", [
+    *(pytest.param(c, "missing", id=c) for c in COMMANDS),
+    *(pytest.param(c, "directory", id=f"{c}-out-is-a-directory") for c in COMMANDS),
+    *(pytest.param(c, "read-only", id=f"{c}-out-dir-not-writable") for c in COMMANDS),
 ])
 def test_out_in_missing_directory_fails_before_any_run(
-    tmp_path, capsys, monkeypatch, command, out_is_dir
+    tmp_path, capsys, monkeypatch, command, case
 ):
     for module in (sim, runs, cli):
         monkeypatch.setattr(module, "simulate", _no_simulation)
+    if case == "read-only":  # root ignores mode bits, so chmod cannot set this up
+        monkeypatch.setattr(os, "access", lambda path, mode: mode != os.W_OK)
     sections = {
         "simulate": {},
         "calibrate": {"sweep": PIPELINE_SECTIONS["sweep"]},
@@ -658,15 +691,18 @@ def test_out_in_missing_directory_fails_before_any_run(
         "stability": {"stability": {"total_time": 200.0, "report_interval": 20.0}},
     }[command]
     cfg = write_config(tmp_path, **sections)
-    out = tmp_path if out_is_dir else tmp_path / "missing" / "out"
+    out = {"missing": tmp_path / "missing" / "out", "directory": tmp_path,
+           "read-only": tmp_path / "out"}[case]
     rc = cli.main([command, "--config", cfg, "--out", str(out)])
     err = capsys.readouterr().err
     assert rc == 1
     assert len(err.splitlines()) == 1, err
-    if out_is_dir:
-        assert err.startswith("error: output path") and "is a directory" in err
-    else:
-        assert err.startswith("error: output directory") and "does not exist" in err
+    start, reason = {
+        "missing": ("error: output directory", "does not exist"),
+        "directory": ("error: output path", "is a directory"),
+        "read-only": ("error: output directory", "is not writable"),
+    }[case]
+    assert err.startswith(start) and reason in err
 
 
 # ---------------------------------------------------------------------------

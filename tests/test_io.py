@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 
 from phaseqrng.io import (
     _HEADER,
+    KIND_BITS,
+    KIND_REPORT,
     KIND_SAMPLES,
     BadMagicError,
     FormatError,
@@ -197,6 +199,27 @@ def test_non_finite_sample_metadata_rejected(key, value):
     buf.seek(0)
     with pytest.raises(ValueError, match=f"{key} must be finite and > 0"):
         read_samples(buf)
+
+
+_SAMPLE_META = b"sample_rate_hz=500000000.0\nadc_bits=8\nadc_scale=0.00032\nn_samples=3"
+
+
+@pytest.mark.parametrize("reader, kind, meta, payload", [
+    pytest.param(read_samples, KIND_SAMPLES,
+                 _SAMPLE_META.replace(b"bits=8", b"bits=12").replace(b"=3", b"=2"),
+                 bytes(3), id="12-bit-payload-one-byte-short"),
+    pytest.param(read_samples, KIND_SAMPLES, _SAMPLE_META + b"\norigin=\xff",
+                 bytes(3), id="metadata-not-utf8"),
+    pytest.param(read_samples, KIND_SAMPLES, _SAMPLE_META.replace(b"=3", b"=xx"),
+                 bytes(3), id="n_samples-not-a-number"),
+    pytest.param(read_bits, KIND_BITS, b"count=x", bytes(1), id="count-not-a-number"),
+    pytest.param(read_report, KIND_REPORT, b"encoding=json", b"{not json",
+                 id="report-payload-not-json"),
+])
+def test_malformed_containers_raise_format_errors(reader, kind, meta, payload):
+    blob = _HEADER.pack(b"QRNG", 1, kind, len(meta), len(payload)) + meta + payload
+    with pytest.raises(FormatError):
+        reader(io.BytesIO(blob))
 
 
 def test_format_errors_are_value_errors():

@@ -19,6 +19,7 @@ from phaseqrng.model import (
 )
 from phaseqrng.sim import (
     NS_ELECTRONIC,
+    NS_FRINGE,
     NS_PHASE,
     NS_STABILITY,
     SimulationRun,
@@ -27,8 +28,8 @@ from phaseqrng.sim import (
     derive_seed,
     model_sigma,
     simulate,
-    simulate_fringe_scan,
     simulate_stability,
+    simulate_variances,
 )
 from phaseqrng.stats import autocorrelation
 
@@ -313,6 +314,15 @@ def _quantum_only_run(seed=53):
     )
 
 
+def _fringe_scan(run, phis):
+    # (phi, variance) at each interferometer phase, as runs.calibrate scans
+    variances = simulate_variances(run, NS_FRINGE, [
+        (run.model, replace(run.chain, quadrature_offset=phi - math.pi / 2))
+        for phi in phis
+    ])
+    return list(zip(phis, variances))
+
+
 @pytest.mark.parametrize(
     "offset",
     [-math.pi / 2, math.pi / 2, -math.pi / 2 + 0.005, -math.pi / 2 - 0.005,
@@ -334,7 +344,7 @@ def test_adc_range_holds_at_fringe_extremum(offset):
 
 def test_fringe_scan_peaks_at_quadrature():
     phis = list(np.linspace(0.0, math.pi, 9))
-    fringe = simulate_fringe_scan(_quantum_only_run(), phis)
+    fringe = _fringe_scan(_quantum_only_run(), phis)
     assert len(fringe) == 9
     assert [p for p, _ in fringe] == phis
     variances = [v for _, v in fringe]
@@ -346,7 +356,7 @@ def test_fringe_scan_peaks_at_quadrature():
 
 def test_fringe_scan_is_symmetric_about_quadrature():
     phis = list(np.linspace(0.0, math.pi, 9))
-    fringe = dict(simulate_fringe_scan(_quantum_only_run(seed=59), phis))
+    fringe = dict(_fringe_scan(_quantum_only_run(seed=59), phis))
     v_max = max(fringe.values())
     for k in (2, 3):  # interior pairs phi and pi - phi
         lo, hi = phis[k], phis[8 - k]
@@ -361,7 +371,7 @@ def test_fringe_scan_flat_without_interference():
         duration=4e-5,
         seed=61,
     )
-    fringe = simulate_fringe_scan(run, list(np.linspace(0.0, math.pi, 9)))
+    fringe = _fringe_scan(run, list(np.linspace(0.0, math.pi, 9)))
     variances = np.array([v for _, v in fringe])
     # no phase dependence at all: every point is the electronic floor within
     # estimator noise (a contrast-vs-noise rejection on sampled data is

@@ -431,4 +431,4 @@ def test_subset_registry_shape():
         "serial",
         "approximate_entropy",
     ]
-    assert sum(n_p for _, _, n_p in NIST_SUBSET_TESTS) == 10
+    assert sum(len(rows) for _, _, rows in NIST_SUBSET_TESTS) == 10
