@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import irfft, rfft
+from scipy.fft import irfft, next_fast_len, rfft
 from scipy.special import erfc, gammaincc, ndtr
 
 from .model import BitStream
@@ -73,8 +73,8 @@ class TestReport:
 def autocorrelation(samples, max_lag: int) -> np.ndarray:
     """Biased normalised autocorrelation r(0..max_lag), r(0) = 1.
 
-    r(k) = sum_i (x_i - xbar)(x_{i+k} - xbar) / sum_i (x_i - xbar)^2,
-    computed with an FFT over the zero-padded sequence.
+    r(k) = sum_i (x_i - xbar)(x_{i+k} - xbar) / sum_i (x_i - xbar)^2, by an
+    FFT zero-padded to a fast length >= n + max_lag, so no wrap reaches r(k).
     """
     x = np.asarray(samples, dtype=np.float64)
     if x.ndim != 1:
@@ -87,9 +87,9 @@ def autocorrelation(samples, max_lag: int) -> np.ndarray:
     denom = float(x @ x)
     if denom <= 0.0:
         raise ValueError("zero variance: autocorrelation undefined")
-    nfft = 1 << int(np.ceil(np.log2(2 * x.size)))
+    nfft = next_fast_len(x.size + max_lag, real=True)
     spec = rfft(x, nfft)
-    acov = irfft(spec * np.conj(spec))[: max_lag + 1]
+    acov = irfft(spec * np.conj(spec), nfft)[: max_lag + 1]
     return acov / acov[0]
 
 

@@ -717,7 +717,7 @@ GOLDEN = {
     },
     "pipeline": {
         "": "5fcef67ead7ecda6af50ddf41238ebd059387d3b8c62a3722966eda8d42ee250",
-        ".autocorr.csv": "7980a40321184f1dae72e2274ea7ed29f3d7ffaae96cb7018f498d044e7037fd",
+        ".autocorr.csv": "66f33a88b6411a63bf2648be6e90a8ed8643c103b9c0b4f41ef7732e5802f751",
         ".nist.csv": "acd1368adebbc46bbae9470e705ebbe50331f5e49bb53c3cf18fb78decb4c155",
         ".report": "9deb59eaebfc09cac75edc98b34b72c445697683a405400b84130a8c0bffc04a",
     },
