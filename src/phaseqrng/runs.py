@@ -253,7 +253,7 @@ def _require(section, name: str):
 
 
 def _variances(run: SimulationRun, n_samples: int, namespace: int, variants):
-    """Measured variance of ``n_samples`` per (model, chain), one seeded sub-run each."""
+    """Variance of ``n_samples`` per (model, chain), one seeded sub-run each."""
     run = replace(run, duration=n_samples / run.chain.sample_rate_hz)
     return simulate_variances(run, namespace, variants)
 
