@@ -21,7 +21,6 @@ source,
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,7 +28,6 @@ from .model import VarianceFit
 
 __all__ = [
     "MIN_FRINGE_POINTS",
-    "PowerSweepPoint",
     "fit_variance_vs_power",
     "qcnr_from_fit",
     "qcnr_optimal_power",
@@ -39,32 +37,22 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class PowerSweepPoint:
-    power: float
-    variance: float
-    n_samples: int
-
-    def __post_init__(self) -> None:
-        if self.power < 0:
-            raise ValueError("power must be >= 0")
-        if self.variance < 0:
-            raise ValueError("variance must be >= 0")
-        if self.n_samples < 2:
-            raise ValueError("n_samples must be >= 2")
-
-
-def fit_variance_vs_power(points: list[PowerSweepPoint]) -> VarianceFit:
+def fit_variance_vs_power(powers, variances) -> VarianceFit:
     """Ordinary least-squares fit of the quadratic variance model.
 
+    ``powers`` and ``variances`` are the measured sweep, one entry per point.
     Coefficients that come out slightly negative — within their own standard
     error — are clamped to zero; a strongly negative coefficient means the
     data do not follow the model and raises instead.
     """
-    if len(points) < 4:
+    powers = np.asarray(powers, dtype=np.float64)
+    variances = np.asarray(variances, dtype=np.float64)
+    if powers.ndim != 1 or powers.shape != variances.shape:
+        raise ValueError("powers and variances must be 1-D and of one length")
+    if len(powers) < 4:
         raise ValueError("need at least 4 sweep points")
-    powers = np.array([p.power for p in points], dtype=np.float64)
-    variances = np.array([p.variance for p in points], dtype=np.float64)
+    if (powers < 0).any() or (variances < 0).any():
+        raise ValueError("powers and variances must be >= 0")
     if len(np.unique(powers)) < 3:
         raise ValueError("rank deficient: need at least 3 distinct powers")
 
@@ -74,7 +62,7 @@ def fit_variance_vs_power(points: list[PowerSweepPoint]) -> VarianceFit:
     # standard errors from the residuals (for the clamping tolerance); the
     # 4-point minimum above leaves at least one degree of freedom
     resid = variances - design @ coef
-    s2 = float(resid @ resid) / (len(points) - 3)
+    s2 = float(resid @ resid) / (len(powers) - 3)
     cov = s2 * np.linalg.inv(design.T @ design)
     ses = np.sqrt(np.maximum(np.diag(cov), 0.0))
 
@@ -115,10 +103,13 @@ def qcnr_from_fit(fit: VarianceFit, power: float) -> float:
     return fit.aq * power / denom
 
 
-def qcnr_optimal_power(fit: VarianceFit) -> tuple[float, float]:
-    """Analytic argmax and maximum of QCNR(P): (sqrt(F/AC), AQ/(2 sqrt(AC F)))."""
+def qcnr_optimal_power(fit: VarianceFit) -> tuple[float, float] | None:
+    """Analytic argmax and maximum of QCNR(P): (sqrt(F/AC), AQ/(2 sqrt(AC F))).
+
+    ``None`` when ac or f is 0: QCNR then has no interior optimum.
+    """
     if fit.ac <= 0 or fit.f <= 0:
-        raise ValueError("ac and f must be > 0 for an interior optimum")
+        return None
     p_star = math.sqrt(fit.f / fit.ac)
     q_max = fit.aq / (2.0 * math.sqrt(fit.ac * fit.f))
     return p_star, q_max
@@ -188,8 +179,9 @@ def fit_report_text(fit: VarianceFit) -> str:
         f"f_v2 = {fit.f!r}",
         f"r_squared = {fit.r_squared!r}",
     ]
-    if fit.ac > 0 and fit.f > 0:
-        p_star, q_max = qcnr_optimal_power(fit)
+    peak = qcnr_optimal_power(fit)
+    if peak is not None:
+        p_star, q_max = peak
         lines.append(f"qcnr_peak = {q_max!r}")
         lines.append(f"qcnr_peak_power_w = {p_star!r}")
     return "\n".join(lines) + "\n"

@@ -48,26 +48,29 @@ def cmd_calibrate(cfg: runs.Config, out: str) -> int:
         print(f"quadrature phase     : {result.quadrature_phase:.4f} rad")
 
     Path(out).write_text(calib.fit_report_text(fit))
+    powers = cfg.sweep.powers
     sweep_csv = out + ".sweep.csv"
     qio.write_csv(
         sweep_csv,
         ["power_w", "variance_v2", "n_samples"],
-        ([repr(point.power), repr(point.variance), point.n_samples]
-         for point in result.points),
+        ([repr(p), repr(v), cfg.sweep.samples_per_point]
+         for p, v in zip(powers, result.variances)),
     )
     qcnr_csv = out + ".qcnr.csv"
     qio.write_csv(
         qcnr_csv,
         ["power_w", "qcnr_fit", "qcnr_attenuation"],
-        ([repr(point.power), repr(calib.qcnr_from_fit(fit, point.power)),
-          repr(calib.qcnr_attenuation(point.variance, var_att))]
-         for point, var_att in zip(result.points, result.attenuated_variances)),
+        ([repr(p), repr(calib.qcnr_from_fit(fit, p)),
+          repr(calib.qcnr_attenuation(v, v_att))]
+         for p, v, v_att in zip(powers, result.variances,
+                                result.attenuated_variances)),
     )
 
     print(f"fit: ac = {fit.ac:.4f} V^2/W^2, aq = {fit.aq:.6f} V^2/W, "
           f"f = {fit.f:.4e} V^2, R^2 = {fit.r_squared:.6f}")
-    if fit.ac > 0 and fit.f > 0:  # else QCNR has no interior optimum
-        p_star, q_max = calib.qcnr_optimal_power(fit)
+    peak = calib.qcnr_optimal_power(fit)
+    if peak is not None:
+        p_star, q_max = peak
         print(f"QCNR peak            : {q_max:.3f} at {p_star:.3e} W")
     print(f"reports              : {out}, {sweep_csv}, {qcnr_csv}")
     return EXIT_OK
@@ -75,11 +78,12 @@ def cmd_calibrate(cfg: runs.Config, out: str) -> int:
 
 def cmd_pipeline(cfg: runs.Config, out: str) -> int:
     result = runs.pipeline(cfg)
-    fit, report, chain = result.fit, result.entropy, cfg.run.chain
-    rate = entropy.generation_rate(report.min_entropy_bits, chain.sample_rate_hz)
+    fit, report, extractor = result.fit, result.entropy, result.extractor
+    rate = entropy.generation_rate(report.min_entropy_bits,
+                                   cfg.run.chain.sample_rate_hz)
     print(f"calibration          : ac={fit.ac:.4f} aq={fit.aq:.6f} "
           f"f={fit.f:.4e} R^2={fit.r_squared:.6f}")
-    print(f"QCNR at {cfg.run.model.power_p:.3e} W : {result.qcnr:.3f}")
+    print(f"QCNR at {cfg.run.model.power_p:.3e} W : {report.qcnr:.3f}")
     print(f"min-entropy          : {report.min_entropy_bits:.3f} bits/sample")
     print(f"extraction ratio     : {report.extraction_ratio:.4f}")
     print(f"generation rate      : {rate:.3e} bit/s")
@@ -111,12 +115,12 @@ def cmd_pipeline(cfg: runs.Config, out: str) -> int:
     qio.write_report(
         {
             "fit": {"ac": fit.ac, "aq": fit.aq, "f": fit.f, "r_squared": fit.r_squared},
-            "qcnr": result.qcnr,
+            "qcnr": report.qcnr,
             "entropy": {k: getattr(report, k) for k in (
                 "sigma_sq_total", "sigma_sq_quantum", "min_entropy_bits",
                 "extraction_ratio")},
-            "extractor": {"n_in": cfg.entropy.n_in, "n_out": result.n_out,
-                          "seed_rng": result.extractor_seed},
+            "extractor": {"n_in": extractor.n_in, "n_out": extractor.n_out,
+                          "seed_rng": extractor.seed_rng},
             "nist": [{"test": r.test_name, "pass_rate": r.pass_rate,
                       "uniformity_pvalue": r.uniformity_pvalue} for r in battery],
             "pass_rate_band": [lo, hi],
@@ -156,8 +160,13 @@ def cmd_stability(cfg: runs.Config, out: str) -> int:
     return EXIT_OK
 
 
-_COMMANDS = {"simulate": cmd_simulate, "calibrate": cmd_calibrate,
-             "pipeline": cmd_pipeline, "stability": cmd_stability}
+# each command and the suffixes of the files it writes next to ``--out``
+_COMMANDS = {
+    "simulate": (cmd_simulate, ()),
+    "calibrate": (cmd_calibrate, (".sweep.csv", ".qcnr.csv")),
+    "pipeline": (cmd_pipeline, (".autocorr.csv", ".nist.csv", ".report")),
+    "stability": (cmd_stability, ()),
+}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -179,15 +188,13 @@ def main(argv: list[str] | None = None) -> int:
         out_dir = Path(args.out).parent
         if not out_dir.is_dir():
             raise ValueError(f"output directory {out_dir} does not exist")
-        if Path(args.out).is_dir():
-            raise ValueError(f"output path {args.out} is a directory")
+        command, suffixes = _COMMANDS[args.command]
+        for path in (args.out, *(args.out + suffix for suffix in suffixes)):
+            if Path(path).is_dir():
+                raise ValueError(f"output path {path} is a directory")
         if not os.access(out_dir, os.W_OK):
             raise ValueError(f"output directory {out_dir} is not writable")
-        return _COMMANDS[args.command](cfg, args.out)
+        return command(cfg, args.out)
     except ValueError as exc:  # runs.ConfigError and library validation
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -258,15 +258,11 @@ def _variances(run: SimulationRun, n_samples: int, namespace: int, variants):
     return simulate_variances(run, namespace, variants)
 
 
-def sweep_direct(run: SimulationRun, sweep: SweepConfig) -> list[calib.PowerSweepPoint]:
+def sweep_direct(run: SimulationRun, sweep: SweepConfig) -> list[float]:
     """Measured variance at each sweep power."""
-    variances = _variances(run, sweep.samples_per_point, NS_SWEEP, [
+    return _variances(run, sweep.samples_per_point, NS_SWEEP, [
         (replace(run.model, power_p=p), run.chain) for p in sweep.powers
     ])
-    return [
-        calib.PowerSweepPoint(power=p, variance=v, n_samples=sweep.samples_per_point)
-        for p, v in zip(sweep.powers, variances)
-    ]
 
 
 def sweep_attenuated(run: SimulationRun, sweep: SweepConfig) -> list[float]:
@@ -287,7 +283,7 @@ class Calibration:
     """Result of :func:`calibrate`."""
 
     quadrature_phase: float | None  # None when the config has no fringe scan
-    points: list[calib.PowerSweepPoint]
+    variances: list[float]  # direct sweep, one per ``SweepConfig.powers``
     attenuated_variances: list[float]
     fit: VarianceFit
 
@@ -307,9 +303,9 @@ def calibrate(cfg: Config) -> Calibration:
         run = replace(
             run, chain=replace(run.chain, quadrature_offset=quad_phi - math.pi / 2.0)
         )
-    points = sweep_direct(run, sweep)
-    fit = calib.fit_variance_vs_power(points)
-    return Calibration(quad_phi, points, sweep_attenuated(run, sweep), fit)
+    variances = sweep_direct(run, sweep)
+    fit = calib.fit_variance_vs_power(sweep.powers, variances)
+    return Calibration(quad_phi, variances, sweep_attenuated(run, sweep), fit)
 
 
 @dataclass(frozen=True)
@@ -317,10 +313,8 @@ class PipelineResult:
     """Result of :func:`pipeline`."""
 
     fit: VarianceFit
-    qcnr: float  # from the fit, at the operating power
     entropy: EntropyReport
-    n_out: int
-    extractor_seed: int
+    extractor: extract.ToeplitzSeed
     bits: BitStream
     raw_autocorr: np.ndarray  # lags 0..100 of the raw samples
     bits_autocorr: np.ndarray  # lags 0..100 of the extracted bits
@@ -334,7 +328,7 @@ def pipeline(cfg: Config) -> PipelineResult:
     pipe = _require(cfg.pipeline, "pipeline")
     run, ent = cfg.run, cfg.entropy
 
-    fit = calib.fit_variance_vs_power(sweep_direct(run, sweep))
+    fit = calib.fit_variance_vs_power(sweep.powers, sweep_direct(run, sweep))
     qcnr = calib.qcnr_from_fit(fit, run.model.power_p)
     budget = functools.partial(
         entropy.entropy_report, qcnr=qcnr, adc_bits=run.chain.adc_bits,
@@ -359,9 +353,8 @@ def pipeline(cfg: Config) -> PipelineResult:
     ext_seed = pipe.extractor_seed
     if ext_seed is None:  # not configured: derived from the run seed
         ext_seed = derive_seed(run.seed, NS_EXTRACTOR)
-    bits = extract.extract_stream(
-        block, report, extract.ToeplitzSeed.generate(ent.n_in, n_out, ext_seed)
-    )
+    extractor = extract.ToeplitzSeed.generate(ent.n_in, n_out, ext_seed)
+    bits = extract.extract_stream(block, report, extractor)
 
     # raw-sample autocorrelation is diagnostic; it is large when oversampled
     raw_r = stats.autocorrelation(block.volts()[:1_000_000], 100)
@@ -370,7 +363,7 @@ def pipeline(cfg: Config) -> PipelineResult:
     )
     battery = stats.nist_subset(bits, pipe.n_sequences, pipe.seq_len_bits)
     return PipelineResult(
-        fit, qcnr, report, n_out, ext_seed, bits, raw_r, ext_r, battery,
+        fit, report, extractor, bits, raw_r, ext_r, battery,
         stats.pass_rate_band(pipe.n_sequences),
     )
 

@@ -13,7 +13,7 @@ Pipeline per internal step (running at ``sample_rate * oversample_factor``):
    an ``ovs``-tap FIR (weights ``alpha * rho^j``) into an output-rate
    AR(1) with coefficient ``r = rho^ovs``, solved by one doubling scan;
 
-then per output sample (stream v2):
+then per output sample:
 
 5. the electronic noise enters that AR(1)'s input: white noise filtered by
    the pole and decimated is exactly AR(1) in ``r`` with variance ``F``, so
@@ -24,8 +24,7 @@ then per output sample (stream v2):
    ``sigma_pred^2`` is the model variance at the run's operating point: to
    first order ``(AC P^2 + AQ P) cos^2(offset) + F``, with the exact Gaussian
    second-order term that carries it at a fringe extremum, plus the power of
-   each rf tone through the filter.  The range comes from the model, with no
-   pilot run.
+   each rf tone through the filter.
 
 No output sample depends on a statistic of the whole block, so a run is a
 prefix of the same run with a longer duration.
@@ -71,8 +70,8 @@ __all__ = [
 ]
 
 # Seed-derivation namespaces, every one in the package: the simulator's own
-# sub-streams (2, 4, 12) and the orchestration's in ``runs`` (3, 5-11; 9 is
-# unused).  1 seeded the ADC-range pilot run of stream v1 and is retired.
+# sub-streams (2, 4, 12) and the orchestration's in ``runs`` (3, 5-11).
+# 1 and 9 are unused.
 NS_PHASE = 2
 NS_FRINGE = 3
 NS_STABILITY = 4
@@ -131,17 +130,8 @@ def derive_seed(seed: int, *keys: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-class _Gains(NamedTuple):
-    """The discrete single-pole TIA model at the internal step ``dt``."""
-
-    dt: float
-    alpha: float
-    rho: float
-    kappa_d: float
-    L: int
-
-
-def _filter_gains(chain: SignalChainConfig, ovs: int) -> _Gains:
+def _filter_gains(chain: SignalChainConfig, ovs: int):
+    """``(dt, alpha, rho, kappa_d, L)``: the single-pole TIA at the step ``dt``."""
     dt = 1.0 / (chain.sample_rate_hz * ovs)
     alpha = 1.0 - math.exp(-2.0 * math.pi * chain.tia_cutoff_hz * dt)
     rho = 1.0 - alpha
@@ -149,7 +139,7 @@ def _filter_gains(chain: SignalChainConfig, ovs: int) -> _Gains:
     L = max(1, round(chain.delay_td / dt))
     m = np.arange(1, L)
     kappa_d = g0 * (L + 2.0 * float(np.sum(rho**m * (L - m)))) / L
-    return _Gains(dt, alpha, rho, kappa_d, L)
+    return dt, alpha, rho, kappa_d, L
 
 
 def model_sigma(run: SimulationRun) -> float:

@@ -63,11 +63,11 @@ def table1_sweep():
         source_power=0.1,
     )
     t0 = time.monotonic()
-    points = runs.sweep_direct(run, sweep)
+    variances = runs.sweep_direct(run, sweep)
     att_variances = runs.sweep_attenuated(run, sweep)
     elapsed = time.monotonic() - t0
-    fit = calib.fit_variance_vs_power(points)
-    return points, att_variances, fit, elapsed
+    fit = calib.fit_variance_vs_power(sweep.powers, variances)
+    return sweep.powers, variances, att_variances, fit, elapsed
 
 
 @pytest.fixture(scope="module")
@@ -157,7 +157,7 @@ def stability_artifacts(tmp_path_factory):
 
 
 def test_criterion_1_calibration_recovery(table1_sweep):
-    _, _, fit, elapsed = table1_sweep
+    *_, fit, elapsed = table1_sweep
     errs = {
         "ac": abs(fit.ac - AC_REF) / AC_REF,
         "aq": abs(fit.aq - AQ_REF) / AQ_REF,
@@ -183,13 +183,13 @@ def test_criterion_1_calibration_recovery(table1_sweep):
 
 
 def test_criterion_2_qcnr_consistency(table1_sweep):
-    points, att_variances, fit, _ = table1_sweep
+    powers, variances, att_variances, fit, _ = table1_sweep
     rel_gaps = []
-    for point, var_att in zip(points, att_variances):
-        q_fit = calib.qcnr_from_fit(fit, point.power)
+    for power, variance, var_att in zip(powers, variances, att_variances):
+        q_fit = calib.qcnr_from_fit(fit, power)
         if q_fit <= 1.0:
             continue
-        q_att = calib.qcnr_attenuation(point.variance, var_att)
+        q_att = calib.qcnr_attenuation(variance, var_att)
         rel_gaps.append(abs(q_att - q_fit) / q_fit)
     p_star, q_max = calib.qcnr_optimal_power(fit)
     ok = (

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from phaseqrng.calib import (
-    PowerSweepPoint,
     find_quadrature,
     fit_report_text,
     fit_variance_vs_power,
@@ -21,15 +20,8 @@ from phaseqrng.model import VarianceFit
 from conftest import AC_REF, AQ_REF, F_REF
 
 
-def _points(powers, variances, n=10**6):
-    return [
-        PowerSweepPoint(power=float(p), variance=float(v), n_samples=n)
-        for p, v in zip(powers, variances)
-    ]
-
-
-def _exact_points(ac, aq, f, powers, n=10**6):
-    return _points(powers, [ac * p**2 + aq * p + f for p in powers], n=n)
+def _exact_points(ac, aq, f, powers):
+    return powers, [ac * p**2 + aq * p + f for p in powers]
 
 
 REF_POWERS = np.geomspace(1e-5, 1e-3, 10)
@@ -41,7 +33,7 @@ REF_POWERS = np.geomspace(1e-5, 1e-3, 10)
 
 
 def test_fit_recovers_reference_coefficients_exactly():
-    fit = fit_variance_vs_power(_exact_points(AC_REF, AQ_REF, F_REF, REF_POWERS))
+    fit = fit_variance_vs_power(*_exact_points(AC_REF, AQ_REF, F_REF, REF_POWERS))
     assert fit.ac == pytest.approx(AC_REF, rel=1e-6)
     assert fit.aq == pytest.approx(AQ_REF, rel=1e-6)
     assert fit.f == pytest.approx(F_REF, rel=1e-6)
@@ -49,7 +41,7 @@ def test_fit_recovers_reference_coefficients_exactly():
 
 
 def test_fit_recovers_unit_coefficients():
-    fit = fit_variance_vs_power(_exact_points(1.0, 1.0, 1.0, [1, 2, 3, 4, 5]))
+    fit = fit_variance_vs_power(*_exact_points(1.0, 1.0, 1.0, [1, 2, 3, 4, 5]))
     assert fit.ac == pytest.approx(1.0, rel=1e-9)
     assert fit.aq == pytest.approx(1.0, rel=1e-9)
     assert fit.f == pytest.approx(1.0, rel=1e-9)
@@ -57,21 +49,19 @@ def test_fit_recovers_unit_coefficients():
 
 def test_fit_needs_four_points():
     with pytest.raises(ValueError, match="at least 4"):
-        fit_variance_vs_power(_exact_points(1, 1, 1, [1, 2, 3]))
+        fit_variance_vs_power(*_exact_points(1, 1, 1, [1, 2, 3]))
 
 
 def test_fit_needs_three_distinct_powers():
-    pts = _points([1.0, 1.0, 2.0, 2.0], [3.0, 3.0, 7.0, 7.0])
     with pytest.raises(ValueError, match="rank deficient"):
-        fit_variance_vs_power(pts)
+        fit_variance_vs_power([1.0, 1.0, 2.0, 2.0], [3.0, 3.0, 7.0, 7.0])
 
 
 def test_fit_rejects_strongly_negative_coefficient():
     # variance decreasing in power cannot be ac*P^2 + aq*P + f with aq >= 0
     powers = [1.0, 2.0, 3.0, 4.0, 5.0]
-    pts = _points(powers, [5.0 - p for p in powers])
     with pytest.raises(ValueError, match="model mismatch"):
-        fit_variance_vs_power(pts)
+        fit_variance_vs_power(powers, [5.0 - p for p in powers])
 
 
 def test_fit_clamps_tiny_negative_to_zero():
@@ -79,8 +69,7 @@ def test_fit_clamps_tiny_negative_to_zero():
     # solution may dip just below zero, which must clamp rather than raise
     powers = np.linspace(1.0, 5.0, 9)
     jitter = 1e-9 * np.array([1, -1, 1, -1, 1, -1, 1, -1, 1])
-    pts = _points(powers, powers**2 + 2.0 * powers + jitter)
-    fit = fit_variance_vs_power(pts)
+    fit = fit_variance_vs_power(powers, powers**2 + 2.0 * powers + jitter)
     assert fit.ac >= 0 and fit.aq >= 0 and fit.f >= 0
     assert fit.f <= 1e-8
     assert fit.r_squared > 0.999999
@@ -91,17 +80,18 @@ def test_fit_r_squared_degrades_with_noise():
     powers = np.linspace(0.1, 1.0, 20)
     clean = 2.0 * powers**2 + 1.0 * powers + 0.5
     noisy = clean * (1.0 + 0.05 * rng.standard_normal(20))
-    fit = fit_variance_vs_power(_points(powers, noisy))
+    fit = fit_variance_vs_power(powers, noisy)
     assert 0.9 < fit.r_squared < 1.0
 
 
-def test_sweep_point_validation():
-    with pytest.raises(ValueError):
-        PowerSweepPoint(power=-1.0, variance=1.0, n_samples=100)
-    with pytest.raises(ValueError):
-        PowerSweepPoint(power=1.0, variance=-1.0, n_samples=100)
-    with pytest.raises(ValueError):
-        PowerSweepPoint(power=1.0, variance=1.0, n_samples=1)
+def test_fit_input_validation():
+    powers, variances = _exact_points(1, 1, 1, [1, 2, 3, 4])
+    with pytest.raises(ValueError, match=">= 0"):
+        fit_variance_vs_power([-1.0, *powers[1:]], variances)
+    with pytest.raises(ValueError, match=">= 0"):
+        fit_variance_vs_power(powers, [-1.0, *variances[1:]])
+    with pytest.raises(ValueError, match="one length"):
+        fit_variance_vs_power(powers, variances[:-1])
 
 
 @given(
@@ -111,7 +101,7 @@ def test_sweep_point_validation():
 )
 @settings(max_examples=50)
 def test_fit_roundtrips_exact_quadratics(ac, aq, f):
-    fit = fit_variance_vs_power(_exact_points(ac, aq, f, np.linspace(0.5, 2.0, 8)))
+    fit = fit_variance_vs_power(*_exact_points(ac, aq, f, np.linspace(0.5, 2.0, 8)))
     assert fit.ac == pytest.approx(ac, rel=1e-5)
     assert fit.aq == pytest.approx(aq, rel=1e-5)
     # the floor is many orders below the quadratic term at these powers, so
@@ -168,10 +158,8 @@ def test_qcnr_from_fit_validation():
 
 
 def test_qcnr_optimal_requires_interior_optimum():
-    with pytest.raises(ValueError):
-        qcnr_optimal_power(VarianceFit(ac=0.0, aq=1.0, f=1.0, r_squared=1.0))
-    with pytest.raises(ValueError):
-        qcnr_optimal_power(VarianceFit(ac=1.0, aq=1.0, f=0.0, r_squared=1.0))
+    assert qcnr_optimal_power(VarianceFit(ac=0.0, aq=1.0, f=1.0, r_squared=1.0)) is None
+    assert qcnr_optimal_power(VarianceFit(ac=1.0, aq=1.0, f=0.0, r_squared=1.0)) is None
 
 
 def test_qcnr_attenuation_values():

@@ -389,7 +389,8 @@ def test_calibrate_without_interior_optimum_prints_no_peak(tmp_path, capsys, mon
     # rises with power to the end of the sweep: there is no peak to print
     monkeypatch.setattr(
         calib, "fit_variance_vs_power",
-        lambda points: VarianceFit(ac=AC_REF, aq=AQ_REF, f=0.0, r_squared=0.9999),
+        lambda powers, variances: VarianceFit(
+            ac=AC_REF, aq=AQ_REF, f=0.0, r_squared=0.9999),
     )
     cfg = write_config(
         tmp_path,
@@ -676,10 +677,15 @@ COMMANDS = ["simulate", "calibrate", "pipeline", "stability"]
     *(pytest.param(c, "missing", id=c) for c in COMMANDS),
     *(pytest.param(c, "directory", id=f"{c}-out-is-a-directory") for c in COMMANDS),
     *(pytest.param(c, "read-only", id=f"{c}-out-dir-not-writable") for c in COMMANDS),
+    pytest.param("calibrate", ".sweep.csv", id="calibrate-sibling-is-a-directory"),
+    pytest.param("pipeline", ".report", id="pipeline-sibling-is-a-directory"),
 ])
 def test_out_in_missing_directory_fails_before_any_run(
     tmp_path, capsys, monkeypatch, command, case
 ):
+    # the suffixes checked up front are those of the files the command writes
+    _, suffixes = cli._COMMANDS[command]
+    assert set(suffixes) == set(GOLDEN[command]) - {""}
     for module in (sim, runs, cli):
         monkeypatch.setattr(module, "simulate", _no_simulation)
     if case == "read-only":  # root ignores mode bits, so chmod cannot set this up
@@ -692,16 +698,17 @@ def test_out_in_missing_directory_fails_before_any_run(
     }[command]
     cfg = write_config(tmp_path, **sections)
     out = {"missing": tmp_path / "missing" / "out", "directory": tmp_path,
-           "read-only": tmp_path / "out"}[case]
+           "read-only": tmp_path / "out"}.get(case, tmp_path / "fit.txt")
+    if case.startswith("."):  # a file written next to --out is a directory
+        Path(str(out) + case).mkdir()
     rc = cli.main([command, "--config", cfg, "--out", str(out)])
     err = capsys.readouterr().err
     assert rc == 1
     assert len(err.splitlines()) == 1, err
     start, reason = {
         "missing": ("error: output directory", "does not exist"),
-        "directory": ("error: output path", "is a directory"),
         "read-only": ("error: output directory", "is not writable"),
-    }[case]
+    }.get(case, ("error: output path", "is a directory"))
     assert err.startswith(start) and reason in err
 
 
