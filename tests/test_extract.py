@@ -1,10 +1,13 @@
 """Toeplitz extractor: matrix construction, GF(2) algebra, stream plumbing."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from phaseqrng import extract
 from phaseqrng.extract import (
     ToeplitzSeed,
     extract_stream,
@@ -215,6 +218,46 @@ def test_extract_stream_matches_per_block_hash():
         [toeplitz_hash(seed, raw[i * 128 : (i + 1) * 128]) for i in range(4)]
     )
     np.testing.assert_array_equal(out, expected)
+
+
+@pytest.mark.parametrize("chunk_blocks", [64, 8])
+@pytest.mark.parametrize("adc_bits", [7, 12])
+def test_extract_stream_chunks_match_per_block_hash(monkeypatch, adc_bits, chunk_blocks):
+    # 100 input bits a block: 64 or 8 blocks end mid-sample at 7 and at 12
+    # bits, and 600 blocks span several chunks, the last one partial
+    monkeypatch.setattr(extract, "_CHUNK_BLOCKS", chunk_blocks)
+    n_in, n_out = 100, 37
+    half = 1 << (adc_bits - 1)
+    rng = np.random.default_rng(adc_bits)
+    block = _stream_block(rng.integers(-half, half, 600 * n_in // adc_bits + 3),
+                          bits=adc_bits)
+    seed = ToeplitzSeed.generate(n_in, n_out, seed_rng=13)
+    out = extract_stream(block, _report(0.37, bits=adc_bits), seed)
+    raw = samples_to_bits(block)
+    assert raw.size // n_in == 600
+    expected = np.concatenate(
+        [toeplitz_hash(seed, raw[i * n_in : (i + 1) * n_in]) for i in range(600)]
+    )
+    assert out.count == 600 * n_out
+    assert out.bits == np.packbits(expected, bitorder="little").tobytes()
+
+
+def test_extract_stream_peak_memory_grows_only_by_the_packed_output():
+    seed = ToeplitzSeed.generate(1024, 512, seed_rng=3)
+    rng = np.random.default_rng(4)
+    peaks, sizes = [], []
+    for n_blocks in (300, 1200):
+        block = _stream_block(rng.integers(-128, 128, n_blocks * 128))
+        tracemalloc.start()
+        try:
+            out = extract_stream(block, _report(0.51), seed)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        sizes.append(len(out.bits))
+    # the peak is one chunk's hash beside the packed output so far; the
+    # unpacked bits of four times the input would be several MB more
+    assert peaks[1] - peaks[0] <= sizes[1] - sizes[0] + 65536, (peaks, sizes)
 
 
 def test_extract_stream_deterministic():

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.signal import lfilter, welch
 
+from phaseqrng import sim
 from phaseqrng.calib import find_quadrature
 from phaseqrng.model import (
     LaserNoiseModel,
@@ -247,6 +249,47 @@ def test_simulate_is_prefix_invariant(n, offset, power, tones, seed):
     assert len(long) == 2 * len(short)
     assert long.adc_scale == short.adc_scale
     np.testing.assert_array_equal(long.samples[: len(short)], short.samples)
+
+
+@pytest.mark.parametrize("ovs, power, tones, delay_td", [
+    (4, P_REF, (), DELAY_TD),  # L = 1
+    (16, P_REF, (TONE,), DELAY_TD),  # L = 4
+    (8, 0.0, (TONE,), DELAY_TD),  # no phase steps: the chunks hold the tone
+    (4, P_REF, (TONE,), 3e-9),  # L = 6, longer than one row of 4 steps
+], ids=["ovs4", "ovs16-tone", "zero-power-tone", "long-delay-tone"])
+def test_simulate_is_independent_of_the_chunk_size(monkeypatch, ovs, power, tones,
+                                                   delay_td):
+    # steps 1-4 run a chunk of output rows at a time; one row per chunk puts
+    # the DC pad, the L-step phase history and the tone's time index across
+    # every edge, and 9001 samples span three default chunks
+    default = sim._CHUNK_ROWS
+    for n in (2, 7, default - 5, default + 3, 9001):
+        run = replace(
+            _run(duration=n / 500e6, seed=n, oversample_factor=ovs, rf_tones=tones,
+                 delay_td=delay_td),
+            model=make_ref_model(power),
+        )
+        monkeypatch.setattr(sim, "_CHUNK_ROWS", default)
+        expected = simulate(run).samples
+        for rows in (1, 3):
+            monkeypatch.setattr(sim, "_CHUNK_ROWS", rows)
+            np.testing.assert_array_equal(simulate(run).samples, expected,
+                                          err_msg=f"n={n}, {rows} rows per chunk")
+
+
+def test_simulate_peak_memory_does_not_grow_with_oversampling():
+    # the internal-rate steps hold one chunk, so the peak is the output-rate
+    # voltage and codes (10 bytes a sample), whatever the oversampling
+    peaks = []
+    for ovs in (4, 16):
+        run = _run(duration=2e-3, seed=5, oversample_factor=ovs)  # 10^6 samples
+        tracemalloc.start()
+        try:
+            simulate(run)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.1 * peaks[0], peaks
 
 
 def test_samples_are_centred_and_in_range():
