@@ -33,7 +33,7 @@ from scipy.fft import irfft, next_fast_len, rfft
 
 from .model import BitStream, EntropyReport, SampleBlock
 
-__all__ = ["ToeplitzSeed", "toeplitz_hash", "toeplitz_matrix", "extract_stream"]
+__all__ = ["ToeplitzSeed", "samples_to_bits", "extract_stream"]
 
 # Input blocks serialised, hashed and packed at a time.  64 * n_out bits is a
 # whole number of bytes, so the packed chunks join up byte-exact.  At n_in
@@ -75,60 +75,18 @@ class ToeplitzSeed:
         bits = rng.integers(0, 2, size=n_in + n_out - 1, dtype=np.uint8)
         return cls(bits=bits, n_in=n_in, n_out=n_out, seed_rng=seed_rng)
 
-    def bits_sha256(self) -> str:
-        return hashlib.sha256(self.bits.tobytes()).hexdigest()
 
-
-def toeplitz_matrix(seed: ToeplitzSeed) -> np.ndarray:
-    """Materialise the full Toeplitz matrix (oracle / debugging use only)."""
-    i = np.arange(seed.n_out)[:, None]
-    j = np.arange(seed.n_in)[None, :]
-    return seed.bits[seed.n_out - 1 - i + j]
-
-
-def _hash_blocks(seed: ToeplitzSeed, blocks: np.ndarray) -> np.ndarray:
-    """Hash a (k, n_in) bit matrix; returns (k, n_out) bits.
-
-    y[i] = sum_j seed[n_out-1-i+j] * x[j] is the reversed seed convolved with
-    x at lag n_in - 1 + i.  The float64 work is a few k-by-n arrays, so
-    :func:`extract_stream` passes ``_CHUNK_BLOCKS`` blocks at a time.
-    """
-    n = next_fast_len(seed.n_in + seed.n_out - 1, real=True)
-    spectrum = rfft(blocks, n, axis=1)
-    spectrum *= rfft(seed.bits[::-1].astype(np.float64), n)
-    conv = irfft(spectrum, n, axis=1)
-    del spectrum  # each k-by-n array is freed as soon as it is used
-    counts = np.rint(conv[:, seed.n_in - 1 : seed.n_in - 1 + seed.n_out])
-    del conv
-    return (counts.astype(np.int64) & 1).astype(np.uint8)
-
-
-def toeplitz_hash(seed: ToeplitzSeed, block: np.ndarray) -> np.ndarray:
-    """Hash one n_in-bit block to n_out bits over GF(2)."""
-    block = np.asarray(block, dtype=np.uint8)
-    if block.ndim != 1 or block.size != seed.n_in:
-        raise ValueError(f"block must hold exactly n_in = {seed.n_in} bits")
-    if block.size and block.max() > 1:
-        raise ValueError("block bits must be 0/1")
-    return _hash_blocks(seed, block[None, :])[0]
-
-
-def _codes_to_bits(codes: np.ndarray, adc_bits: int) -> np.ndarray:
-    """The bits of :func:`samples_to_bits` for an array of codes."""
-    codes = (codes.astype(np.int32) & ((1 << adc_bits) - 1)).astype("<u2")
-    # unpack 16 bits LSB-first per sample, keep the low adc_bits of each
-    bits16 = np.unpackbits(codes.view(np.uint8).reshape(-1, 2), axis=1,
-                           bitorder="little")
-    return bits16[:, :adc_bits].reshape(-1)
-
-
-def samples_to_bits(block: SampleBlock) -> np.ndarray:
+def samples_to_bits(codes: np.ndarray, adc_bits: int) -> np.ndarray:
     """Serialise ADC codes to bits: two's complement, LSB first.
 
     The convention is fixed so that independently written tooling can agree
     bit-for-bit on the extractor input.
     """
-    return _codes_to_bits(block.samples, block.adc_bits)
+    codes = (codes.astype(np.int32) & ((1 << adc_bits) - 1)).astype("<u2")
+    # unpack 16 bits LSB-first per sample, keep the low adc_bits of each
+    bits16 = np.unpackbits(codes.view(np.uint8).reshape(-1, 2), axis=1,
+                           bitorder="little")
+    return bits16[:, :adc_bits].reshape(-1)
 
 
 def extract_stream(
@@ -159,10 +117,14 @@ def extract_stream(
     provenance = {
         # the codes are C-contiguous, so their buffer is the int16 bytes
         "source_sha256": hashlib.sha256(samples.samples).hexdigest(),
-        "seed_sha256": seed.bits_sha256(),
+        "seed_sha256": hashlib.sha256(seed.bits).hexdigest(),
         "seed_rng": seed.seed_rng,
         "extraction_ratio": repr(report.extraction_ratio),
     }
+    # y[i] = sum_j seed[n_out-1-i+j] * x[j] is the reversed seed convolved
+    # with x at lag n_in - 1 + i; its spectrum serves every chunk
+    n = next_fast_len(n_in + n_out - 1, real=True)
+    seed_spectrum = rfft(seed.bits[::-1].astype(np.float64), n)
     payload = np.empty(-(-n_blocks * n_out // 8), dtype=np.uint8)
     for k in range(0, n_blocks, _CHUNK_BLOCKS):
         m = min(_CHUNK_BLOCKS, n_blocks - k)
@@ -170,8 +132,14 @@ def extract_stream(
         # falls mid-sample unless adc_bits divides k * n_in
         first, skip = divmod(k * n_in, b)
         last = -(-(k + m) * n_in // b)
-        bits = _codes_to_bits(samples.samples[first:last], b)[skip : skip + m * n_in]
-        packed = np.packbits(_hash_blocks(seed, bits.reshape(m, n_in)),
+        bits = samples_to_bits(samples.samples[first:last], b)[skip : skip + m * n_in]
+        spectrum = rfft(bits.reshape(m, n_in), n, axis=1)
+        spectrum *= seed_spectrum
+        conv = irfft(spectrum, n, axis=1)
+        del spectrum  # each m-by-n array is freed as soon as it is used
+        counts = np.rint(conv[:, n_in - 1 : n_in - 1 + n_out])
+        del conv
+        packed = np.packbits((counts.astype(np.int64) & 1).astype(np.uint8),
                              bitorder="little")
         # k * n_out is a multiple of 8, so each chunk starts on a whole byte
         payload[k * n_out // 8 :][: packed.size] = packed

@@ -238,16 +238,6 @@ class BitStream:
         arr = np.frombuffer(self.bits, dtype=np.uint8)
         return np.unpackbits(arr, bitorder="little")[: self.count]
 
-    @classmethod
-    def from_bit_array(cls, bits: np.ndarray, provenance: dict | None = None) -> "BitStream":
-        bits = np.asarray(bits, dtype=np.uint8)
-        if bits.ndim != 1:
-            raise ValueError("bit array must be one-dimensional")
-        if bits.size and bits.max() > 1:
-            raise ValueError("bit array must contain only 0/1")
-        packed = np.packbits(bits, bitorder="little").tobytes()
-        return cls(bits=packed, count=int(bits.size), provenance=provenance or {})
-
 
 def phase_difference_variance(model: LaserNoiseModel, td: float) -> float:
     """Variance of the interferometer phase difference over delay ``td``.

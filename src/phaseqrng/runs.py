@@ -308,6 +308,11 @@ def calibrate(cfg: Config) -> Calibration:
     return Calibration(quad_phi, variances, sweep_attenuated(run, sweep), fit)
 
 
+# autocorrelation lags, and the values of each series they are taken over
+_MAX_LAG = 100
+_HEAD = 1_000_000
+
+
 @dataclass(frozen=True)
 class PipelineResult:
     """Result of :func:`pipeline`."""
@@ -338,11 +343,15 @@ def pipeline(cfg: Config) -> PipelineResult:
     )
 
     # size the main run from the predicted variance, then budget the real one
-    # (H_inf ignores the variance, so an override above it already fails here)
+    # (H_inf ignores the variance, so an override above it already fails here);
+    # both autocorrelation heads need at least 10 * _MAX_LAG values
     provisional = budget(predicted_variance(fit, run.model.power_p))
     n_out_est = max(1, math.floor(provisional.extraction_ratio * ent.n_in))
-    blocks_needed = math.ceil(pipe.n_output_bits / n_out_est) + 1
-    samples_needed = math.ceil(blocks_needed * ent.n_in / run.chain.adc_bits)
+    min_head = 10 * _MAX_LAG
+    blocks_needed = max(math.ceil(pipe.n_output_bits / n_out_est) + 1,
+                        math.ceil(min_head / n_out_est))
+    samples_needed = max(math.ceil(blocks_needed * ent.n_in / run.chain.adc_bits),
+                         min_head)
     duration = samples_needed / run.chain.sample_rate_hz
     block = simulate(
         replace(run, duration=duration, seed=derive_seed(run.seed, NS_PIPELINE))
@@ -357,11 +366,10 @@ def pipeline(cfg: Config) -> PipelineResult:
     bits = extract.extract_stream(block, report, extractor)
 
     # raw-sample autocorrelation is diagnostic; it is large when oversampled
-    head = replace(block, samples=block.samples[:1_000_000])  # a view
-    raw_r = stats.autocorrelation(head.volts(), 100)
-    ext_r = stats.autocorrelation(
-        bits.as_bit_array()[:1_000_000].astype(np.float64), 100
-    )
+    head = replace(block, samples=block.samples[:_HEAD])  # a view
+    raw_r = stats.autocorrelation(head.volts(), _MAX_LAG)
+    bits_head = BitStream(bits.bits[: _HEAD // 8], min(bits.count, _HEAD))
+    ext_r = stats.autocorrelation(bits_head.as_bit_array().astype(np.float64), _MAX_LAG)
     battery = stats.nist_subset(bits, pipe.n_sequences, pipe.seq_len_bits)
     return PipelineResult(
         fit, report, extractor, bits, raw_r, ext_r, battery,

@@ -1,4 +1,5 @@
-"""Shared fixtures: the reference calibration point used across the suite.
+"""Shared fixtures: the reference calibration point used across the suite,
+plus the Toeplitz oracle and bit helpers of the extractor tests.
 
 The reference coefficients (ac, aq, f) describe a realistic operating point
 of the simulated chain; most integration tests configure the simulator so
@@ -8,9 +9,14 @@ that these exact values should be recovered.
 import hashlib
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from phaseqrng.model import LaserNoiseModel, SignalChainConfig, VarianceFit
+from phaseqrng.extract import extract_stream
+from phaseqrng.model import (
+    BitStream, EntropyReport, LaserNoiseModel, SampleBlock, SignalChainConfig,
+    VarianceFit,
+)
 
 # reference variance-fit coefficients used as the standard test operating point
 AC_REF = 22.519        # V^2 / W^2
@@ -65,3 +71,30 @@ def make_ref_model(power: float):
 @pytest.fixture
 def ref_model():
     return make_ref_model(2.47e-4)
+
+
+def toeplitz_matrix(seed) -> np.ndarray:
+    """The explicit matrix T[i, j] = seed[n_out-1-i+j] (the hash's oracle)."""
+    i = np.arange(seed.n_out)[:, None]
+    j = np.arange(seed.n_in)[None, :]
+    return seed.bits[seed.n_out - 1 - i + j]
+
+
+def hash_bits(seed, bits) -> np.ndarray:
+    """Hash 0/1 ``bits`` through ``extract_stream``; n_out bits per n_in.
+
+    Each bit is a 1-bit two's-complement code (1 is -1), so the serialised
+    extractor input is ``bits`` itself.
+    """
+    block = SampleBlock(samples=-np.asarray(bits, dtype=np.int16), adc_bits=1,
+                        sample_rate_hz=1.0, adc_scale=1.0)
+    report = EntropyReport(qcnr=1.0, sigma_sq_total=1.0, sigma_sq_quantum=1.0,
+                           min_entropy_bits=1.0, samples_bits=1,
+                           extraction_ratio=1.0)
+    return extract_stream(block, report, seed).as_bit_array()
+
+
+def pack_bits(bits) -> BitStream:
+    """A ``BitStream`` of the 0/1 array ``bits``."""
+    bits = np.asarray(bits, dtype=np.uint8)
+    return BitStream(np.packbits(bits, bitorder="little").tobytes(), bits.size)

@@ -20,7 +20,10 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
-from conftest import AC_REF, AQ_REF, CONV_GAIN, DELAY_TD, F_REF, artifact_digests
+from conftest import (
+    AC_REF, AQ_REF, CONV_GAIN, DELAY_TD, F_REF, artifact_digests, hash_bits,
+    toeplitz_matrix,
+)
 
 from phaseqrng import calib, cli, entropy, extract, runs, stats
 from phaseqrng import io as qio
@@ -360,28 +363,26 @@ def test_criterion_8_extractor_correctness():
     t0 = time.monotonic()
     rng = np.random.default_rng(20260817)
 
-    # production hash vs explicit matrix-vector product over GF(2)
+    # production hash (extract_stream) vs explicit matrix-vector product over GF(2)
     mismatches = 0
     for _ in range(1000):
         n_in = int(rng.integers(2, 65))
         n_out = int(rng.integers(1, n_in + 1))
         seed = extract.ToeplitzSeed.generate(n_in, n_out, int(rng.integers(2**32)))
         block = rng.integers(0, 2, size=n_in, dtype=np.uint8)
-        expected = (extract.toeplitz_matrix(seed) @ block) % 2
-        if not np.array_equal(extract.toeplitz_hash(seed, block), expected):
+        expected = (toeplitz_matrix(seed) @ block) % 2
+        if not np.array_equal(hash_bits(seed, block), expected):
             mismatches += 1
 
-    # GF(2) linearity: T(x xor y) == T(x) xor T(y)
+    # GF(2) linearity: T(x xor y) == T(x) xor T(y), 2500 blocks per stream
     violations = 0
     for n_in, n_out in ((16, 8), (64, 32), (64, 64), (48, 1)):
         seed = extract.ToeplitzSeed.generate(n_in, n_out, int(rng.integers(2**32)))
-        for _ in range(2500):
-            x = rng.integers(0, 2, size=n_in, dtype=np.uint8)
-            y = rng.integers(0, 2, size=n_in, dtype=np.uint8)
-            lhs = extract.toeplitz_hash(seed, x ^ y)
-            rhs = extract.toeplitz_hash(seed, x) ^ extract.toeplitz_hash(seed, y)
-            if not np.array_equal(lhs, rhs):
-                violations += 1
+        x = rng.integers(0, 2, size=2500 * n_in, dtype=np.uint8)
+        y = rng.integers(0, 2, size=2500 * n_in, dtype=np.uint8)
+        lhs = hash_bits(seed, x ^ y).reshape(2500, n_out)
+        rhs = (hash_bits(seed, x) ^ hash_bits(seed, y)).reshape(2500, n_out)
+        violations += int((lhs != rhs).any(axis=1).sum())
     elapsed = time.monotonic() - t0
 
     ok = mismatches == 0 and violations == 0 and elapsed < 30.0

@@ -561,6 +561,24 @@ def test_pipeline_rejects_short_output_for_suite(tmp_path, capsys):
     assert "insufficient bits" in capsys.readouterr().err
 
 
+def test_pipeline_sizes_main_run_for_autocorrelation_heads(
+    tmp_path, capsys, simulate_calls
+):
+    # 128 output bits from 64-bit blocks need only a 32-sample main run, but
+    # each 100-lag autocorrelation needs 1000 values of its series
+    sections = copy.deepcopy(PIPELINE_SECTIONS)
+    sections["sweep"]["samples_per_point"] = 20_000
+    sections["entropy"] = {"n_in": 64, "security_eps_log2": -1}
+    sections["pipeline"] = {"n_output_bits": 128, "n_sequences": 1, "seq_len_bits": 128}
+    cfg = write_config(tmp_path, **sections)
+    out = tmp_path / "bits.qrng"
+    rc = cli.main(["pipeline", "--config", cfg, "--out", str(out)])
+    assert rc in (0, 2), capsys.readouterr().err  # 2: the one sequence failed
+    main_run = simulate_calls[-1]
+    assert round(main_run.duration * main_run.chain.sample_rate_hz) == 1000
+    assert qio.read_bits(str(out)).count >= 1000
+
+
 def test_pipeline_requires_output_bit_count(tmp_path, capsys):
     sections = copy.deepcopy(PIPELINE_SECTIONS)
     del sections["pipeline"]["n_output_bits"]

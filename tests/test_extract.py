@@ -1,5 +1,6 @@
-"""Toeplitz extractor: matrix construction, GF(2) algebra, stream plumbing."""
+"""Toeplitz extractor: GF(2) algebra against the explicit matrix, stream plumbing."""
 
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -8,14 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from phaseqrng import extract
-from phaseqrng.extract import (
-    ToeplitzSeed,
-    extract_stream,
-    samples_to_bits,
-    toeplitz_hash,
-    toeplitz_matrix,
-)
+from phaseqrng.extract import ToeplitzSeed, extract_stream, samples_to_bits
 from phaseqrng.model import EntropyReport, SampleBlock
+
+from conftest import hash_bits, toeplitz_matrix
 
 
 def _seed_from_bits(bits, n_in, n_out):
@@ -37,7 +34,7 @@ def _report(ratio, bits=8):
 
 
 # ---------------------------------------------------------------------------
-# matrix construction
+# matrix construction (the oracle in conftest)
 # ---------------------------------------------------------------------------
 
 
@@ -71,12 +68,12 @@ def test_hash_worked_example():
     # hand computation: row i of T dotted with x, mod 2
     expected = (toeplitz_matrix(seed) @ x) % 2
     np.testing.assert_array_equal(expected, [1, 1, 1])
-    np.testing.assert_array_equal(toeplitz_hash(seed, x), [1, 1, 1])
+    np.testing.assert_array_equal(hash_bits(seed, x), [1, 1, 1])
 
 
 def test_zero_input_hashes_to_zero():
     seed = ToeplitzSeed.generate(64, 40, seed_rng=5)
-    out = toeplitz_hash(seed, np.zeros(64, dtype=np.uint8))
+    out = hash_bits(seed, np.zeros(64, dtype=np.uint8))
     assert not out.any()
 
 
@@ -105,16 +102,7 @@ def test_seed_generation_is_reproducible():
     b = ToeplitzSeed.generate(128, 64, seed_rng=42)
     c = ToeplitzSeed.generate(128, 64, seed_rng=43)
     np.testing.assert_array_equal(a.bits, b.bits)
-    assert a.bits_sha256() == b.bits_sha256()
     assert (a.bits != c.bits).any()
-
-
-def test_hash_validates_block():
-    seed = ToeplitzSeed.generate(8, 4, seed_rng=0)
-    with pytest.raises(ValueError, match="exactly n_in"):
-        toeplitz_hash(seed, np.zeros(7, dtype=np.uint8))
-    with pytest.raises(ValueError, match="0/1"):
-        toeplitz_hash(seed, np.full(8, 3, dtype=np.uint8))
 
 
 # ---------------------------------------------------------------------------
@@ -132,8 +120,8 @@ def test_hash_is_gf2_linear(data):
     seed = ToeplitzSeed.generate(n_in, n_out, seed_rng=rng_seed)
     x = rng.integers(0, 2, n_in, dtype=np.uint8)
     y = rng.integers(0, 2, n_in, dtype=np.uint8)
-    lhs = toeplitz_hash(seed, x ^ y)
-    rhs = toeplitz_hash(seed, x) ^ toeplitz_hash(seed, y)
+    lhs = hash_bits(seed, x ^ y)
+    rhs = hash_bits(seed, x) ^ hash_bits(seed, y)
     np.testing.assert_array_equal(lhs, rhs)
 
 
@@ -144,7 +132,7 @@ def test_fft_route_matches_matrix_oracle():
         n_out = int(rng.integers(1, n_in + 1))
         seed = ToeplitzSeed.generate(n_in, n_out, seed_rng=int(rng.integers(2**32)))
         x = rng.integers(0, 2, n_in, dtype=np.uint8)
-        fast = toeplitz_hash(seed, x)
+        fast = hash_bits(seed, x)
         slow = (toeplitz_matrix(seed).astype(np.int64) @ x) % 2
         np.testing.assert_array_equal(fast, slow)
 
@@ -155,13 +143,7 @@ def test_fft_route_matches_matrix_oracle():
 
 
 def test_samples_to_bits_twos_complement_lsb_first():
-    block = SampleBlock(
-        samples=np.array([1, -1, -128], dtype=np.int16),
-        adc_bits=8,
-        sample_rate_hz=1.0,
-        adc_scale=1.0,
-    )
-    bits = samples_to_bits(block)
+    bits = samples_to_bits(np.array([1, -1, -128], dtype=np.int16), 8)
     assert bits.size == 24
     np.testing.assert_array_equal(bits[0:8], [1, 0, 0, 0, 0, 0, 0, 0])  # +1
     np.testing.assert_array_equal(bits[8:16], [1, 1, 1, 1, 1, 1, 1, 1])  # -1 -> 0xFF
@@ -169,13 +151,7 @@ def test_samples_to_bits_twos_complement_lsb_first():
 
 
 def test_samples_to_bits_narrow_adc():
-    block = SampleBlock(
-        samples=np.array([-4, 3], dtype=np.int16),
-        adc_bits=3,
-        sample_rate_hz=1.0,
-        adc_scale=1.0,
-    )
-    bits = samples_to_bits(block)
+    bits = samples_to_bits(np.array([-4, 3], dtype=np.int16), 3)
     assert bits.size == 6
     np.testing.assert_array_equal(bits, [0, 0, 1, 1, 1, 0])  # -4 -> 100b, 3 -> 011b
 
@@ -213,11 +189,9 @@ def test_extract_stream_matches_per_block_hash():
     seed = ToeplitzSeed.generate(128, 64, seed_rng=11)
     report = _report(0.5)
     out = extract_stream(block, report, seed).as_bit_array()
-    raw = samples_to_bits(block)
-    expected = np.concatenate(
-        [toeplitz_hash(seed, raw[i * 128 : (i + 1) * 128]) for i in range(4)]
-    )
-    np.testing.assert_array_equal(out, expected)
+    raw = samples_to_bits(block.samples, 8).reshape(4, 128)
+    expected = (raw.astype(np.int64) @ toeplitz_matrix(seed).T) % 2
+    np.testing.assert_array_equal(out, expected.reshape(-1))
 
 
 @pytest.mark.parametrize("chunk_blocks", [64, 8])
@@ -233,11 +207,10 @@ def test_extract_stream_chunks_match_per_block_hash(monkeypatch, adc_bits, chunk
                           bits=adc_bits)
     seed = ToeplitzSeed.generate(n_in, n_out, seed_rng=13)
     out = extract_stream(block, _report(0.37, bits=adc_bits), seed)
-    raw = samples_to_bits(block)
+    raw = samples_to_bits(block.samples, adc_bits)
     assert raw.size // n_in == 600
-    expected = np.concatenate(
-        [toeplitz_hash(seed, raw[i * n_in : (i + 1) * n_in]) for i in range(600)]
-    )
+    blocks = raw[: 600 * n_in].reshape(600, n_in).astype(np.int64)
+    expected = (blocks @ toeplitz_matrix(seed).T % 2).astype(np.uint8)
     assert out.count == 600 * n_out
     assert out.bits == np.packbits(expected, bitorder="little").tobytes()
 
@@ -302,7 +275,8 @@ def test_extract_stream_provenance_identifies_inputs():
     codes = rng.integers(-128, 128, 256)
     seed = ToeplitzSeed.generate(256, 128, seed_rng=55)
     out = extract_stream(_stream_block(codes), _report(0.51), seed)
-    assert out.provenance["seed_sha256"] == seed.bits_sha256()
+    seed_sha256 = hashlib.sha256(seed.bits.tobytes()).hexdigest()
+    assert out.provenance["seed_sha256"] == seed_sha256
     assert len(out.provenance["source_sha256"]) == 64
     # different source data -> different source hash
     out2 = extract_stream(_stream_block(codes[::-1].copy()), _report(0.51), seed)

@@ -2,6 +2,7 @@
 
 import io
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,7 +26,9 @@ from phaseqrng.io import (
     write_report,
     write_samples,
 )
-from phaseqrng.model import BitStream, SampleBlock
+from phaseqrng.model import SampleBlock
+
+from conftest import pack_bits
 
 
 def _sample_block(codes, bits=8, seed=7):
@@ -235,7 +238,7 @@ def test_format_errors_are_value_errors():
 
 
 def test_bits_payload_packing():
-    stream = BitStream.from_bit_array(np.array([1, 0, 1], dtype=np.uint8))
+    stream = pack_bits([1, 0, 1])
     buf = io.BytesIO()
     write_bits(stream, buf)
     parts = _container_parts(buf.getvalue())
@@ -244,8 +247,8 @@ def test_bits_payload_packing():
 
 
 def test_bits_roundtrip_with_provenance():
-    stream = BitStream.from_bit_array(
-        np.array([1, 1, 0, 1, 0, 0, 0, 1, 1], dtype=np.uint8),
+    stream = replace(
+        pack_bits([1, 1, 0, 1, 0, 0, 0, 1, 1]),
         provenance={"source_sha256": "ab" * 32, "extraction_ratio": "0.6999"},
     )
     buf = io.BytesIO()
@@ -260,7 +263,7 @@ def test_bits_roundtrip_with_provenance():
 
 @given(st.lists(st.integers(min_value=0, max_value=1), max_size=500))
 def test_bits_roundtrip_property(bits):
-    stream = BitStream.from_bit_array(np.asarray(bits, dtype=np.uint8))
+    stream = pack_bits(bits)
     buf = io.BytesIO()
     write_bits(stream, buf)
     buf.seek(0)
@@ -270,7 +273,7 @@ def test_bits_roundtrip_property(bits):
 
 
 def test_bits_count_payload_mismatch_rejected():
-    stream = BitStream.from_bit_array(np.ones(16, dtype=np.uint8))
+    stream = pack_bits(np.ones(16))
     buf = io.BytesIO()
     write_bits(stream, buf)
     blob = bytearray(buf.getvalue())

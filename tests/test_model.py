@@ -18,7 +18,9 @@ from phaseqrng.model import (
     variance_coefficients,
 )
 
-from conftest import AC_REF, AQ_REF, CONV_GAIN, DELAY_TD, F_REF, make_ref_model
+from conftest import (
+    AC_REF, AQ_REF, CONV_GAIN, DELAY_TD, F_REF, make_ref_model, pack_bits,
+)
 
 finite_pos = st.floats(min_value=1e-12, max_value=1e12, allow_nan=False)
 
@@ -276,16 +278,13 @@ def test_bitstream_count_bounds():
 
 
 def test_bitstream_roundtrip_explicit():
-    arr = np.array([1, 0, 1], dtype=np.uint8)
-    s = BitStream.from_bit_array(arr)
-    assert s.count == 3
-    assert s.bits == bytes([0b101])  # LSB-first packing
-    np.testing.assert_array_equal(s.as_bit_array(), arr)
+    s = BitStream(bits=bytes([0b101]), count=3)  # LSB-first packing
+    np.testing.assert_array_equal(s.as_bit_array(), [1, 0, 1])
 
 
 @given(st.lists(st.integers(min_value=0, max_value=1), min_size=0, max_size=200))
 def test_bitstream_roundtrip_property(bits):
     arr = np.array(bits, dtype=np.uint8)
-    s = BitStream.from_bit_array(arr)
+    s = pack_bits(arr)
     assert s.count == len(bits)
     np.testing.assert_array_equal(s.as_bit_array(), arr)

@@ -14,7 +14,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.signal import welch
 
-from phaseqrng.model import BitStream
 from phaseqrng.sim import SimulationRun, simulate
 from phaseqrng.model import LaserNoiseModel, SignalChainConfig
 from phaseqrng.stats import (
@@ -37,6 +36,8 @@ from phaseqrng.stats import (
     spectral_test,
     uniformity_pvalue,
 )
+
+from conftest import pack_bits
 
 
 def _bits(s: str) -> np.ndarray:
@@ -295,7 +296,7 @@ def test_cusum_statistic_from_definition():
 
 
 def test_all_ones_fails_every_test():
-    bits = BitStream.from_bit_array(np.ones(10 * 256, dtype=np.uint8))
+    bits = pack_bits(np.ones(10 * 256, dtype=np.uint8))
     reports = nist_subset(bits, n_sequences=10, seq_len_bits=256)
     assert len(reports) == 10
     for r in reports:
@@ -369,7 +370,7 @@ def test_test_report_validation():
 
 def test_nist_subset_row_names_and_order():
     rng = np.random.default_rng(17)
-    bits = BitStream.from_bit_array(rng.integers(0, 2, 2 * 256, dtype=np.uint8))
+    bits = pack_bits(rng.integers(0, 2, 2 * 256, dtype=np.uint8))
     reports = nist_subset(bits, n_sequences=2, seq_len_bits=256)
     assert [r.test_name for r in reports] == [
         "frequency",
@@ -388,7 +389,7 @@ def test_nist_subset_row_names_and_order():
 
 def test_nist_subset_on_ideal_bits():
     rng = np.random.default_rng(13579)
-    bits = BitStream.from_bit_array(rng.integers(0, 2, 20 * 2048, dtype=np.uint8))
+    bits = pack_bits(rng.integers(0, 2, 20 * 2048, dtype=np.uint8))
     reports = nist_subset(bits, n_sequences=20, seq_len_bits=2048)
     lo, _ = pass_rate_band(20)
     for r in reports:
@@ -398,7 +399,7 @@ def test_nist_subset_on_ideal_bits():
 
 def test_nist_subset_validation():
     rng = np.random.default_rng(18)
-    bits = BitStream.from_bit_array(rng.integers(0, 2, 1000, dtype=np.uint8))
+    bits = pack_bits(rng.integers(0, 2, 1000, dtype=np.uint8))
     with pytest.raises(ValueError, match="insufficient bits"):
         nist_subset(bits, n_sequences=10, seq_len_bits=256)
     with pytest.raises(ValueError, match=">= 128"):
