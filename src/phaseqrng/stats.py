@@ -9,9 +9,9 @@ aggregates the SP800-22 acceptance numbers: the pass rate (fraction of
 sequences with p >= 0.01) and a 10-bin chi-squared uniformity p-value over
 the per-sequence p-values.
 
-References for the statistics are the standard SP800-22 formulas; the
-long-run category tables below are the published constants for block sizes
-M = 8, 128 and 10^4.
+Counts, run categories and partial sums are exact integers in small integer
+dtypes, so the p-values built on them match the SP800-22 formulas bit for
+bit.  The long-run tables are the published constants for M = 8, 128, 10^4.
 """
 
 from __future__ import annotations
@@ -129,7 +129,7 @@ def runs_test(bits) -> float:
     eps = _check_bits(bits)
     n = eps.size
     pi = float(eps.mean())
-    if abs(pi - 0.5) >= 2.0 / math.sqrt(n):
+    if abs(pi - 0.5) >= 2.0 / math.sqrt(n) or pi in (0.0, 1.0):  # n < 16 admits one run
         return 0.0
     v_obs = 1 + int(np.count_nonzero(eps[1:] != eps[:-1]))
     num = abs(v_obs - 2.0 * n * pi * (1.0 - pi))
@@ -148,14 +148,14 @@ _LONGEST_RUN_TABLES = (
 )
 
 
-def _longest_run_per_block(blocks: np.ndarray) -> np.ndarray:
-    """Longest run of ones in each row of a 0/1 matrix."""
-    n_blocks, m = blocks.shape
-    idx = np.arange(m)
-    # index of the most recent zero at or before each position (-1 if none)
-    last_zero = np.maximum.accumulate(np.where(blocks == 0, idx, -1), axis=1)
-    run_len = (idx - last_zero) * blocks
-    return run_len.max(axis=1)
+def _longest_run_category(blocks: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Longest run of ones in each 0/1 uint8 row, clipped to [lo, hi]."""
+    category, run = np.full(blocks.shape[0], lo), blocks
+    for k in range(2, hi + 1):  # run[:, i] becomes the AND of bits i .. i+k-1
+        run = run[:, :-1] & run[:, 1:]
+        if k > lo:
+            category += run.max(axis=1)
+    return category
 
 
 def longest_run_test(bits) -> float:
@@ -169,9 +169,8 @@ def longest_run_test(bits) -> float:
             break
     n_blocks = n // block_len
     blocks = eps[: n_blocks * block_len].reshape(n_blocks, block_len)
-    longest = _longest_run_per_block(blocks)
-    clipped = np.clip(longest, cats[0], cats[-1])
-    v = np.array([np.count_nonzero(clipped == c) for c in cats], dtype=np.float64)
+    category = _longest_run_category(blocks, cats[0], cats[-1])
+    v = np.bincount(category - cats[0], minlength=len(cats))
     expected = n_blocks * np.asarray(probs)
     chi_sq = float(np.sum((v - expected) ** 2 / expected))
     k = len(cats) - 1
@@ -194,10 +193,10 @@ def cumulative_sums_test(bits) -> tuple[float, float]:
     """Cumulative-sums test, forward and reverse p-values."""
     eps = _check_bits(bits)
     n = eps.size
-    x = 2.0 * eps.astype(np.float64) - 1.0
-    z_fwd = float(np.abs(np.cumsum(x)).max())
-    z_rev = float(np.abs(np.cumsum(x[::-1])).max())
-    return _cusum_pvalue(z_fwd, n), _cusum_pvalue(z_rev, n)
+    s = np.cumsum(2 * eps.view(np.int8) - 1, dtype=np.min_scalar_type(-n - 1))  # |S_k| <= n
+    lo, hi, s_n = min(int(s.min()), 0), max(int(s.max()), 0), int(s[-1])  # S_0 = 0 too
+    z_rev = max(s_n - lo, hi - s_n)  # the reverse partial sums are S_n - S_k, k < n
+    return _cusum_pvalue(float(max(-lo, hi)), n), _cusum_pvalue(float(z_rev), n)
 
 
 def spectral_test(bits) -> float:
@@ -216,9 +215,10 @@ def spectral_test(bits) -> float:
 def _pattern_counts(eps: np.ndarray, m: int) -> np.ndarray:
     """Counts of all overlapping m-bit patterns (m >= 1) in the circular extension."""
     ext = np.concatenate([eps, eps[: m - 1]])
-    windows = np.lib.stride_tricks.sliding_window_view(ext, m)
-    weights = 1 << np.arange(m - 1, -1, -1)
-    values = windows @ weights
+    values = eps.astype(np.min_scalar_type((1 << m) - 1))  # the first bit is the top one
+    for k in range(1, m):
+        values <<= 1
+        values |= ext[k : k + eps.size]
     return np.bincount(values, minlength=1 << m)
 
 
@@ -337,12 +337,12 @@ def nist_subset(
         raise ValueError("n_sequences must be >= 1")
     if seq_len_bits < 128:
         raise ValueError("seq_len_bits must be >= 128")
-    if bits.count < n_sequences * seq_len_bits:
-        raise ValueError(
-            f"insufficient bits: need {n_sequences * seq_len_bits}, "
-            f"have {bits.count}"
-        )
-    seqs = bits.as_bit_array()[: n_sequences * seq_len_bits].reshape(n_sequences, -1)
+    n = n_sequences * seq_len_bits
+    if bits.count < n:
+        raise ValueError(f"insufficient bits: need {n}, have {bits.count}")
+    n_bytes = -(-n // 8)  # unpack a view of the head, whole bytes so its pad bits stay 0
+    head = BitStream(memoryview(bits.bits)[:n_bytes], min(bits.count, 8 * n_bytes))
+    seqs = head.as_bit_array()[:n].reshape(n_sequences, -1)
     pvalues = np.array([  # one row per sequence, one column per report row
         np.hstack([func(seq) for _, func, _ in NIST_SUBSET_TESTS]) for seq in seqs
     ])

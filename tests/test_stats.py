@@ -3,25 +3,33 @@
 The worked-example p-values below are the published examples from the
 SP800-22 test descriptions (rev 1a), evaluated to full precision.  Where the
 implementation is vectorised, a naive pure-Python oracle computes the same
-statistic independently.
+statistic independently.  The longest-run, cumulative-sums, serial and
+approximate-entropy kernels compute their statistics as exact small
+integers; the float and int64 formulations they replaced are kept here as
+references, and every p-value must equal theirs exactly.
 """
 
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.signal import welch
+from scipy.special import gammaincc
 
+from phaseqrng import stats
 from phaseqrng.sim import SimulationRun, simulate
 from phaseqrng.model import LaserNoiseModel, SignalChainConfig
 from phaseqrng.stats import (
     NIST_SUBSET_TESTS,
     TestReport as StatsReport,
+    _LONGEST_RUN_TABLES,
     _cusum_pvalue,
     _fold,
-    _longest_run_per_block,
+    _longest_run_category,
     _pattern_counts,
     approximate_entropy_test,
     autocorrelation,
@@ -176,6 +184,11 @@ def test_runs_prescreen_fails_biased_input():
     bits = np.ones(1000, dtype=np.uint8)
     bits[:10] = 0
     assert runs_test(bits) == 0.0
+    # below 16 bits the bound 2/sqrt(n) exceeds 1/2, so constant input passes
+    # the prescreen; it is one run, and erfc(inf) = 0
+    for n in (1, 10, 15):
+        assert runs_test(np.zeros(n, np.uint8)) == 0.0
+        assert runs_test(np.ones(n, np.uint8)) == 0.0
 
 
 def test_spectral_worked_example():
@@ -216,17 +229,21 @@ def _naive_longest_run(row):
     return best
 
 
-def test_longest_run_per_block_matches_naive():
+def test_longest_run_category_matches_naive():
     rng = np.random.default_rng(13)
-    blocks = rng.integers(0, 2, (50, 8), dtype=np.uint8)
-    fast = _longest_run_per_block(blocks)
-    slow = [_naive_longest_run(row) for row in blocks]
-    np.testing.assert_array_equal(fast, slow)
-    # edge rows
-    np.testing.assert_array_equal(
-        _longest_run_per_block(np.array([[0, 0, 0], [1, 1, 1], [1, 0, 1]], dtype=np.uint8)),
-        [0, 3, 1],
-    )
+    for _, block_len, cats, _ in _LONGEST_RUN_TABLES:
+        random_rows = rng.random((40, block_len)) < rng.choice([0.5, 0.9], (40, 1))
+        # one run of each length 0 .. cats[-1] + 1 on zeros, then all ones
+        planted = np.zeros((cats[-1] + 3, block_len), dtype=bool)
+        for length, row in enumerate(planted[:-1]):
+            start = rng.integers(0, block_len - length + 1)
+            row[start : start + length] = True
+        planted[-1] = True
+        blocks = np.vstack([random_rows, planted]).astype(np.uint8)
+        naive = [min(max(_naive_longest_run(row), cats[0]), cats[-1]) for row in blocks]
+        category = _longest_run_category(blocks, cats[0], cats[-1])
+        np.testing.assert_array_equal(category, naive)
+        assert category[40] == cats[0] and category[-1] == cats[-1]
 
 
 def _naive_pattern_counts(eps, m):
@@ -283,11 +300,94 @@ def test_cusum_pvalue_matches_naive():
 
 def test_cusum_statistic_from_definition():
     rng = np.random.default_rng(16)
-    eps = rng.integers(0, 2, 1000, dtype=np.uint8)
-    x = 2.0 * eps - 1.0
-    z = float(np.abs(np.cumsum(x)).max())
-    p_fwd, _ = cumulative_sums_test(eps)
-    assert p_fwd == pytest.approx(_cusum_pvalue(z, 1000), rel=1e-12)
+    # a run of ones, then balanced pairs: the reverse sums peak only once
+    # they take in the first bit, at the start of the sequence
+    head_peak = np.r_[np.ones(40), np.tile([0, 1], 480)].astype(np.uint8)
+    # 128 ones: S_n = 128 does not fit int8, whose largest value is 127
+    ones = np.ones(128, np.uint8)
+    for eps in (rng.integers(0, 2, 1000, dtype=np.uint8), head_peak, 1 - head_peak, ones):
+        x = 2.0 * eps - 1.0
+        z_fwd = float(np.abs(np.cumsum(x)).max())
+        z_rev = float(np.abs(np.cumsum(x[::-1])).max())
+        p_fwd, p_rev = cumulative_sums_test(eps)
+        assert p_fwd == pytest.approx(_cusum_pvalue(z_fwd, eps.size), rel=1e-12)
+        assert p_rev == pytest.approx(_cusum_pvalue(z_rev, eps.size), rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the int64 and float64 kernels the exact-integer ones replaced, as references
+# ---------------------------------------------------------------------------
+
+
+def _sliding_pattern_counts(eps, m):
+    ext = np.concatenate([eps, eps[: m - 1]])
+    windows = np.lib.stride_tricks.sliding_window_view(ext, m)
+    weights = 1 << np.arange(m - 1, -1, -1)
+    return np.bincount(windows @ weights, minlength=1 << m)
+
+
+def _longest_run_per_block(blocks):
+    idx = np.arange(blocks.shape[1])
+    # index of the most recent zero at or before each position (-1 if none)
+    last_zero = np.maximum.accumulate(np.where(blocks == 0, idx, -1), axis=1)
+    return ((idx - last_zero) * blocks).max(axis=1)
+
+
+def _reference_longest_run_test(eps):
+    for min_n, block_len, cats, probs in _LONGEST_RUN_TABLES:
+        if eps.size >= min_n:
+            break
+    n_blocks = eps.size // block_len
+    blocks = eps[: n_blocks * block_len].reshape(n_blocks, block_len)
+    clipped = np.clip(_longest_run_per_block(blocks), cats[0], cats[-1])
+    v = np.array([np.count_nonzero(clipped == c) for c in cats], dtype=np.float64)
+    expected = n_blocks * np.asarray(probs)
+    chi_sq = float(np.sum((v - expected) ** 2 / expected))
+    return float(gammaincc((len(cats) - 1) / 2.0, chi_sq / 2.0))
+
+
+def _reference_cumulative_sums_test(eps):
+    x = 2.0 * eps.astype(np.float64) - 1.0
+    z_fwd = float(np.abs(np.cumsum(x)).max())
+    z_rev = float(np.abs(np.cumsum(x[::-1])).max())
+    return _cusum_pvalue(z_fwd, eps.size), _cusum_pvalue(z_rev, eps.size)
+
+
+def _rewritten_pvalues(eps):
+    return (longest_run_test(eps), *cumulative_sums_test(eps),
+            *serial_test(eps), approximate_entropy_test(eps))
+
+
+def _reference_pvalues(eps):
+    with mock.patch.object(stats, "_pattern_counts", _sliding_pattern_counts):
+        serial = serial_test(eps)
+        ap_en = approximate_entropy_test(eps)
+    return (_reference_longest_run_test(eps), *_reference_cumulative_sums_test(eps),
+            *serial, ap_en)
+
+
+@given(
+    # lengths of the M = 8 and the M = 128 longest-run tables
+    n=st.one_of(st.integers(128, 6_271), st.integers(6_272, 40_000)),
+    kind=st.sampled_from(["fair", "p0.3", "p0.9", "runs"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_exact_kernels_match_reference_pvalues(n, kind, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "runs":  # alternating runs of geometric length, mean 16
+        lengths = rng.geometric(1 / 16, n)
+        eps = ((np.arange(n) + int(rng.integers(2))) % 2).repeat(lengths)[:n]
+    else:
+        eps = rng.random(n) < {"fair": 0.5, "p0.3": 0.3, "p0.9": 0.9}[kind]
+    eps = eps.astype(np.uint8)
+    assert _rewritten_pvalues(eps) == _reference_pvalues(eps)
+
+
+def test_exact_kernels_match_reference_at_sp800_22_length():
+    # 10^6 bits, the standard's sequence length: the M = 10^4 longest-run table
+    eps = np.random.default_rng(20).integers(0, 2, 1_000_000, dtype=np.uint8)
+    assert _rewritten_pvalues(eps) == _reference_pvalues(eps)
 
 
 # ---------------------------------------------------------------------------
@@ -395,6 +495,26 @@ def test_nist_subset_on_ideal_bits():
     for r in reports:
         assert r.pass_rate >= lo, r.test_name
         assert r.uniformity_pvalue >= 1e-4, r.test_name
+
+
+def test_nist_subset_unpacks_only_the_tested_head():
+    # 7 x 1025 bits end mid-byte; the long stream has 10x that many bits, and
+    # the bits after the head share its last byte
+    rng = np.random.default_rng(19)
+    stream = rng.integers(0, 2, 10 * 7 * 1025, dtype=np.uint8)
+    nist_subset(pack_bits(stream), n_sequences=7, seq_len_bits=1025)  # one-time set-up
+    peaks, reports = [], []
+    for count in (7 * 1025, stream.size):
+        bits = pack_bits(stream[:count])
+        tracemalloc.start()
+        try:
+            reports.append(nist_subset(bits, n_sequences=7, seq_len_bits=1025))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert reports[0] == reports[1]
+    # unpacking the whole stream would add one byte a bit, 64 575 bytes
+    assert peaks[1] < peaks[0] + 1025
 
 
 def test_nist_subset_validation():
