@@ -344,10 +344,10 @@ def pipeline(cfg: Config) -> PipelineResult:
 
     # size the main run from the predicted variance, then budget the real one
     # (H_inf ignores the variance, so an override above it already fails here);
-    # both autocorrelation heads need at least 10 * _MAX_LAG values
+    # both autocorrelation heads need their minimum number of values
     provisional = budget(predicted_variance(fit, run.model.power_p))
     n_out_est = max(1, math.floor(provisional.extraction_ratio * ent.n_in))
-    min_head = 10 * _MAX_LAG
+    min_head = stats.MIN_VALUES_PER_LAG * _MAX_LAG
     blocks_needed = max(math.ceil(pipe.n_output_bits / n_out_est) + 1,
                         math.ceil(min_head / n_out_est))
     samples_needed = max(math.ceil(blocks_needed * ent.n_in / run.chain.adc_bits),
@@ -365,11 +365,11 @@ def pipeline(cfg: Config) -> PipelineResult:
     extractor = extract.ToeplitzSeed.generate(ent.n_in, n_out, ext_seed)
     bits = extract.extract_stream(block, report, extractor)
 
-    # raw-sample autocorrelation is diagnostic; it is large when oversampled
-    head = replace(block, samples=block.samples[:_HEAD])  # a view
-    raw_r = stats.autocorrelation(head.volts(), _MAX_LAG)
+    # raw-sample autocorrelation is diagnostic; it is large when oversampled.
+    # r ignores the ADC scale, so both heads go in as stored: codes and bits
+    raw_r = stats.autocorrelation(block.samples[:_HEAD], _MAX_LAG)
     bits_head = BitStream(bits.bits[: _HEAD // 8], min(bits.count, _HEAD))
-    ext_r = stats.autocorrelation(bits_head.as_bit_array().astype(np.float64), _MAX_LAG)
+    ext_r = stats.autocorrelation(bits_head.as_bit_array(), _MAX_LAG)
     battery = stats.nist_subset(bits, pipe.n_sequences, pipe.seq_len_bits)
     return PipelineResult(
         fit, report, extractor, bits, raw_r, ext_r, battery,

@@ -1,5 +1,8 @@
 """Statistical validation: autocorrelation and a NIST SP800-22 subset.
 
+:func:`autocorrelation` is its definition: one dot product per lag on one
+centred float64 copy of the input, 8 bytes a value and no FFT scratch.
+
 The implemented SP800-22 tests are Frequency (monobit), Block Frequency,
 Runs, Longest Run of Ones, Cumulative Sums (forward and reverse), Spectral
 (FFT), Serial (two p-values) and Approximate Entropy — the tests whose
@@ -20,13 +23,14 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import irfft, next_fast_len, rfft
+from scipy.fft import rfft
 from scipy.special import erfc, gammaincc, ndtr
 
 from .model import BitStream
 
 __all__ = [
     "TestReport",
+    "MIN_VALUES_PER_LAG",
     "autocorrelation",
     "frequency_test",
     "block_frequency_test",
@@ -70,26 +74,31 @@ class TestReport:
 # raw-signal diagnostics
 # ---------------------------------------------------------------------------
 
+# fewest values per lag an autocorrelation takes, here and in ``runs.pipeline``
+MIN_VALUES_PER_LAG = 10
+
+
 def autocorrelation(samples, max_lag: int) -> np.ndarray:
     """Biased normalised autocorrelation r(0..max_lag), r(0) = 1.
 
-    r(k) = sum_i (x_i - xbar)(x_{i+k} - xbar) / sum_i (x_i - xbar)^2, by an
-    FFT zero-padded to a fast length >= n + max_lag, so no wrap reaches r(k).
+    r(k) = sum_i (x_i - xbar)(x_{i+k} - xbar) / sum_i (x_i - xbar)^2, one
+    dot product per lag on a centred float64 copy of ``samples`` (the
+    caller's array is never written).  The sums run in ``einsum``, not BLAS,
+    so the bytes do not depend on the BLAS thread count.  r is unchanged by
+    scaling, so integer ADC codes give the r of their voltages.
     """
-    x = np.asarray(samples, dtype=np.float64)
+    x = np.array(samples, dtype=np.float64)
     if x.ndim != 1:
         raise ValueError("samples must be one-dimensional")
     if max_lag < 1:
         raise ValueError("max_lag must be >= 1")
-    if x.size < 10 * max_lag:
-        raise ValueError("need at least 10*max_lag samples")
-    x = x - x.mean()
-    denom = float(x @ x)
-    if denom <= 0.0:
+    if x.size < MIN_VALUES_PER_LAG * max_lag:
+        raise ValueError(f"need at least {MIN_VALUES_PER_LAG}*max_lag samples")
+    x -= x.mean()
+    n = x.size
+    acov = np.array([np.einsum("i,i->", x[: n - k], x[k:]) for k in range(max_lag + 1)])
+    if not acov[0] > 0.0:
         raise ValueError("zero variance: autocorrelation undefined")
-    nfft = next_fast_len(x.size + max_lag, real=True)
-    spec = rfft(x, nfft)
-    acov = irfft(spec * np.conj(spec), nfft)[: max_lag + 1]
     return acov / acov[0]
 
 

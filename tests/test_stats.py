@@ -9,8 +9,13 @@ integers; the float and int64 formulations they replaced are kept here as
 references, and every p-value must equal theirs exactly.
 """
 
+import hashlib
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -106,6 +111,61 @@ def test_autocorrelation_validation():
         autocorrelation(np.arange(40.0), max_lag=10)
     with pytest.raises(ValueError):
         autocorrelation(np.arange(100.0), max_lag=0)
+
+
+def test_autocorrelation_bytes_do_not_depend_on_blas_threads():
+    # BLAS ddot (``x @ y``) splits a long sum across its threads, which
+    # changes the rounding; the einsum kernel sums in one order on any count
+    src = str(Path(stats.__file__).resolve().parents[1])
+    code = (
+        "import hashlib, numpy as np; from phaseqrng.stats import autocorrelation; "
+        "x = np.random.default_rng(7).standard_normal(1_000_000); "
+        "print(hashlib.sha256(autocorrelation(x, 100).tobytes()).hexdigest())"
+    )
+    digests = set()
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, check=True)
+        digests.add(done.stdout.strip())
+    assert len(digests) == 1
+
+
+def test_autocorrelation_leaves_its_input_unchanged():
+    x = np.random.default_rng(8).standard_normal(5000) + 3.0
+    before = hashlib.sha256(x.tobytes()).hexdigest()
+    autocorrelation(x, max_lag=20)
+    assert hashlib.sha256(x.tobytes()).hexdigest() == before
+
+
+def test_autocorrelation_holds_one_copy_of_its_input():
+    # the zero-padded FFT it replaced peaked at four copies (rfft, spectrum,
+    # irfft); the definition needs only the centred float64 copy
+    n = 1_000_000
+    x = np.random.default_rng(9).standard_normal(n)
+    autocorrelation(x[:10_000], max_lag=100)  # one-time set-up
+    tracemalloc.start()
+    try:
+        autocorrelation(x, max_lag=100)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * 8 * n
+
+
+def test_autocorrelation_of_codes_equals_that_of_volts():
+    # r ignores the ADC scale, so ``runs.pipeline`` passes the stored codes
+    run = SimulationRun(
+        model=LaserNoiseModel(7.376218323586745, 4389.668615984405, 2.47e-4),
+        chain=SignalChainConfig(conversion_gain_a=9.5e6, electronic_noise_f=1.3732e-6),
+        duration=2e-4,
+        seed=12,
+    )
+    block = simulate(run)
+    r_codes = autocorrelation(block.samples, max_lag=100)
+    r_volts = autocorrelation(block.volts(), max_lag=100)
+    np.testing.assert_allclose(r_codes, r_volts, rtol=0, atol=1e-14)
 
 
 # ---------------------------------------------------------------------------
