@@ -452,7 +452,7 @@ def test_criterion_9_format_roundtrips(tmp_path):
 GOLDEN = {
     "pipeline": {
         "": "069c1252439d8100125d16d7b38a79508aa893996be0ee2afc15dfd5104e478d",
-        ".autocorr.csv": "5ace71a3e12d074237567ad90236b5b8cdb91c7372ee903a2bc2990c31940b78",
+        ".autocorr.csv": "63f89439d7138b0d916f96be418295e29c705b5efe8032db1cdb1bcad808fe50",
         ".nist.csv": "b00e7e005ad135499c7054063badcfa2219aa0a21f880333db91b3f2b2624e07",
         ".report": "f165c227aabe6201b2ed22cf9eee015f58f529643e4a404ffe36bb07aea6fc9c",
     },

@@ -742,7 +742,7 @@ GOLDEN = {
     },
     "pipeline": {
         "": "5fcef67ead7ecda6af50ddf41238ebd059387d3b8c62a3722966eda8d42ee250",
-        ".autocorr.csv": "66f33a88b6411a63bf2648be6e90a8ed8643c103b9c0b4f41ef7732e5802f751",
+        ".autocorr.csv": "f6cd615e1308ee048717aa577cfa3d6be464bd803af196dcc57ddda433c7eb8b",
         ".nist.csv": "acd1368adebbc46bbae9470e705ebbe50331f5e49bb53c3cf18fb78decb4c155",
         ".report": "9deb59eaebfc09cac75edc98b34b72c445697683a405400b84130a8c0bffc04a",
     },
