@@ -108,6 +108,8 @@ class SimulationRun:
     def __post_init__(self) -> None:
         if self.duration <= 0:
             raise ValueError("duration must be > 0")
+        if not math.isfinite(self.duration * self.chain.sample_rate_hz):
+            raise ValueError("duration * sample_rate_hz must be a finite sample count")
         if int(self.oversample_factor) < 4:
             raise ValueError("oversample_factor must be >= 4")
         if not 0 <= int(self.seed) < 2**64:

@@ -286,6 +286,7 @@ def _with(section: str, **values) -> dict:
         ),
         ("simulate", "run", _with("run", rf_tones=[[0.0, 1e-4]])),
         ("simulate", "run", _with("run", rf_tones=[[7.5e8, 1e-4]])),
+        ("simulate", "run", _with("run", duration=1e300)),
     ],
 )
 def test_known_bad_configs_fail_before_simulation(command, section, cfg):
