@@ -35,7 +35,7 @@ __all__ = [
     "entropy_report",
 ]
 
-DEFAULT_SECURITY_EPS = 2.0**-50
+# extractor input block in bits when a config sets none (``runs.EntropyConfig``)
 DEFAULT_EXTRACTOR_N_IN = 4096
 
 
@@ -91,8 +91,8 @@ def min_entropy_quantum(
 def extraction_ratio(
     h_min: float,
     sample_bits: int,
-    security_eps: float = DEFAULT_SECURITY_EPS,
-    n_in: int = DEFAULT_EXTRACTOR_N_IN,
+    security_eps: float,
+    n_in: int,
 ) -> float:
     """Leftover-hash output fraction per raw input bit.
 
@@ -128,9 +128,9 @@ def entropy_report(
     qcnr: float,
     *,
     adc_bits: int,
-    range_sigmas: float = 5.0,
-    security_eps: float = DEFAULT_SECURITY_EPS,
-    n_in: int = DEFAULT_EXTRACTOR_N_IN,
+    range_sigmas: float,
+    security_eps: float,
+    n_in: int,
     min_entropy_override: float | None = None,
 ) -> EntropyReport:
     """Assemble the full entropy accounting for one operating point.

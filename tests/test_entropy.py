@@ -17,6 +17,9 @@ from phaseqrng.entropy import (
     quantum_variance,
 )
 
+# the reference chain's ADC range and the configs' security and block size
+REF_BUDGET = dict(range_sigmas=5.0, security_eps=2.0**-50, n_in=4096)
+
 
 # ---------------------------------------------------------------------------
 # quantum_variance
@@ -171,13 +174,13 @@ def test_extraction_ratio_block_too_small():
 
 def test_extraction_ratio_validation():
     with pytest.raises(ValueError):
-        extraction_ratio(0.0, 8)
+        extraction_ratio(0.0, 8, security_eps=2.0**-50, n_in=4096)
+    with pytest.raises(ValueError):  # more entropy than bits
+        extraction_ratio(9.0, 8, security_eps=2.0**-50, n_in=4096)
     with pytest.raises(ValueError):
-        extraction_ratio(9.0, 8)  # more entropy than bits
+        extraction_ratio(5.6, 8, security_eps=1.5, n_in=4096)
     with pytest.raises(ValueError):
-        extraction_ratio(5.6, 8, security_eps=1.5)
-    with pytest.raises(ValueError):
-        extraction_ratio(5.6, 8, n_in=0)
+        extraction_ratio(5.6, 8, security_eps=2.0**-50, n_in=0)
 
 
 @given(
@@ -205,10 +208,10 @@ def test_generation_rate_values():
 
 
 def test_entropy_report_reference_point():
-    rep = entropy_report(1.0, 3.38, adc_bits=8)
+    rep = entropy_report(1.0, 3.38, adc_bits=8, **REF_BUDGET)
     assert rep.sigma_sq_quantum == pytest.approx(0.771689497716895, rel=1e-12)
     assert rep.min_entropy_bits == pytest.approx(5.817341541048783, abs=1e-9)
-    # Eq. for the budget holds exactly given the defaults (eps=2^-50, n_in=4096)
+    # Eq. for the budget holds exactly given eps=2^-50, n_in=4096
     penalty = 2.0 * 50 / 4096
     assert rep.extraction_ratio == pytest.approx(
         rep.min_entropy_bits / 8 - penalty, rel=1e-12
@@ -217,35 +220,36 @@ def test_entropy_report_reference_point():
 
 def test_entropy_report_scale_invariance():
     # H depends only on sigma_q / sigma_total (both scale with the signal)
-    a = entropy_report(1.0, 3.38, adc_bits=8)
-    b = entropy_report(1e-5, 3.38, adc_bits=8)
+    a = entropy_report(1.0, 3.38, adc_bits=8, **REF_BUDGET)
+    b = entropy_report(1e-5, 3.38, adc_bits=8, **REF_BUDGET)
     assert a.min_entropy_bits == pytest.approx(b.min_entropy_bits, rel=1e-12)
 
 
 def test_entropy_report_override_reduces_budget():
-    rep = entropy_report(1.0, 3.38, adc_bits=8, min_entropy_override=5.6, n_in=10**6)
+    rep = entropy_report(1.0, 3.38, adc_bits=8, range_sigmas=5.0, security_eps=2.0**-50,
+                         n_in=10**6, min_entropy_override=5.6)
     assert rep.min_entropy_bits == 5.6
     assert rep.extraction_ratio == pytest.approx(0.6999, rel=1e-12)
 
 
 def test_entropy_report_override_cannot_exceed_recomputed():
     with pytest.raises(ValueError, match="override exceeds"):
-        entropy_report(1.0, 3.38, adc_bits=8, min_entropy_override=5.83)
+        entropy_report(1.0, 3.38, adc_bits=8, **REF_BUDGET, min_entropy_override=5.83)
     with pytest.raises(ValueError):
-        entropy_report(1.0, 3.38, adc_bits=8, min_entropy_override=0.0)
+        entropy_report(1.0, 3.38, adc_bits=8, **REF_BUDGET, min_entropy_override=0.0)
 
 
 def test_entropy_report_validation():
     with pytest.raises(ValueError):
-        entropy_report(0.0, 3.38, adc_bits=8)
+        entropy_report(0.0, 3.38, adc_bits=8, **REF_BUDGET)
     with pytest.raises(ValueError, match="sigma_sq_total must be > 0"):
-        entropy_report(math.nan, 3.38, adc_bits=8)
+        entropy_report(math.nan, 3.38, adc_bits=8, **REF_BUDGET)
 
 
 @given(qcnr=st.floats(min_value=0.2, max_value=50.0))
 @settings(max_examples=30)
 def test_entropy_report_internally_consistent(qcnr):
-    rep = entropy_report(2.5e-6, qcnr, adc_bits=8)
+    rep = entropy_report(2.5e-6, qcnr, adc_bits=8, **REF_BUDGET)
     assert rep.sigma_sq_quantum <= rep.sigma_sq_total
     assert 0 < rep.min_entropy_bits < 8
     assert rep.extraction_ratio <= rep.min_entropy_bits / 8
