@@ -35,7 +35,6 @@ __all__ = [
     "entropy_report",
 ]
 
-# extractor input block in bits when a config sets none (``runs.EntropyConfig``)
 DEFAULT_EXTRACTOR_N_IN = 4096
 
 

@@ -343,8 +343,7 @@ def pipeline(cfg: Config) -> PipelineResult:
     )
 
     # size the main run from the predicted variance, then budget the real one
-    # (H_inf ignores the variance, so an override above it already fails here);
-    # both autocorrelation heads need their minimum number of values
+    # (H_inf ignores the variance, so an override above it already fails here)
     provisional = budget(predicted_variance(fit, run.model.power_p))
     n_out_est = max(1, math.floor(provisional.extraction_ratio * ent.n_in))
     min_head = stats.MIN_VALUES_PER_LAG * _MAX_LAG
@@ -365,8 +364,7 @@ def pipeline(cfg: Config) -> PipelineResult:
     extractor = extract.ToeplitzSeed.generate(ent.n_in, n_out, ext_seed)
     bits = extract.extract_stream(block, report, extractor)
 
-    # raw-sample autocorrelation is diagnostic; it is large when oversampled.
-    # r ignores the ADC scale, so both heads go in as stored: codes and bits
+    # diagnostic heads as stored (codes, bits): r ignores the ADC scale
     raw_r = stats.autocorrelation(block.samples[:_HEAD], _MAX_LAG)
     bits_head = BitStream(bits.bits[: _HEAD // 8], min(bits.count, _HEAD))
     ext_r = stats.autocorrelation(bits_head.as_bit_array(), _MAX_LAG)

@@ -106,10 +106,8 @@ class SimulationRun:
     rf_tones: tuple[tuple[float, float], ...] = ()
 
     def __post_init__(self) -> None:
-        if self.duration <= 0:
-            raise ValueError("duration must be > 0")
-        if not math.isfinite(self.duration * self.chain.sample_rate_hz):
-            raise ValueError("duration * sample_rate_hz must be a finite sample count")
+        if not 0 < self.duration * self.chain.sample_rate_hz < math.inf:
+            raise ValueError("duration must be > 0 and give a finite sample count")
         if int(self.oversample_factor) < 4:
             raise ValueError("oversample_factor must be >= 4")
         if not 0 <= int(self.seed) < 2**64:

@@ -1,7 +1,6 @@
 """Statistical validation: autocorrelation and a NIST SP800-22 subset.
 
-:func:`autocorrelation` is its definition: one dot product per lag on one
-centred float64 copy of the input, 8 bytes a value and no FFT scratch.
+:func:`autocorrelation` is one dot product per lag, with no FFT scratch.
 
 The implemented SP800-22 tests are Frequency (monobit), Block Frequency,
 Runs, Longest Run of Ones, Cumulative Sums (forward and reverse), Spectral
@@ -48,6 +47,8 @@ __all__ = [
 
 # SP800-22 per-sequence significance: a sequence passes a test at p >= it
 SIGNIFICANCE = 0.01
+# fewest values per lag an autocorrelation takes, here and in ``runs.pipeline``
+MIN_VALUES_PER_LAG = 10
 
 
 @dataclass(frozen=True)
@@ -74,18 +75,11 @@ class TestReport:
 # raw-signal diagnostics
 # ---------------------------------------------------------------------------
 
-# fewest values per lag an autocorrelation takes, here and in ``runs.pipeline``
-MIN_VALUES_PER_LAG = 10
-
-
 def autocorrelation(samples, max_lag: int) -> np.ndarray:
     """Biased normalised autocorrelation r(0..max_lag), r(0) = 1.
 
-    r(k) = sum_i (x_i - xbar)(x_{i+k} - xbar) / sum_i (x_i - xbar)^2, one
-    dot product per lag on a centred float64 copy of ``samples`` (the
-    caller's array is never written).  The sums run in ``einsum``, not BLAS,
-    so the bytes do not depend on the BLAS thread count.  r is unchanged by
-    scaling, so integer ADC codes give the r of their voltages.
+    r(k) = sum_i (x_i - xbar)(x_{i+k} - xbar) / sum_i (x_i - xbar)^2 on a
+    centred float64 copy, one ``einsum`` per lag (a BLAS dot rounds by thread count).
     """
     x = np.array(samples, dtype=np.float64)
     if x.ndim != 1:
@@ -95,8 +89,7 @@ def autocorrelation(samples, max_lag: int) -> np.ndarray:
     if x.size < MIN_VALUES_PER_LAG * max_lag:
         raise ValueError(f"need at least {MIN_VALUES_PER_LAG}*max_lag samples")
     x -= x.mean()
-    n = x.size
-    acov = np.array([np.einsum("i,i->", x[: n - k], x[k:]) for k in range(max_lag + 1)])
+    acov = np.array([np.einsum("i,i->", x[: x.size - k], x[k:]) for k in range(max_lag + 1)])
     if not acov[0] > 0.0:
         raise ValueError("zero variance: autocorrelation undefined")
     return acov / acov[0]

@@ -140,8 +140,8 @@ def test_autocorrelation_leaves_its_input_unchanged():
 
 
 def test_autocorrelation_holds_one_copy_of_its_input():
-    # the zero-padded FFT it replaced peaked at four copies (rfft, spectrum,
-    # irfft); the definition needs only the centred float64 copy
+    # a zero-padded FFT of the input holds about four copies (padded input,
+    # spectrum, inverse); the definition needs only the centred float64 copy
     n = 1_000_000
     x = np.random.default_rng(9).standard_normal(n)
     autocorrelation(x[:10_000], max_lag=100)  # one-time set-up
