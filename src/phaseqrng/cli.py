@@ -185,6 +185,9 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         cfg = runs.load_config(args.config, args.seed)
+        # Path drops a trailing "/" or ".", which would name the directory
+        if os.path.basename(args.out) in ("", ".", ".."):
+            raise ValueError(f"output path {args.out} is a directory")
         out_dir = Path(args.out).parent
         if not out_dir.is_dir():
             raise ValueError(f"output directory {out_dir} does not exist")

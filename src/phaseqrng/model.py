@@ -95,6 +95,8 @@ class SignalChainConfig:
             raise ValueError("delay_td must be > 0")
         if not 1 <= int(self.adc_bits) <= 16:
             raise ValueError("adc_bits must be in [1, 16]")
+        if self.conversion_gain_a < 0:
+            raise ValueError("conversion_gain_a must be >= 0")
         if self.adc_range_sigmas <= 0:
             raise ValueError("adc_range_sigmas must be > 0")
         if self.tia_cutoff_hz <= 0:

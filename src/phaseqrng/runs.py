@@ -332,6 +332,9 @@ def pipeline(cfg: Config) -> PipelineResult:
     sweep = _require(cfg.sweep, "sweep")
     pipe = _require(cfg.pipeline, "pipeline")
     run, ent = cfg.run, cfg.entropy
+    # the QCNR is taken at the operating power: check it before the sweep
+    if run.model.power_p <= 0:
+        raise ConfigError("config section 'model': power_p must be > 0 for pipeline")
 
     fit = calib.fit_variance_vs_power(sweep.powers, sweep_direct(run, sweep))
     qcnr = calib.qcnr_from_fit(fit, run.model.power_p)

@@ -11,13 +11,13 @@ Pipeline per internal step (running at ``sample_rate * oversample_factor``):
    plus any rf tones;
 4. single-pole low-pass at the TIA cutoff, read only at the kept samples:
    an ``ovs``-tap FIR (weights ``alpha * rho^j``) into an output-rate
-   AR(1) with coefficient ``r = rho^ovs``, solved by one doubling scan;
+   AR(1) with coefficient ``r = rho^ovs``;
+5. the electronic noise enters that AR(1)'s input: filtered and decimated,
+   white noise is exactly AR(1) in ``r`` with variance ``F`` (n draws on its
+   own sub-stream, not n * ovs); a doubling scan then solves the AR(1);
 
 then per output sample:
 
-5. the electronic noise enters that AR(1)'s input: white noise filtered by
-   the pole and decimated is exactly AR(1) in ``r`` with variance ``F``, so
-   it is n draws of its innovations, not n * ovs, on its own sub-stream;
 6. remove the model DC ``amp * sin(offset) * exp(-s / 2)``, exact for
    Gaussian ``dtheta`` of variance ``s = Q/P + C`` over the ``L`` steps;
 7. quantise to ``adc_bits`` over ``+-range_sigmas * sigma_pred``, where
@@ -29,12 +29,12 @@ then per output sample:
 No output sample depends on a statistic of the whole block, so a run is a
 prefix of the same run with a longer duration.
 
-Steps 1-4 run a fixed chunk of output rows at a time in reused buffers,
-carrying the last ``L`` cumulative phases from chunk to chunk, and the FIR
-writes each chunk into the output-rate array; steps 5-7 run in place on that
-array.  The chunking moves no byte of the output, and peak memory is set by
-the output-rate arrays, the float64 voltage and the int16 codes (10 bytes a
-sample), whatever the oversampling.
+Steps 1-5 run a fixed chunk of output rows at a time in reused buffers,
+carrying the last ``L`` cumulative phases and the AR(1) state from chunk to
+chunk, and write each chunk into the output-rate array; steps 6-7 run in
+place on that array.  The chunking moves no byte of the output, and peak
+memory is set by the output-rate arrays, the float64 voltage and the int16
+codes (10 bytes a sample), whatever the oversampling.
 
 Gain bookkeeping
 ----------------
@@ -90,9 +90,9 @@ NS_STAB_FREE = 10
 NS_STAB_RECAL = 11
 NS_ELECTRONIC = 12
 
-# Output rows per chunk of steps 1-4, whose buffers are reused.  The FIR
-# matvec may round a row differently in its last bit by where the row falls
-# in a BLAS block; no checked code has been seen to move.
+# Output rows per chunk of steps 1-5, whose buffers are reused.  A row may
+# round differently in its last bit by where it falls in a BLAS block (the
+# FIR matvec) or a chunk (the AR(1) scan); no checked code was seen to move.
 _CHUNK_ROWS = 4096
 
 
@@ -190,7 +190,7 @@ def model_sigma(run: SimulationRun) -> float:
 def _analog_chain(run: SimulationRun, n_samples: int) -> np.ndarray:
     """Decimated analog voltage (volts) about the model DC.
 
-    A view of the output-rate array, into which steps 1-4 write
+    A view of the output-rate array, into which steps 1-5 write
     ``_CHUNK_ROWS`` rows at a time (see the module docstring).
     """
     model, chain, ovs = run.model, run.chain, run.oversample_factor
@@ -201,6 +201,7 @@ def _analog_chain(run: SimulationRun, n_samples: int) -> np.ndarray:
     # on a kept one; no step after the last kept sample is computed
     pad = -(n_settle + 1) % ovs
     n_rows = (pad + n_settle + 1) // ovs + n_samples - 1
+    y0 = n_rows - n_samples  # the first output row
     u = np.empty(n_rows)
     buf = np.empty(min(_CHUNK_ROWS, n_rows) * ovs)
     taps = alpha * rho ** np.arange(ovs - 1, -1, -1.0)
@@ -226,6 +227,10 @@ def _analog_chain(run: SimulationRun, n_samples: int) -> np.ndarray:
         )
         # E[sin(x + offset)] = sin(offset) * exp(-var(x) / 2) for Gaussian x
         dc = amp * math.sin(chain.quadrature_offset) * math.exp(-s / 2.0)
+    r, f = rho**ovs, chain.electronic_noise_f
+    noise = np.random.default_rng(derive_seed(run.seed, NS_ELECTRONIC))
+    # the AR(1) state starts at the DC, so no DC transient reaches the output
+    y_last = dc
     for r0 in range(0, n_rows, _CHUNK_ROWS):
         w = buf[: (min(r0 + _CHUNK_ROWS, n_rows) - r0) * ovs]
         n_pad = max(pad - r0 * ovs, 0)  # only the first chunk holds the pad
@@ -250,30 +255,24 @@ def _analog_chain(run: SimulationRun, n_samples: int) -> np.ndarray:
             t = (np.arange(j0, j0 + v.size) + L) * dt
             v += amplitude * np.sin(2.0 * math.pi * freq * t)
         # the pole read every ovs steps: an ovs-tap FIR into an AR(1) in r
-        np.matmul(w.reshape(-1, ovs), taps, out=u[r0 : r0 + w.size // ovs])
-    # the AR(1) state starts at the DC, so no DC transient reaches the output
-    r = rho**ovs
-    u[0] += r * dc
-    y = u[n_rows - n_samples :]
-    f = chain.electronic_noise_f
-    if f > 0:
-        rng = np.random.default_rng(derive_seed(run.seed, NS_ELECTRONIC))
-        y[0] += math.sqrt(f) * rng.standard_normal()  # from the stationary law
-        for k in range(1, n_samples, buf.size):
-            e = rng.standard_normal(out=buf[: min(buf.size, n_samples - k)])
-            e *= math.sqrt(f * (1.0 - r * r))
-            y[k : k + e.size] += e
-    # y[i] = u[i] + r y[i-1] by recursive doubling (Blelloch 1990) until
-    # r = 0; each pass runs backwards a chunk at a time, so every chunk
-    # reads only values the pass has not yet updated
-    step = 1
-    while step < n_rows and r > 0.0:
-        for hi in range(n_rows, step, -buf.size):
-            lo = max(hi - buf.size, step)
-            u[lo:hi] += np.multiply(u[lo - step : hi - step], r, out=buf[: hi - lo])
-        r, step = r * r, 2 * step
-    y -= dc
-    return y
+        x = u[r0 : r0 + w.size // ovs]
+        np.matmul(w.reshape(-1, ovs), taps, out=x)
+        x[0] += r * y_last
+        k = max(y0 - r0, 0)  # step 5 on the chunk's output rows, in order
+        if f > 0 and k < x.size:
+            e = noise.standard_normal(out=buf[: x.size - k])
+            first = int(r0 <= y0)  # the first output sample: the stationary law
+            e[:first] *= math.sqrt(f)
+            e[first:] *= math.sqrt(f * (1.0 - r * r))
+            x[k:] += e
+        # x[i] += r x[i-1] by recursive doubling (Blelloch 1990) until r = 0
+        step, r_step = 1, r
+        while step < x.size and r_step > 0.0:
+            x[step:] += np.multiply(x[:-step], r_step, out=buf[: x.size - step])
+            r_step, step = r_step * r_step, 2 * step
+        y_last = x[-1]
+    u[y0:] -= dc
+    return u[y0:]
 
 
 def simulate(run: SimulationRun) -> SampleBlock:

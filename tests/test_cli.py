@@ -695,6 +695,8 @@ COMMANDS = ["simulate", "calibrate", "pipeline", "stability"]
     *(pytest.param(c, "missing", id=c) for c in COMMANDS),
     *(pytest.param(c, "directory", id=f"{c}-out-is-a-directory") for c in COMMANDS),
     *(pytest.param(c, "read-only", id=f"{c}-out-dir-not-writable") for c in COMMANDS),
+    *(pytest.param(c, "slash", id=f"{c}-out-ends-in-a-slash") for c in COMMANDS),
+    *(pytest.param(c, "dot", id=f"{c}-out-ends-in-a-dot") for c in COMMANDS),
     pytest.param("calibrate", ".sweep.csv", id="calibrate-sibling-is-a-directory"),
     pytest.param("pipeline", ".report", id="pipeline-sibling-is-a-directory"),
 ])
@@ -715,8 +717,10 @@ def test_out_in_missing_directory_fails_before_any_run(
         "stability": {"stability": {"total_time": 200.0, "report_interval": 20.0}},
     }[command]
     cfg = write_config(tmp_path, **sections)
+    # Path("d/") and Path("d/.") are Path("d"), whose parent exists
     out = {"missing": tmp_path / "missing" / "out", "directory": tmp_path,
-           "read-only": tmp_path / "out"}.get(case, tmp_path / "fit.txt")
+           "read-only": tmp_path / "out", "slash": f"{tmp_path}/missing/",
+           "dot": f"{tmp_path}/missing/."}.get(case, tmp_path / "fit.txt")
     if case.startswith("."):  # a file written next to --out is a directory
         Path(str(out) + case).mkdir()
     rc = cli.main([command, "--config", cfg, "--out", str(out)])

@@ -117,7 +117,10 @@ REQUIRED_SECTIONS = ["model", "chain", "run", "sweep", "pipeline"]
 OUT_OF_RANGE = [
     (("model",), "power_p", -1e-4),
     (("model",), "quantum_diffusion_q", -1.0),
+    (("model",), "classical_diffusion_c", -1.0),
     (("chain",), "delay_td", 0.0),
+    (("chain",), "conversion_gain_a", -1.0),
+    (("chain",), "tia_cutoff_hz", 0.0),
     (("chain",), "adc_bits", 0),
     (("chain",), "adc_bits", 17),
     (("chain",), "adc_range_sigmas", 0.0),
@@ -287,6 +290,8 @@ def _with(section: str, **values) -> dict:
         ("simulate", "run", _with("run", rf_tones=[[0.0, 1e-4]])),
         ("simulate", "run", _with("run", rf_tones=[[7.5e8, 1e-4]])),
         ("simulate", "run", _with("run", duration=1e300)),
+        ("simulate", "chain", _with("chain", conversion_gain_a=-1.0)),
+        ("pipeline", "model", _with("model", power_p=0.0)),
     ],
 )
 def test_known_bad_configs_fail_before_simulation(command, section, cfg):

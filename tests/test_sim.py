@@ -251,22 +251,29 @@ def test_simulate_is_prefix_invariant(n, offset, power, tones, seed):
     np.testing.assert_array_equal(long.samples[: len(short)], short.samples)
 
 
-@pytest.mark.parametrize("ovs, power, tones, delay_td", [
-    (4, P_REF, (), DELAY_TD),  # L = 1
-    (16, P_REF, (TONE,), DELAY_TD),  # L = 4
-    (8, 0.0, (TONE,), DELAY_TD),  # no phase steps: the chunks hold the tone
-    (4, P_REF, (TONE,), 3e-9),  # L = 6, longer than one row of 4 steps
-], ids=["ovs4", "ovs16-tone", "zero-power-tone", "long-delay-tone"])
+LENGTHS = (2, 7, sim._CHUNK_ROWS - 5, sim._CHUNK_ROWS + 3, 9001)
+
+
+@pytest.mark.parametrize("ovs, power, tones, chain, lengths", [
+    (4, P_REF, (), {}, LENGTHS),  # L = 1
+    (16, P_REF, (TONE,), {}, LENGTHS),  # L = 4
+    (8, 0.0, (TONE,), {}, LENGTHS),  # no phase steps: the chunks hold the tone
+    (4, P_REF, (TONE,), {"delay_td": 3e-9}, LENGTHS),  # L = 6, longer than a row
+    # r ~ 0.999: about 7958 settle rows, so the AR(1) state and the first
+    # output sample's stationary draw land in the second default chunk
+    (4, P_REF, (), {"tia_cutoff_hz": 8e4}, (2, 9001)),
+], ids=["ovs4", "ovs16-tone", "zero-power-tone", "long-delay-tone", "slow-filter"])
 def test_simulate_is_independent_of_the_chunk_size(monkeypatch, ovs, power, tones,
-                                                   delay_td):
-    # steps 1-4 run a chunk of output rows at a time; one row per chunk puts
-    # the DC pad, the L-step phase history and the tone's time index across
-    # every edge, and 9001 samples span three default chunks
+                                                   chain, lengths):
+    # steps 1-5 run a chunk of output rows at a time; one row per chunk puts
+    # the DC pad, the L-step phase history, the tone's time index and the
+    # AR(1) state across every edge, and 9001 samples span three default
+    # chunks
     default = sim._CHUNK_ROWS
-    for n in (2, 7, default - 5, default + 3, 9001):
+    for n in lengths:
         run = replace(
             _run(duration=n / 500e6, seed=n, oversample_factor=ovs, rf_tones=tones,
-                 delay_td=delay_td),
+                 **chain),
             model=make_ref_model(power),
         )
         monkeypatch.setattr(sim, "_CHUNK_ROWS", default)
