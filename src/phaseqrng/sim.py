@@ -27,14 +27,11 @@ then per output sample:
    each rf tone through the filter.
 
 No output sample depends on a statistic of the whole block, so a run is a
-prefix of the same run with a longer duration.
-
-Steps 1-5 run a fixed chunk of output rows at a time in reused buffers,
-carrying the last ``L`` cumulative phases and the AR(1) state from chunk to
-chunk, and write each chunk into the output-rate array; steps 6-7 run in
-place on that array.  The chunking moves no byte of the output, and peak
-memory is set by the output-rate arrays, the float64 voltage and the int16
-codes (10 bytes a sample), whatever the oversampling.
+prefix of the same run with a longer duration.  All seven steps run in one
+pass, a fixed chunk of output rows at a time in reused buffers that carry the
+last ``L`` cumulative phases and the AR(1) state between chunks, so a run
+holds its int16 codes (2 bytes a sample) and a few chunk buffers, whatever
+the oversampling.  The chunking moves no byte of the output.
 
 Gain bookkeeping
 ----------------
@@ -56,7 +53,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -90,7 +87,7 @@ NS_STAB_FREE = 10
 NS_STAB_RECAL = 11
 NS_ELECTRONIC = 12
 
-# Output rows per chunk of steps 1-5, whose buffers are reused.  A row may
+# Output rows per chunk of steps 1-7, whose buffers are reused.  A row may
 # round differently in its last bit by where it falls in a BLAS block (the
 # FIR matvec) or a chunk (the AR(1) scan); no checked code was seen to move.
 _CHUNK_ROWS = 4096
@@ -187,11 +184,11 @@ def model_sigma(run: SimulationRun) -> float:
     return math.sqrt(var)
 
 
-def _analog_chain(run: SimulationRun, n_samples: int) -> np.ndarray:
-    """Decimated analog voltage (volts) about the model DC.
+def _analog_chain(run: SimulationRun, n_samples: int) -> Iterator[np.ndarray]:
+    """Decimated analog voltage (volts) about the model DC, chunk by chunk.
 
-    A view of the output-rate array, into which steps 1-5 write
-    ``_CHUNK_ROWS`` rows at a time (see the module docstring).
+    Each chunk's output rows are a view of one reused buffer, which the next
+    chunk overwrites (see the module docstring).
     """
     model, chain, ovs = run.model, run.chain, run.oversample_factor
     dt, alpha, rho, kappa_d, L = _filter_gains(chain, ovs)
@@ -202,8 +199,8 @@ def _analog_chain(run: SimulationRun, n_samples: int) -> np.ndarray:
     pad = -(n_settle + 1) % ovs
     n_rows = (pad + n_settle + 1) // ovs + n_samples - 1
     y0 = n_rows - n_samples  # the first output row
-    u = np.empty(n_rows)
-    buf = np.empty(min(_CHUNK_ROWS, n_rows) * ovs)
+    rows = np.empty(min(_CHUNK_ROWS, n_rows))
+    buf = np.empty(rows.size * ovs)
     taps = alpha * rho ** np.arange(ovs - 1, -1, -1.0)
     dc = 0.0
     if model.power_p > 0:
@@ -255,7 +252,7 @@ def _analog_chain(run: SimulationRun, n_samples: int) -> np.ndarray:
             t = (np.arange(j0, j0 + v.size) + L) * dt
             v += amplitude * np.sin(2.0 * math.pi * freq * t)
         # the pole read every ovs steps: an ovs-tap FIR into an AR(1) in r
-        x = u[r0 : r0 + w.size // ovs]
+        x = rows[: w.size // ovs]
         np.matmul(w.reshape(-1, ovs), taps, out=x)
         x[0] += r * y_last
         k = max(y0 - r0, 0)  # step 5 on the chunk's output rows, in order
@@ -271,8 +268,8 @@ def _analog_chain(run: SimulationRun, n_samples: int) -> np.ndarray:
             x[step:] += np.multiply(x[:-step], r_step, out=buf[: x.size - step])
             r_step, step = r_step * r_step, 2 * step
         y_last = x[-1]
-    u[y0:] -= dc
-    return u[y0:]
+        x[k:] -= dc
+        yield x[k:]
 
 
 def simulate(run: SimulationRun) -> SampleBlock:
@@ -292,14 +289,17 @@ def simulate(run: SimulationRun) -> SampleBlock:
     if sigma_configured <= 0.0:
         raise ValueError("sigma_configured <= 0: the configured chain is silent")
 
-    analog = _analog_chain(run, n_samples)
     half_range = chain.adc_range_sigmas * sigma_configured
     n_codes = 1 << chain.adc_bits
     adc_scale = 2.0 * half_range / n_codes
-    analog /= adc_scale
-    np.rint(analog, out=analog)
-    np.clip(analog, -(n_codes // 2), n_codes // 2 - 1, out=analog)
-    codes = analog.astype(np.int16)
+    codes = np.empty(n_samples, np.int16)
+    i = 0
+    for x in _analog_chain(run, n_samples):
+        x /= adc_scale
+        np.rint(x, out=x)
+        np.clip(x, -(n_codes // 2), n_codes // 2 - 1, out=x)
+        codes[i : i + x.size] = x
+        i += x.size
 
     return SampleBlock(
         samples=codes,

@@ -225,7 +225,9 @@ def test_analog_chain_matches_direct_form(ovs, tia_cutoff_hz):
         expected, dc = _direct_form_chain(run, n)
         # both round at the scale of the DC, which is 0 at quadrature
         tol = 1e-12 * (model_sigma(run) + abs(dc))
-        np.testing.assert_allclose(_analog_chain(run, n), expected, rtol=0, atol=tol,
+        # each chunk is a view that the next chunk overwrites
+        chunks = [x.copy() for x in _analog_chain(run, n)]
+        np.testing.assert_allclose(np.concatenate(chunks), expected, rtol=0, atol=tol,
                                    err_msg=str((f, tones, offset)))
 
 
@@ -285,18 +287,24 @@ def test_simulate_is_independent_of_the_chunk_size(monkeypatch, ovs, power, tone
 
 
 def test_simulate_peak_memory_does_not_grow_with_oversampling():
-    # the internal-rate steps hold one chunk, so the peak is the output-rate
-    # voltage and codes (10 bytes a sample), whatever the oversampling
-    peaks = []
+    # one pass from phase to code: a run holds its int16 codes (2 bytes a
+    # sample) and chunk buffers whose size is set by ovs, not by the length
+    lengths = (200_000, 1_000_000)
     for ovs in (4, 16):
-        run = _run(duration=2e-3, seed=5, oversample_factor=ovs)  # 10^6 samples
-        tracemalloc.start()
-        try:
-            simulate(run)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-    assert peaks[1] <= 1.1 * peaks[0], peaks
+        peaks = []
+        for n in lengths:
+            run = _run(duration=n / 500e6, seed=5, oversample_factor=ovs)
+            tracemalloc.start()
+            try:
+                simulate(run)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        growth = (peaks[1] - peaks[0]) / (lengths[1] - lengths[0])
+        assert growth <= 2.1, (ovs, growth)
+        allowance = 4 * sim._CHUNK_ROWS * ovs * 8  # four float64 internal-rate chunks
+        for n, peak in zip(lengths, peaks):
+            assert peak - 2 * n <= allowance, (ovs, n, peak)
 
 
 def test_samples_are_centred_and_in_range():
