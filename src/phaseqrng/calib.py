@@ -59,8 +59,8 @@ def fit_variance_vs_power(powers, variances) -> VarianceFit:
     design = np.column_stack([powers**2, powers, np.ones_like(powers)])
     coef, _, _, _ = np.linalg.lstsq(design, variances, rcond=None)
 
-    # standard errors from the residuals (for the clamping tolerance); the
-    # 4-point minimum above leaves at least one degree of freedom
+    # standard errors from the residuals (for the clamping tolerance and
+    # aq_se); the 4-point minimum above leaves at least one degree of freedom
     resid = variances - design @ coef
     s2 = float(resid @ resid) / (len(powers) - 3)
     cov = s2 * np.linalg.inv(design.T @ design)
@@ -90,6 +90,7 @@ def fit_variance_vs_power(powers, variances) -> VarianceFit:
         aq=float(clamped[1]),
         f=float(clamped[2]),
         r_squared=r_squared,
+        aq_se=float(ses[1]),
     )
 
 

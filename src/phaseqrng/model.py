@@ -109,12 +109,17 @@ class SignalChainConfig:
 
 @dataclass(frozen=True)
 class VarianceFit:
-    """Quadratic fit sigma^2(P) = ac*P^2 + aq*P + f with goodness of fit."""
+    """Quadratic fit sigma^2(P) = ac*P^2 + aq*P + f with goodness of fit.
+
+    ``aq_se`` is the least-squares standard error of ``aq``; 0 for a fit
+    given by hand.
+    """
 
     ac: float
     aq: float
     f: float
     r_squared: float
+    aq_se: float = 0.0
 
     def __post_init__(self) -> None:
         if self.r_squared > 1.0 + 1e-12:

@@ -337,6 +337,13 @@ def pipeline(cfg: Config) -> PipelineResult:
         raise ConfigError("config section 'model': power_p must be > 0 for pipeline")
 
     fit = calib.fit_variance_vs_power(sweep.powers, sweep_direct(run, sweep))
+    # a quantum term within 3 standard errors of 0 is the sweep's noise, and
+    # crediting it would credit the electronic noise as entropy
+    if not fit.aq > 3.0 * fit.aq_se:
+        raise ValueError(
+            "the sweep does not resolve a quantum term: "
+            f"aq = {fit.aq:.3e} +/- {fit.aq_se:.3e} V^2/W"
+        )
     qcnr = calib.qcnr_from_fit(fit, run.model.power_p)
     budget = functools.partial(
         entropy.entropy_report, qcnr=qcnr, adc_bits=run.chain.adc_bits,

@@ -552,6 +552,24 @@ def test_pipeline_rejects_override_above_budget_before_main_run(
     assert len(simulate_calls) == len(PIPELINE_SECTIONS["sweep"]["powers"])
 
 
+@pytest.mark.parametrize("seed", [3, 4, 10])
+def test_pipeline_rejects_a_sweep_with_no_quantum_term(tmp_path, capsys, simulate_calls,
+                                                       seed):
+    # no optical signal: the fitted aq is the sweep's noise, and at these
+    # seeds it came out positive and was credited as quantum entropy
+    sections = copy.deepcopy(PIPELINE_SECTIONS)
+    sections["chain"] = {"conversion_gain_a": 0.0}
+    sections["sweep"] = {"samples_per_point": 100_000, "source_power": 0.1}
+    cfg = write_config(tmp_path, **sections)
+    rc = cli.main(["pipeline", "--config", cfg, "--out", str(tmp_path / "bits.qrng"),
+                   "--seed", str(seed)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert "does not resolve a quantum term" in err
+    assert len(simulate_calls) == len(runs.load_config(cfg).sweep.powers)
+
+
 def test_pipeline_rejects_short_output_for_suite(tmp_path, capsys):
     sections = copy.deepcopy(PIPELINE_SECTIONS)
     sections["pipeline"]["n_output_bits"] = 5_000  # suite needs 20 * 1500
