@@ -136,8 +136,9 @@ def entropy_report(
 
     H_inf comes from :func:`min_entropy_quantum`.  ``min_entropy_override``
     substitutes an externally supplied estimate of H_inf (it must not exceed
-    the recomputed value) for deriving the extraction budget; the
-    recomputation is otherwise authoritative.
+    the recomputed value by more than 1e-9, and is credited at most at it)
+    for deriving the extraction budget; the recomputation is otherwise
+    authoritative.
     """
     if not sigma_sq_total > 0:
         raise ValueError("sigma_sq_total must be > 0")
@@ -150,7 +151,7 @@ def entropy_report(
             )
         if min_entropy_override <= 0:
             raise ValueError("min_entropy_override must be > 0")
-        h_min = float(min_entropy_override)
+        h_min = min(float(min_entropy_override), h_min)
     ratio = extraction_ratio(h_min, adc_bits, security_eps, n_in)
     return EntropyReport(
         qcnr=qcnr,
