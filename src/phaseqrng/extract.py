@@ -82,9 +82,9 @@ def samples_to_bits(codes: np.ndarray, adc_bits: int) -> np.ndarray:
     The convention is fixed so that independently written tooling can agree
     bit-for-bit on the extractor input.
     """
-    codes = (codes.astype(np.int32) & ((1 << adc_bits) - 1)).astype("<u2")
-    # unpack 16 bits LSB-first per sample, keep the low adc_bits of each
-    bits16 = np.unpackbits(codes.view(np.uint8).reshape(-1, 2), axis=1,
+    # "<u2" wraps the codes to 16-bit two's complement; unpack 16 bits
+    # LSB-first per sample, keep the low adc_bits of each
+    bits16 = np.unpackbits(codes.astype("<u2").view(np.uint8).reshape(-1, 2), axis=1,
                            bitorder="little")
     return bits16[:, :adc_bits].reshape(-1)
 

@@ -342,9 +342,9 @@ def nist_subset(
     n = n_sequences * seq_len_bits
     if bits.count < n:
         raise ValueError(f"insufficient bits: need {n}, have {bits.count}")
-    n_bytes = -(-n // 8)  # unpack a view of the head, whole bytes so its pad bits stay 0
-    head = BitStream(memoryview(bits.bits)[:n_bytes], min(bits.count, 8 * n_bytes))
-    seqs = head.as_bit_array()[:n].reshape(n_sequences, -1)
+    # unpack the head only, LSB first as BitStream.as_bit_array does
+    seqs = np.unpackbits(np.frombuffer(bits.bits, np.uint8), count=n,
+                         bitorder="little").reshape(n_sequences, -1)
     pvalues = np.array([  # one row per sequence, one column per report row
         np.hstack([func(seq) for _, func, _ in NIST_SUBSET_TESTS]) for seq in seqs
     ])

@@ -154,6 +154,14 @@ def test_samples_to_bits_narrow_adc():
     bits = samples_to_bits(np.array([-4, 3], dtype=np.int16), 3)
     assert bits.size == 6
     np.testing.assert_array_equal(bits, [0, 0, 1, 1, 1, 0])  # -4 -> 100b, 3 -> 011b
+    # every width at its extreme codes, against integer two's complement
+    for adc_bits in range(1, 17):
+        lo, hi = -(1 << (adc_bits - 1)), (1 << (adc_bits - 1)) - 1
+        codes = [lo, min(lo + 1, hi), -1, 0, hi]
+        expected = [c % (1 << adc_bits) >> i & 1 for c in codes for i in range(adc_bits)]
+        np.testing.assert_array_equal(
+            samples_to_bits(np.array(codes, dtype=np.int16), adc_bits), expected,
+            err_msg=f"adc_bits={adc_bits}")
 
 
 # ---------------------------------------------------------------------------
