@@ -84,8 +84,8 @@ def samples_to_bits(codes: np.ndarray, adc_bits: int) -> np.ndarray:
     """
     # "<u2" wraps the codes to 16-bit two's complement; unpack 16 bits
     # LSB-first per sample, keep the low adc_bits of each
-    bits16 = np.unpackbits(codes.astype("<u2").view(np.uint8).reshape(-1, 2), axis=1,
-                           bitorder="little")
+    bits16 = np.unpackbits(codes.astype("<u2").view(np.uint8).reshape(-1, 2),
+                           axis=1, bitorder="little")
     return bits16[:, :adc_bits].reshape(-1)
 
 

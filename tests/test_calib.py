@@ -84,6 +84,17 @@ def test_fit_r_squared_degrades_with_noise():
     assert 0.9 < fit.r_squared < 1.0
 
 
+def test_fit_reports_the_standard_error_of_aq():
+    # against np.polyfit's residual-scaled covariance, computed on its own
+    rng = np.random.default_rng(12)
+    powers = np.linspace(0.1, 1.0, 20)
+    noisy = (2.0 * powers**2 + 1.0 * powers + 0.5) * (1.0 + 0.05 * rng.standard_normal(20))
+    _, cov = np.polyfit(powers, noisy, 2, cov=True)
+    assert fit_variance_vs_power(powers, noisy).aq_se == pytest.approx(
+        math.sqrt(cov[1, 1]), rel=1e-9)
+    assert fit_variance_vs_power(*_exact_points(1.0, 1.0, 1.0, [1, 2, 3, 4, 5])).aq_se < 1e-9
+
+
 def test_fit_input_validation():
     powers, variances = _exact_points(1, 1, 1, [1, 2, 3, 4])
     with pytest.raises(ValueError, match=">= 0"):

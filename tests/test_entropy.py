@@ -237,7 +237,10 @@ def test_entropy_report_override_cannot_exceed_recomputed():
         entropy_report(1.0, 3.38, adc_bits=8, **REF_BUDGET, min_entropy_override=5.83)
     with pytest.raises(ValueError):
         entropy_report(1.0, 3.38, adc_bits=8, **REF_BUDGET, min_entropy_override=0.0)
-    # within the acceptance tolerance, the credit is still the recomputed H
+
+
+def test_entropy_report_credits_an_override_at_most_at_the_recomputed_value():
+    # an override within the 1e-9 acceptance tolerance is not credited above H
     h = entropy_report(1.0, 3.38, adc_bits=8, **REF_BUDGET).min_entropy_bits
     rep = entropy_report(1.0, 3.38, adc_bits=8, **REF_BUDGET, min_entropy_override=h + 9e-10)
     assert rep.min_entropy_bits == h
