@@ -177,6 +177,7 @@ def fit_report_text(fit: VarianceFit) -> str:
     lines = [
         f"ac_v2_per_w2 = {fit.ac!r}",
         f"aq_v2_per_w = {fit.aq!r}",
+        f"aq_se_v2_per_w = {fit.aq_se!r}",
         f"f_v2 = {fit.f!r}",
         f"r_squared = {fit.r_squared!r}",
     ]

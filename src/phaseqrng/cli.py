@@ -114,7 +114,8 @@ def cmd_pipeline(cfg: runs.Config, out: str) -> int:
 
     qio.write_report(
         {
-            "fit": {"ac": fit.ac, "aq": fit.aq, "f": fit.f, "r_squared": fit.r_squared},
+            "fit": {"ac": fit.ac, "aq": fit.aq, "aq_se": fit.aq_se, "f": fit.f,
+                    "r_squared": fit.r_squared},
             "qcnr": report.qcnr,
             "entropy": {k: getattr(report, k) for k in (
                 "sigma_sq_total", "sigma_sq_quantum", "min_entropy_bits",

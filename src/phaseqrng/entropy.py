@@ -21,9 +21,9 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import ndtr
 
 from .model import EntropyReport
+from .stats import _ndtr
 
 __all__ = [
     "quantum_variance",
@@ -47,13 +47,13 @@ def quantum_variance(sigma_sq: float, qcnr: float) -> float:
     return sigma_sq / (1.0 + 1.0 / qcnr)
 
 
-def gaussian_bin_probabilities(
+def _bin_grid(
     sigma_q: float, v_range: tuple[float, float], n_bits: int
-) -> np.ndarray:
-    """Probability of each of the 2^n_bits ADC bins under N(0, sigma_q^2).
+) -> tuple[float, float, int]:
+    """Check the arguments; return the low edge, the bin width and the bin count.
 
-    The two edge bins absorb the tail mass beyond the range, mirroring a
-    saturating quantiser.
+    Edge i is ``v_min + i * width`` and the top edge is ``v_max``, as in
+    ``np.linspace``.
     """
     v_min, v_max = v_range
     if sigma_q <= 0:
@@ -62,8 +62,22 @@ def gaussian_bin_probabilities(
         raise ValueError("v_max must exceed v_min")
     if not 1 <= int(n_bits) <= 16:
         raise ValueError("n_bits must be in [1, 16]")
-    edges = np.linspace(v_min, v_max, (1 << n_bits) + 1)
-    cdf = ndtr(edges / sigma_q)
+    n = 1 << int(n_bits)
+    return float(v_min), (v_max - v_min) / n, n
+
+
+def gaussian_bin_probabilities(
+    sigma_q: float, v_range: tuple[float, float], n_bits: int
+) -> np.ndarray:
+    """Probability of each of the 2^n_bits ADC bins under N(0, sigma_q^2).
+
+    The two edge bins absorb the tail mass beyond the range, mirroring a
+    saturating quantiser.
+    """
+    v_min, width, n = _bin_grid(sigma_q, v_range, n_bits)
+    edges = np.arange(n + 1) * width + v_min
+    edges[-1] = v_range[1]
+    cdf = np.array([_ndtr(e) for e in (edges / sigma_q).tolist()])
     probs = np.diff(cdf)
     probs[0] += cdf[0]
     probs[-1] += 1.0 - cdf[-1]
@@ -73,9 +87,22 @@ def gaussian_bin_probabilities(
 def min_entropy_gaussian(
     sigma_q: float, v_range: tuple[float, float], n_bits: int
 ) -> float:
-    """Min-entropy in bits/sample of the quantised Gaussian (Eq. H_inf)."""
-    probs = gaussian_bin_probabilities(sigma_q, v_range, n_bits)
-    return float(-np.log2(probs.max()))
+    """Min-entropy in bits/sample of the quantised Gaussian (Eq. H_inf).
+
+    The most likely bin is an edge bin, which holds a tail, or else the bin
+    holding 0; its two neighbours join the candidates in case rounding ties
+    them.  Only those bins are evaluated, exactly as in
+    :func:`gaussian_bin_probabilities`, so the cost does not grow with n_bits.
+    """
+    v_min, width, n = _bin_grid(sigma_q, v_range, n_bits)
+    i0 = min(max(math.floor(-v_min / width), 0), n - 1)  # the bin holding 0
+    bins = {0, n - 1, *range(max(i0 - 1, 0), min(i0 + 2, n))}
+    cdf = {j: _ndtr((j * width + v_min if j < n else v_range[1]) / sigma_q)
+           for i in bins for j in (i, i + 1)}
+    probs = {i: cdf[i + 1] - cdf[i] for i in bins}
+    probs[0] += cdf[0]
+    probs[n - 1] += 1.0 - cdf[n]
+    return float(-np.log2(max(probs.values())))
 
 
 def min_entropy_quantum(

@@ -29,7 +29,6 @@ import hashlib
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import irfft, next_fast_len, rfft
 
 from .model import BitStream, EntropyReport, SampleBlock
 
@@ -41,6 +40,19 @@ __all__ = ["ToeplitzSeed", "samples_to_bits", "extract_stream"]
 # the allocator returned them to the system after each chunk and faulted
 # them in again, 20 000 page faults and a slower hash on 1.4e7 input bits.
 _CHUNK_BLOCKS = 64
+
+
+def _next_fast_len(target: int) -> int:
+    """Smallest 2^i 3^j 5^k >= target: the lengths pocketfft's real FFT does fastest."""
+    best = 1 << (target - 1).bit_length()
+    odd = 1
+    while odd < best:  # each 3^j 5^k below the best so far, times the least power of 2
+        p35 = odd
+        while p35 < best:
+            best = min(best, p35 << (-(-target // p35) - 1).bit_length())
+            p35 *= 3
+        odd *= 5
+    return best
 
 
 @dataclass(frozen=True)
@@ -123,9 +135,12 @@ def extract_stream(
     }
     # y[i] = sum_j seed[n_out-1-i+j] * x[j] is the reversed seed convolved
     # with x at lag n_in - 1 + i; its spectrum serves every chunk
-    n = next_fast_len(n_in + n_out - 1, real=True)
-    seed_spectrum = rfft(seed.bits[::-1].astype(np.float64), n)
+    n = _next_fast_len(n_in + n_out - 1)
+    seed_spectrum = np.fft.rfft(seed.bits[::-1].astype(np.float64), n)
     payload = np.empty(-(-n_blocks * n_out // 8), dtype=np.uint8)
+    # every chunk's blocks go into the head of one zero-padded float64 buffer;
+    # numpy.fft pads and converts a uint8 input itself more slowly
+    padded = np.zeros((min(_CHUNK_BLOCKS, n_blocks), n))
     for k in range(0, n_blocks, _CHUNK_BLOCKS):
         m = min(_CHUNK_BLOCKS, n_blocks - k)
         # the chunk's first bit is bit `skip` of sample `first`: a chunk edge
@@ -133,9 +148,10 @@ def extract_stream(
         first, skip = divmod(k * n_in, b)
         last = -(-(k + m) * n_in // b)
         bits = samples_to_bits(samples.samples[first:last], b)[skip : skip + m * n_in]
-        spectrum = rfft(bits.reshape(m, n_in), n, axis=1)
+        padded[:m, :n_in] = bits.reshape(m, n_in)
+        spectrum = np.fft.rfft(padded[:m], axis=1)
         spectrum *= seed_spectrum
-        conv = irfft(spectrum, n, axis=1)
+        conv = np.fft.irfft(spectrum, n, axis=1)
         del spectrum  # each m-by-n array is freed as soon as it is used
         counts = np.rint(conv[:, n_in - 1 : n_in - 1 + n_out])
         del conv

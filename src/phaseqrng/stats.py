@@ -14,6 +14,10 @@ the per-sequence p-values.
 Counts, run categories and partial sums are exact integers in small integer
 dtypes, so the p-values built on them match the SP800-22 formulas bit for
 bit.  The long-run tables are the published constants for M = 8, 128, 10^4.
+
+Every chi-squared shape the tests use is an integer or a half-integer, so the
+upper incomplete gamma function is a finite sum of closed-form terms
+(:func:`_igamc`), and the normal CDF is ``math.erfc`` (:func:`_ndtr`).
 """
 
 from __future__ import annotations
@@ -22,8 +26,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import rfft
-from scipy.special import erfc, gammaincc, ndtr
 
 from .model import BitStream
 
@@ -72,6 +74,56 @@ class TestReport:
 
 
 # ---------------------------------------------------------------------------
+# special functions
+# ---------------------------------------------------------------------------
+
+def _ndtr(x: float) -> float:
+    """Standard normal CDF."""
+    return 0.5 * math.erfc(-x / math.sqrt(2.0))
+
+
+def _igamc(a: float, x: float) -> float:
+    """Regularised upper incomplete gamma Q(a, x) for integer or half-integer a > 0.
+
+    Q is erfc(sqrt(x)) at half-integer a, plus the n = floor(a) Poisson-like
+    terms w_k = exp(-x) x^v / Gamma(v + 1), v = k + a - n, k < n (Abramowitz &
+    Stegun 6.5.13, 26.4.4-5).  The largest term is taken in log space, by
+    Stirling's series once v >= 16, and the others as products of the ratios
+    x / v going away from it, until they fall below 1e-20 of it; every term
+    is positive and at most the largest, so the sum neither cancels nor
+    overflows.
+    """
+    if not x > 0.0:
+        return 1.0 if x == 0.0 else math.nan
+    half = a % 1.0
+    n = int(a - half)
+    q = math.erfc(math.sqrt(x)) if half else 0.0
+    if n == 0:
+        return q
+    m = min(max(int(x - half), 0), n - 1)  # the largest term: v <= x < v + 1, or an end
+    v = m + half
+    if v < 16.0:
+        log_peak = v * math.log(x) - x - math.lgamma(v + 1.0)
+    else:  # v ln(x/v) - (x - v), without the cancellation, less ln Gamma's tail
+        t, w = (x - v) / v, 1.0 / (v * v)
+        stirling = (1 / 12 - w * (1 / 360 - w * (1 / 1260 - w / 1680))) / v
+        log_peak = -v * (t - math.log1p(t)) - 0.5 * math.log(2.0 * math.pi * v) - stirling
+    total = term = 1.0  # the terms in units of the largest
+    for k in range(m, 0, -1):  # w_{k-1} = w_k v_k / x, falling ever faster
+        term *= (k + half) / x
+        total += term
+        if term < 1e-20:
+            break
+    term = 1.0
+    for k in range(m + 1, n):  # w_k = w_{k-1} x / v_k, likewise
+        term *= x / (k + half)
+        total += term
+        if term < 1e-20:
+            break
+    return q + math.exp(log_peak) * total
+
+
+# ---------------------------------------------------------------------------
 # raw-signal diagnostics
 # ---------------------------------------------------------------------------
 
@@ -114,7 +166,7 @@ def frequency_test(bits) -> float:
     n = eps.size
     s = 2.0 * float(eps.sum()) - n
     s_obs = abs(s) / math.sqrt(n)
-    return float(erfc(s_obs / math.sqrt(2.0)))
+    return math.erfc(s_obs / math.sqrt(2.0))
 
 
 def block_frequency_test(bits, block_len: int = 128) -> float:
@@ -124,7 +176,7 @@ def block_frequency_test(bits, block_len: int = 128) -> float:
         raise ValueError("sequence shorter than one block")
     pi = eps[: n_blocks * block_len].reshape(n_blocks, block_len).mean(axis=1)
     chi_sq = 4.0 * block_len * float(np.sum((pi - 0.5) ** 2))
-    return float(gammaincc(n_blocks / 2.0, chi_sq / 2.0))
+    return _igamc(n_blocks / 2.0, chi_sq / 2.0)
 
 
 def runs_test(bits) -> float:
@@ -136,7 +188,7 @@ def runs_test(bits) -> float:
     v_obs = 1 + int(np.count_nonzero(eps[1:] != eps[:-1]))
     num = abs(v_obs - 2.0 * n * pi * (1.0 - pi))
     den = 2.0 * math.sqrt(2.0 * n) * pi * (1.0 - pi)
-    return float(erfc(num / den))
+    return math.erfc(num / den)
 
 
 _LONGEST_RUN_TABLES = (
@@ -176,18 +228,28 @@ def longest_run_test(bits) -> float:
     expected = n_blocks * np.asarray(probs)
     chi_sq = float(np.sum((v - expected) ** 2 / expected))
     k = len(cats) - 1
-    return float(gammaincc(k / 2.0, chi_sq / 2.0))
+    return _igamc(k / 2.0, chi_sq / 2.0)
 
 
 def _cusum_pvalue(z: float, n: int) -> float:
     sqrt_n = math.sqrt(n)
-    k_lo = int(math.floor((-n / z + 1.0) / 4.0))
-    k_hi = int(math.floor((n / z - 1.0) / 4.0))
-    k = np.arange(k_lo, k_hi + 1)
-    term1 = float(np.sum(ndtr((4 * k + 1) * z / sqrt_n) - ndtr((4 * k - 1) * z / sqrt_n)))
-    k_lo2 = int(math.floor((-n / z - 3.0) / 4.0))
-    k2 = np.arange(k_lo2, k_hi + 1)
-    term2 = float(np.sum(ndtr((4 * k2 + 3) * z / sqrt_n) - ndtr((4 * k2 + 1) * z / sqrt_n)))
+    # a term whose arguments all lie beyond +-40 is exactly 0: both CDFs are
+    # 0 or both 1, so only |k| <= k_max is summed
+    k_max = int((40.0 * sqrt_n / z + 3.0) / 4.0) + 1
+    k_lo = max(int(math.floor((-n / z + 1.0) / 4.0)), -k_max)
+    k_lo2 = max(int(math.floor((-n / z - 3.0) / 4.0)), -k_max)  # <= k_lo
+    k_hi = min(int(math.floor((n / z - 1.0) / 4.0)), k_max)
+    # both sums difference the CDF at the odd multiples of z / sqrt(n), so
+    # each value is taken once, walking up k
+    term1 = term2 = 0.0
+    below = _ndtr((4 * k_lo2 - 1) * z / sqrt_n)
+    for k in range(k_lo2, k_hi + 1):
+        mid = _ndtr((4 * k + 1) * z / sqrt_n)
+        above = _ndtr((4 * k + 3) * z / sqrt_n)
+        if k >= k_lo:
+            term1 += mid - below
+        term2 += above - mid
+        below = above
     return min(max(1.0 - term1 + term2, 0.0), 1.0)
 
 
@@ -206,12 +268,12 @@ def spectral_test(bits) -> float:
     eps = _check_bits(bits)
     n = eps.size
     x = 2.0 * eps.astype(np.float64) - 1.0
-    spectrum = np.abs(rfft(x))[: n // 2]
+    spectrum = np.abs(np.fft.rfft(x))[: n // 2]
     threshold = math.sqrt(math.log(1.0 / 0.05) * n)
     n0 = 0.95 * n / 2.0
     n1 = int(np.count_nonzero(spectrum < threshold))
     d = (n1 - n0) / math.sqrt(n * 0.95 * 0.05 / 4.0)
-    return float(erfc(abs(d) / math.sqrt(2.0)))
+    return math.erfc(abs(d) / math.sqrt(2.0))
 
 
 def _pattern_counts(eps: np.ndarray, m: int) -> np.ndarray:
@@ -255,8 +317,8 @@ def serial_test(bits, m: int = 8) -> tuple[float, float]:
     psi_m2 = _psi_sq(_fold(counts_m1), eps.size)
     d1 = psi_m - psi_m1
     d2 = psi_m - 2.0 * psi_m1 + psi_m2
-    p1 = float(gammaincc(2 ** (m - 2), d1 / 2.0))
-    p2 = float(gammaincc(2 ** (m - 3), d2 / 2.0))
+    p1 = _igamc(2 ** (m - 2), d1 / 2.0)
+    p2 = _igamc(2 ** (m - 3), d2 / 2.0)
     return p1, p2
 
 
@@ -280,7 +342,7 @@ def approximate_entropy_test(bits, m: int = 6) -> float:
     counts_m1 = _pattern_counts(eps, m + 1)
     ap_en = phi(_fold(counts_m1)) - phi(counts_m1)
     chi_sq = 2.0 * n * (math.log(2.0) - ap_en)
-    return float(gammaincc(2 ** (m - 1), chi_sq / 2.0))
+    return _igamc(2 ** (m - 1), chi_sq / 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +358,7 @@ def uniformity_pvalue(pvalues) -> float:
     counts = np.bincount(bins, minlength=10)
     expected = p.size / 10.0
     chi_sq = float(np.sum((counts - expected) ** 2 / expected))
-    return float(gammaincc(9 / 2.0, chi_sq / 2.0))
+    return _igamc(9 / 2.0, chi_sq / 2.0)
 
 
 def pass_rate_band(n_sequences: int) -> tuple[float, float]:

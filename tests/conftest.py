@@ -34,9 +34,9 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 def artifact_digests(out) -> dict[str, str]:
     """sha256 of ``out`` and of every ``out.*`` artifact, keyed by suffix.
 
-    The golden digests asserted with this were recorded with NumPy 2.4 and
-    SciPy 1.17 on x86-64; a different build may round ``sin``, the FIR
-    matvec or the FFTs in the last place and legitimately change them.
+    The golden digests asserted with this were recorded with NumPy 2.4 on
+    x86-64 Linux; a different build may round ``sin``, the FIR matvec, the
+    FFTs or ``math.erfc`` in the last place and legitimately change them.
     """
     out = Path(out)
     return {

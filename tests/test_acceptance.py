@@ -451,13 +451,13 @@ def test_criterion_9_format_roundtrips(tmp_path):
 # configs/stability.json at their own seeds); a refactor must keep them
 GOLDEN = {
     "pipeline": {
-        "": "069c1252439d8100125d16d7b38a79508aa893996be0ee2afc15dfd5104e478d",
+        "": "cbb924b42b8637eeff580bead63e13db3ab5040bb2584f3601745a9895762cb8",
         ".autocorr.csv": "63f89439d7138b0d916f96be418295e29c705b5efe8032db1cdb1bcad808fe50",
-        ".nist.csv": "b00e7e005ad135499c7054063badcfa2219aa0a21f880333db91b3f2b2624e07",
-        ".report": "f165c227aabe6201b2ed22cf9eee015f58f529643e4a404ffe36bb07aea6fc9c",
+        ".nist.csv": "512bde06cc762e2e81a4eaadbde580e9b7069f0301fdffc41726c49d89197de4",
+        ".report": "3d70c1c794cf91424d4309f935089e83504cbbab2cf6a269691fa91945676494",
     },
     "stability": {
-        "": "71135c3371e123195b490b7f612a1d07c9b754ceda177aeb0273371da7afd649",
+        "": "23057ccdb05731b39b9978ae169dcd708a2ae9a304e0786fadd653aabcde73bf",
     },
 }
 

@@ -273,6 +273,7 @@ def test_fit_report_text_contents():
     text = fit_report_text(_ref_fit())
     assert "ac_v2_per_w2 = 22.519" in text
     assert "aq_v2_per_w = 0.03784" in text
+    assert "aq_se_v2_per_w = 0.0\n" in text  # an exact fit leaves no doubt
     assert "f_v2 = 1.3732e-06" in text
     assert "r_squared = 1.0" in text
     assert "qcnr_peak = 3.40" in text

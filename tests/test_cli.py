@@ -74,17 +74,21 @@ def write_config(dirpath, name="config.json", **sections):
     return str(path)
 
 
-def test_cli_import_loads_neither_scipy_signal_nor_stats():
-    # each command pays its imports at start-up; scipy.signal alone (with
-    # the scipy.stats it pulls in) took over a second of it
+def _python(*args):
+    """Run a fresh interpreter on this checkout's package; return its stdout."""
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                          text=True, check=True).stdout
+
+
+def test_cli_import_loads_no_scipy():
+    # every command pays its imports at start-up, and SciPy's were over half
+    # of them; it is a test dependency only
     code = ("import sys, phaseqrng.cli; print(sorted(m for m in sys.modules "
-            "if m.startswith(('scipy.signal', 'scipy.stats'))))")
-    done = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, check=True)
-    assert done.stdout.strip() == "[]"
+            "if m.startswith('scipy')))")
+    assert _python("-c", code).strip() == "[]"
 
 
 # ---------------------------------------------------------------------------
@@ -251,6 +255,7 @@ def test_calibrate_recovers_noise_coefficients(calibrate_run):
     )
     assert values["ac_v2_per_w2"] == pytest.approx(AC_REF, rel=0.08)
     assert values["aq_v2_per_w"] == pytest.approx(AQ_REF, rel=0.05)
+    assert 0.0 < values["aq_se_v2_per_w"] < values["aq_v2_per_w"] / 3.0
     assert values["f_v2"] == pytest.approx(F_REF, rel=0.10)
     assert values["r_squared"] > 0.999
     assert values["qcnr_peak"] == pytest.approx(3.40, rel=0.10)
@@ -428,6 +433,17 @@ def test_pipeline_succeeds(pipeline_run):
     assert rc == 0
 
 
+def test_pipeline_runs_without_scipy(pipeline_run, tmp_path):
+    # with SciPy's import blocked, a fresh process writes the same files
+    _, ref, _ = pipeline_run
+    out = tmp_path / ref.name
+    code = ("import sys; sys.modules['scipy'] = None; from phaseqrng.cli import main; "
+            "sys.exit(main(sys.argv[1:]))")
+    _python("-c", code, "pipeline", "--config", write_config(tmp_path, **PIPELINE_SECTIONS),
+            "--out", str(out))
+    assert artifact_digests(out) == artifact_digests(ref)
+
+
 def test_pipeline_delivers_requested_bits(pipeline_run):
     _, out, _ = pipeline_run
     bits = qio.read_bits(str(out))
@@ -440,6 +456,7 @@ def test_pipeline_report_file(pipeline_run):
     report = qio.read_report(str(out) + ".report")
     assert set(report) == {"fit", "qcnr", "entropy", "extractor", "nist", "pass_rate_band"}
     assert report["fit"]["r_squared"] > 0.999
+    assert 0.0 < report["fit"]["aq_se"] < report["fit"]["aq"] / 3.0
     assert 5.5 < report["entropy"]["min_entropy_bits"] < 5.9
     assert 0.0 < report["entropy"]["extraction_ratio"] < 0.75
     assert report["extractor"]["n_in"] == 1024
@@ -758,15 +775,15 @@ def test_out_in_missing_directory_fails_before_any_run(
 
 GOLDEN = {
     "calibrate": {
-        "": "72ce1d0bd74eed70dae12928e30e285d926511f343b5e4bbf7a356f9ee6df3ae",
+        "": "95c8bf1d8b2e87c9e9a8c965591834f796d695fe88ee2a72775bcad707e3a581",
         ".qcnr.csv": "2d3e8f3e400a953c644666c8e17984a742384176c431e5662e8c14fc8c20c75f",
         ".sweep.csv": "32e954a499cdec48867bde808d4fd6edf16e4cbedfb1d110d290fb580ba79877",
     },
     "pipeline": {
         "": "5fcef67ead7ecda6af50ddf41238ebd059387d3b8c62a3722966eda8d42ee250",
         ".autocorr.csv": "f6cd615e1308ee048717aa577cfa3d6be464bd803af196dcc57ddda433c7eb8b",
-        ".nist.csv": "acd1368adebbc46bbae9470e705ebbe50331f5e49bb53c3cf18fb78decb4c155",
-        ".report": "9deb59eaebfc09cac75edc98b34b72c445697683a405400b84130a8c0bffc04a",
+        ".nist.csv": "bfa4d0f4b175c17e2210ad74978bafabebf96392e574907c3358d367f2f46ecf",
+        ".report": "1374f56c53d7b2ecc4a952d04151a9e1157a287fbefbaef5f6e57883daf88cfd",
     },
     "stability": {
         "": "ea61926afa0cad7375bc42613ad56cb2438150cbbb5f7c67d9e0e9a6c62e424f",

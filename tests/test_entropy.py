@@ -131,6 +131,23 @@ def test_min_entropy_monotone_in_sigma(data):
     assert h_hi >= h_lo - 1e-12
 
 
+@given(
+    log_sigma=st.floats(min_value=-5.0, max_value=3.0),
+    # -0.5 is a symmetric range, the credit's own case: with an even bin
+    # count 0 is a bin edge, and the two bins beside it tie up to rounding
+    low=st.one_of(st.just(-0.5), st.floats(min_value=-1.2, max_value=0.2)),
+    span=st.floats(min_value=1e-3, max_value=1e3),
+    n_bits=st.integers(min_value=1, max_value=16),
+)
+@settings(max_examples=100, deadline=None)
+def test_min_entropy_is_the_largest_of_all_bins(log_sigma, low, span, n_bits):
+    # the credit evaluates only the edge bins and the bins around 0; from
+    # low = -1.2 to 0.2 zero may also lie outside the range
+    sigma, v_range = span * 10.0**log_sigma, (low * span, (low + 1.0) * span)
+    probs = gaussian_bin_probabilities(sigma, v_range, n_bits)
+    assert min_entropy_gaussian(sigma, v_range, n_bits) == float(-np.log2(probs.max()))
+
+
 def test_bin_probabilities_validation():
     with pytest.raises(ValueError):
         gaussian_bin_probabilities(0.0, (-1.0, 1.0), 8)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.fft import next_fast_len
 
 from phaseqrng import extract
 from phaseqrng.extract import ToeplitzSeed, extract_stream, samples_to_bits
@@ -135,6 +136,14 @@ def test_fft_route_matches_matrix_oracle():
         fast = hash_bits(seed, x)
         slow = (toeplitz_matrix(seed).astype(np.int64) @ x) % 2
         np.testing.assert_array_equal(fast, slow)
+
+
+def test_next_fast_len_matches_scipy():
+    # the transform length, and so the FFT's rounding, is SciPy's for real input
+    targets = range(1, 20_001)
+    assert [extract._next_fast_len(t) for t in targets] == [
+        next_fast_len(t, real=True) for t in targets
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from decimal import Decimal, localcontext
 from pathlib import Path
 from unittest import mock
 
@@ -276,6 +277,46 @@ def test_cumulative_sums_small_example():
 
 
 # ---------------------------------------------------------------------------
+# special functions
+# ---------------------------------------------------------------------------
+
+# every chi-squared shape the battery takes, up to block frequency at 10^5
+# and 10^6 bits (781 and 7812 blocks of 128)
+_IGAMC_SHAPES = [k / 2 for k in range(1, 129)] + [390.5, 3906.0]
+_IGAMC_SCALES = (1e-3, 0.1, 0.5, 0.8, 0.9, 1.0, 1.1, 1.2, 1.5, 2.0, 3.0)
+
+
+def _decimal_igamc(n, x):
+    """Q(n, x) = exp(-x) sum_{k<n} x^k / k! in 50-digit decimal arithmetic."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        x = Decimal(x)
+        term = total = Decimal(1)
+        for k in range(1, n):
+            term = term * x / k
+            total += term
+        return float(total * (-x).exp())
+
+
+def test_igamc_matches_exact_sums_and_reference():
+    # integer shapes against the same finite sum done exactly, half-integer
+    # ones against SciPy's general-shape evaluation
+    for a in _IGAMC_SHAPES:
+        for x in [a * s + dx for s in _IGAMC_SCALES for dx in (0.0, 0.37)]:
+            ref = _decimal_igamc(int(a), x) if a % 1 == 0 else float(gammaincc(a, x))
+            if ref > 1e-12:
+                assert stats._igamc(a, x) == pytest.approx(ref, rel=1e-12, abs=0), (a, x)
+
+
+def test_igamc_limits():
+    assert stats._igamc(4.5, 0.0) == 1.0
+    assert math.isnan(stats._igamc(4.5, -1e-300))
+    assert stats._igamc(0.5, 2.0) == math.erfc(math.sqrt(2.0))
+    assert stats._igamc(1.0, 2.0) == pytest.approx(math.exp(-2.0), rel=1e-15)
+    assert stats._igamc(3906.0, 1e5) == 0.0
+
+
+# ---------------------------------------------------------------------------
 # naive dual-route oracles for the vectorised internals
 # ---------------------------------------------------------------------------
 
@@ -402,7 +443,7 @@ def _reference_longest_run_test(eps):
     v = np.array([np.count_nonzero(clipped == c) for c in cats], dtype=np.float64)
     expected = n_blocks * np.asarray(probs)
     chi_sq = float(np.sum((v - expected) ** 2 / expected))
-    return float(gammaincc((len(cats) - 1) / 2.0, chi_sq / 2.0))
+    return stats._igamc((len(cats) - 1) / 2.0, chi_sq / 2.0)
 
 
 def _reference_cumulative_sums_test(eps):
