@@ -53,7 +53,7 @@ def fit_variance_vs_power(powers, variances) -> VarianceFit:
         raise ValueError("need at least 4 sweep points")
     if (powers < 0).any() or (variances < 0).any():
         raise ValueError("powers and variances must be >= 0")
-    if len(np.unique(powers)) < 3:
+    if len(set(powers.tolist())) < 3:  # np.unique would import numpy.ma
         raise ValueError("rank deficient: need at least 3 distinct powers")
 
     design = np.column_stack([powers**2, powers, np.ones_like(powers)])

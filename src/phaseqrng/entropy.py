@@ -11,6 +11,9 @@ equal bins; a zero-mean Gaussian with std ``sigma_q`` is binned accordingly
 
     H_inf = -log2(max_bin_probability)
 
+``R`` and ``sigma_q`` both scale with ``sigma_total``, so ``H_inf`` depends only
+on the QCNR, ``n`` and ``range_sigmas``.
+
 The extractor output fraction follows the leftover hash lemma:
 ``H_inf/n  -  2*log2(1/eps)/n_in`` per raw bit, for extractor input blocks of
 ``n_in`` bits and statistical distance ``eps`` from uniform.
@@ -105,13 +108,14 @@ def min_entropy_gaussian(
     return float(-np.log2(max(probs.values())))
 
 
-def min_entropy_quantum(
-    sigma_sq_total: float, qcnr: float, adc_bits: int, range_sigmas: float
-) -> float:
-    """Min-entropy (bits/sample) of the quantum share; ADC range from the total."""
-    sigma_sq_q = quantum_variance(sigma_sq_total, qcnr)
-    v_half = range_sigmas * math.sqrt(sigma_sq_total)
-    return min_entropy_gaussian(math.sqrt(sigma_sq_q), (-v_half, v_half), adc_bits)
+def min_entropy_quantum(qcnr: float, adc_bits: int, range_sigmas: float) -> float:
+    """Min-entropy (bits/sample) of the quantum share, in units of the total sigma.
+
+    The ADC range is +-``range_sigmas`` total sigmas, so the total variance
+    scales the range and the quantum share alike and drops out.
+    """
+    sigma_q = math.sqrt(quantum_variance(1.0, qcnr))
+    return min_entropy_gaussian(sigma_q, (-range_sigmas, range_sigmas), adc_bits)
 
 
 def extraction_ratio(
@@ -169,7 +173,7 @@ def entropy_report(
     """
     if not sigma_sq_total > 0:
         raise ValueError("sigma_sq_total must be > 0")
-    h_min = min_entropy_quantum(sigma_sq_total, qcnr, adc_bits, range_sigmas)
+    h_min = min_entropy_quantum(qcnr, adc_bits, range_sigmas)
     if min_entropy_override is not None:
         if min_entropy_override > h_min + 1e-9:
             raise ValueError(

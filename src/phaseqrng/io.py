@@ -76,7 +76,7 @@ def _encode_metadata(meta: dict) -> bytes:
 def _decode_metadata(raw: bytes) -> dict[str, str]:
     meta: dict[str, str] = {}
     text = raw.decode("utf-8")
-    for line in text.splitlines():
+    for line in text.split("\n"):  # the writer's only separator; keep "\r" etc.
         if not line:
             continue
         key, sep, value = line.partition("=")

@@ -8,7 +8,6 @@ return result dataclasses; rendering them is the CLI's job.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 import typing
@@ -344,30 +343,26 @@ def pipeline(cfg: Config) -> PipelineResult:
             "the sweep does not resolve a quantum term: "
             f"aq = {fit.aq:.3e} +/- {fit.aq_se:.3e} V^2/W"
         )
-    qcnr = calib.qcnr_from_fit(fit, run.model.power_p)
-    budget = functools.partial(
-        entropy.entropy_report, qcnr=qcnr, adc_bits=run.chain.adc_bits,
-        range_sigmas=run.chain.adc_range_sigmas,
+    # H_inf depends only on the QCNR and the ADC (an override above it fails
+    # here), so the budget is fixed before the main run, which it sizes
+    report = entropy.entropy_report(
+        predicted_variance(fit, run.model.power_p),
+        calib.qcnr_from_fit(fit, run.model.power_p),
+        adc_bits=run.chain.adc_bits, range_sigmas=run.chain.adc_range_sigmas,
         security_eps=2.0**ent.security_eps_log2, n_in=ent.n_in,
         min_entropy_override=ent.min_entropy_override,
     )
-
-    # size the main run from the predicted variance, then budget the real one
-    # (H_inf ignores the variance, so an override above it already fails here)
-    provisional = budget(predicted_variance(fit, run.model.power_p))
-    n_out_est = max(1, math.floor(provisional.extraction_ratio * ent.n_in))
+    n_out = max(1, math.floor(report.extraction_ratio * ent.n_in))
     min_head = stats.MIN_VALUES_PER_LAG * _MAX_LAG
-    blocks_needed = max(math.ceil(pipe.n_output_bits / n_out_est) + 1,
-                        math.ceil(min_head / n_out_est))
+    blocks_needed = max(math.ceil(pipe.n_output_bits / n_out),
+                        math.ceil(min_head / n_out))
     samples_needed = max(math.ceil(blocks_needed * ent.n_in / run.chain.adc_bits),
                          min_head)
     duration = samples_needed / run.chain.sample_rate_hz
     block = simulate(
         replace(run, duration=duration, seed=derive_seed(run.seed, NS_PIPELINE))
     )
-    report = budget(block.variance_volts())
 
-    n_out = max(1, math.floor(report.extraction_ratio * ent.n_in))
     ext_seed = pipe.extractor_seed
     if ext_seed is None:  # not configured: derived from the run seed
         ext_seed = derive_seed(run.seed, NS_EXTRACTOR)

@@ -351,9 +351,7 @@ def _point_min_entropy(
     qcnr = aq * power * cos_sq / (ac * power**2 * cos_sq + f)
     if qcnr <= 0.0:
         return 0.0
-    return _entropy.min_entropy_quantum(
-        sigma_sq_meas, qcnr, chain.adc_bits, chain.adc_range_sigmas
-    )
+    return _entropy.min_entropy_quantum(qcnr, chain.adc_bits, chain.adc_range_sigmas)
 
 
 def simulate_stability(

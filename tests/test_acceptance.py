@@ -451,13 +451,13 @@ def test_criterion_9_format_roundtrips(tmp_path):
 # configs/stability.json at their own seeds); a refactor must keep them
 GOLDEN = {
     "pipeline": {
-        "": "cbb924b42b8637eeff580bead63e13db3ab5040bb2584f3601745a9895762cb8",
+        "": "8560a35012840f32e538febebabbd27e9ede8288780410f8e4e713fc9d6d493d",
         ".autocorr.csv": "63f89439d7138b0d916f96be418295e29c705b5efe8032db1cdb1bcad808fe50",
         ".nist.csv": "512bde06cc762e2e81a4eaadbde580e9b7069f0301fdffc41726c49d89197de4",
-        ".report": "3d70c1c794cf91424d4309f935089e83504cbbab2cf6a269691fa91945676494",
+        ".report": "377d4bd323e25b27ecf246f694c33e0dfa429b8d08da796484ad6991f1cac498",
     },
     "stability": {
-        "": "23057ccdb05731b39b9978ae169dcd708a2ae9a304e0786fadd653aabcde73bf",
+        "": "2462b9a69603892733426bb6b0a6579419853d1692d2cb052148876c1d9c006e",
     },
 }
 

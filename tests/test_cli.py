@@ -24,9 +24,9 @@ import pytest
 
 from conftest import AC_REF, AQ_REF, CONFIGS, CONV_GAIN, DELAY_TD, F_REF, artifact_digests
 
-from phaseqrng import calib, cli, runs, sim, stats
+from phaseqrng import calib, cli, entropy, runs, sim, stats
 from phaseqrng import io as qio
-from phaseqrng.model import VarianceFit
+from phaseqrng.model import SampleBlock, VarianceFit, predicted_variance
 
 BASE_CONFIG = {
     "model": {
@@ -89,6 +89,15 @@ def test_cli_import_loads_no_scipy():
     code = ("import sys, phaseqrng.cli; print(sorted(m for m in sys.modules "
             "if m.startswith('scipy')))")
     assert _python("-c", code).strip() == "[]"
+
+
+def test_variance_fit_leaves_numpy_ma_unimported():
+    # np.unique imports numpy.ma on first use, about 10 ms in every
+    # calibrate and pipeline run
+    code = ("import sys, phaseqrng.cli; from phaseqrng.calib import fit_variance_vs_power; "
+            "fit_variance_vs_power([1.0, 2.0, 3.0, 3.0], [1.0, 2.0, 3.0, 3.5]); "
+            "print('numpy.ma' in sys.modules)")
+    assert _python("-c", code).strip() == "False"
 
 
 # ---------------------------------------------------------------------------
@@ -553,11 +562,33 @@ def test_pipeline_runs_no_attenuated_sweep(tmp_path, simulate_calls):
     assert len(simulate_calls) == len(PIPELINE_SECTIONS["sweep"]["powers"]) + 1
 
 
+def test_pipeline_budgets_once_before_the_main_run(tmp_path, monkeypatch):
+    # the credit comes from the fit alone, so the main run is never reduced
+    # to a variance and is sized to exactly the blocks the output needs
+    measured = []
+    real_variance = SampleBlock.variance_volts
+    monkeypatch.setattr(SampleBlock, "variance_volts",
+                        lambda block: measured.append(len(block)) or real_variance(block))
+    cfg = runs.load_config(write_config(tmp_path, **PIPELINE_SECTIONS))
+    result = runs.pipeline(cfg)
+    assert len(measured) == len(cfg.sweep.powers)
+    fit, power, ent = result.fit, cfg.run.model.power_p, cfg.entropy
+    assert result.entropy == entropy.entropy_report(
+        predicted_variance(fit, power), calib.qcnr_from_fit(fit, power),
+        adc_bits=cfg.run.chain.adc_bits, range_sigmas=cfg.run.chain.adc_range_sigmas,
+        security_eps=2.0**ent.security_eps_log2, n_in=ent.n_in,
+    )
+    n_out, head = result.extractor.n_out, stats.MIN_VALUES_PER_LAG * 100
+    blocks = max(math.ceil(cfg.pipeline.n_output_bits / n_out), math.ceil(head / n_out))
+    assert blocks * ent.n_in >= head * cfg.run.chain.adc_bits  # the head bound does not bind
+    assert result.bits.count == blocks * n_out
+
+
 def test_pipeline_rejects_override_above_budget_before_main_run(
     tmp_path, capsys, simulate_calls
 ):
-    # H_inf does not depend on the variance, so the provisional budget
-    # rejects the override right after the sweep
+    # H_inf does not depend on the variance, so the budget rejects the
+    # override right after the sweep
     sections = copy.deepcopy(PIPELINE_SECTIONS)
     sections["entropy"]["min_entropy_override"] = 7.9
     cfg = write_config(tmp_path, **sections)
@@ -780,13 +811,13 @@ GOLDEN = {
         ".sweep.csv": "32e954a499cdec48867bde808d4fd6edf16e4cbedfb1d110d290fb580ba79877",
     },
     "pipeline": {
-        "": "5fcef67ead7ecda6af50ddf41238ebd059387d3b8c62a3722966eda8d42ee250",
-        ".autocorr.csv": "f6cd615e1308ee048717aa577cfa3d6be464bd803af196dcc57ddda433c7eb8b",
+        "": "9f65ec0b299c9bcd724354a25c4be7d31d943a08dcaf3d5f1b83f3ecc5ba3903",
+        ".autocorr.csv": "6fdf15475c755d11beed1dbec5a5bb6525cb712a4d05df00dc15836c7755ae69",
         ".nist.csv": "bfa4d0f4b175c17e2210ad74978bafabebf96392e574907c3358d367f2f46ecf",
-        ".report": "1374f56c53d7b2ecc4a952d04151a9e1157a287fbefbaef5f6e57883daf88cfd",
+        ".report": "36805f9047297e09abdb515eb2f6bed6267d327a8738d0631ae1ec094e5b72c0",
     },
     "stability": {
-        "": "ea61926afa0cad7375bc42613ad56cb2438150cbbb5f7c67d9e0e9a6c62e424f",
+        "": "d04ccfb49275889cca8a44119bce2e7dfba72ed70ccc4523e376f511a0d855c0",
     },
     "simulate": {
         "": "c47f3d5068e62a41c2696132b49e8c2a46ac2254ff34edffa7315553164e2e50",

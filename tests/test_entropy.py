@@ -14,6 +14,7 @@ from phaseqrng.entropy import (
     gaussian_bin_probabilities,
     generation_rate,
     min_entropy_gaussian,
+    min_entropy_quantum,
     quantum_variance,
 )
 
@@ -217,6 +218,23 @@ def test_generation_rate_values():
     assert generation_rate(8.0, 500e6) == 4.0e9
     with pytest.raises(ValueError):
         generation_rate(-1.0, 500e6)
+
+
+@given(
+    sigma_sq=st.floats(min_value=1e-12, max_value=1e6),
+    qcnr=st.floats(min_value=1e-3, max_value=1e3),
+    adc_bits=st.integers(min_value=1, max_value=16),
+    range_sigmas=st.floats(min_value=0.5, max_value=10.0),
+)
+def test_min_entropy_quantum_is_free_of_the_variance(sigma_sq, qcnr, adc_bits, range_sigmas):
+    # the ADC range and the quantum share both scale with the total sigma
+    v_half = range_sigmas * math.sqrt(sigma_sq)
+    scaled = min_entropy_gaussian(
+        math.sqrt(quantum_variance(sigma_sq, qcnr)), (-v_half, v_half), adc_bits
+    )
+    assert min_entropy_quantum(qcnr, adc_bits, range_sigmas) == pytest.approx(
+        scaled, rel=1e-11
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -261,6 +261,19 @@ def test_bits_roundtrip_with_provenance():
     assert back.provenance["extraction_ratio"] == "0.6999"
 
 
+@pytest.mark.parametrize(
+    "brk", ["\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+)
+def test_metadata_roundtrips_every_line_break_but_newline(brk):
+    # the writer rejects only "\n", so every other str.splitlines() break must
+    # read back as written, in keys and values, at either end or inside
+    provenance = {f"k{brk}": f"a{brk}b", "v": f"{brk}x{brk}", f"{brk}": brk}
+    buf = io.BytesIO()
+    write_bits(replace(pack_bits([1]), provenance=provenance), buf)
+    buf.seek(0)
+    assert read_bits(buf).provenance == provenance
+
+
 @given(st.lists(st.integers(min_value=0, max_value=1), max_size=500))
 def test_bits_roundtrip_property(bits):
     stream = pack_bits(bits)
