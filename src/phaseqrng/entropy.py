@@ -22,10 +22,12 @@ The extractor output fraction follows the leftover hash lemma:
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
-from .model import EntropyReport
+from . import calib
+from .model import EntropyReport, SignalChainConfig, VarianceFit
 from .stats import _ndtr
 
 __all__ = [
@@ -33,6 +35,7 @@ __all__ = [
     "gaussian_bin_probabilities",
     "min_entropy_gaussian",
     "min_entropy_quantum",
+    "drifted_min_entropy",
     "extraction_ratio",
     "generation_rate",
     "entropy_report",
@@ -118,6 +121,26 @@ def min_entropy_quantum(qcnr: float, adc_bits: int, range_sigmas: float) -> floa
     return min_entropy_gaussian(sigma_q, (-range_sigmas, range_sigmas), adc_bits)
 
 
+def drifted_min_entropy(
+    sigma_sq: float, power: float, fit: VarianceFit, chain: SignalChainConfig
+) -> float:
+    """Min-entropy of a point drifted off quadrature, from its measured variance.
+
+    The quadrature error is inferred from how far ``sigma_sq`` sits below the
+    calibrated maximum: its cos^2 roll-off scales both phase-noise terms of
+    ``fit``, and the electronic floor f is unaffected by the drift.  The
+    QCNR of the drifted point comes from :func:`calib.qcnr_from_fit`.
+    """
+    phase_var_max = fit.aq * power + fit.ac * power**2
+    if phase_var_max <= 0 or sigma_sq <= 0:
+        return 0.0
+    cos_sq = min(max((sigma_sq - fit.f) / phase_var_max, 0.0), 1.0)
+    qcnr = calib.qcnr_from_fit(replace(fit, ac=fit.ac * cos_sq, aq=fit.aq * cos_sq), power)
+    if qcnr <= 0.0:
+        return 0.0
+    return min_entropy_quantum(qcnr, chain.adc_bits, chain.adc_range_sigmas)
+
+
 def extraction_ratio(
     h_min: float,
     sample_bits: int,
@@ -128,7 +151,7 @@ def extraction_ratio(
 
     ``h_min/sample_bits`` minus the finite-block penalty
     ``2*log2(1/eps)/n_in``, below 1 since the penalty is positive.  Raises
-    if the penalty eats the whole budget.
+    if the penalty leaves less than one output bit per ``n_in``-bit block.
     """
     if not 0 < h_min <= sample_bits:
         raise ValueError("h_min must lie in (0, sample_bits]")
@@ -138,10 +161,10 @@ def extraction_ratio(
         raise ValueError("n_in must be >= 1")
     penalty = 2.0 * math.log2(1.0 / security_eps) / n_in
     ratio = h_min / sample_bits - penalty
-    if ratio <= 0:
+    if ratio * n_in < 1:
         raise ValueError(
-            f"block too small for requested security: ratio {ratio:.3e} <= 0 "
-            f"(penalty {penalty:.3e} with n_in={n_in})"
+            f"block too small for requested security: ratio {ratio:.3e} gives "
+            f"{ratio * n_in:.3g} < 1 output bit per {n_in}-bit block (penalty {penalty:.3e})"
         )
     return ratio
 

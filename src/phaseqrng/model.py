@@ -240,10 +240,12 @@ class BitStream:
     def __len__(self) -> int:
         return self.count
 
-    def as_bit_array(self) -> np.ndarray:
-        """Unpacked bits as a uint8 array of 0/1 of length ``count``."""
-        arr = np.frombuffer(self.bits, dtype=np.uint8)
-        return np.unpackbits(arr, bitorder="little")[: self.count]
+    def as_bit_array(self, start: int = 0, stop: int | None = None) -> np.ndarray:
+        """Bits ``start:stop`` (a slice of ``range(count)``) as a uint8 array of 0/1."""
+        start, stop, _ = slice(start, stop).indices(self.count)
+        first = start // 8
+        arr = np.frombuffer(self.bits, np.uint8, max(-(-stop // 8) - first, 0), first)
+        return np.unpackbits(arr, bitorder="little")[start - 8 * first : stop - 8 * first]
 
 
 def phase_difference_variance(model: LaserNoiseModel, td: float) -> float:

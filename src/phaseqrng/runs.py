@@ -343,8 +343,9 @@ def pipeline(cfg: Config) -> PipelineResult:
             "the sweep does not resolve a quantum term: "
             f"aq = {fit.aq:.3e} +/- {fit.aq_se:.3e} V^2/W"
         )
-    # H_inf depends only on the QCNR and the ADC (an override above it fails
-    # here), so the budget is fixed before the main run, which it sizes
+    # H_inf depends only on the QCNR and the ADC (an override above it, or a
+    # budget under one output bit per n_in-bit block, fails here), so the
+    # budget is fixed before the main run, which it sizes
     report = entropy.entropy_report(
         predicted_variance(fit, run.model.power_p),
         calib.qcnr_from_fit(fit, run.model.power_p),
@@ -352,7 +353,7 @@ def pipeline(cfg: Config) -> PipelineResult:
         security_eps=2.0**ent.security_eps_log2, n_in=ent.n_in,
         min_entropy_override=ent.min_entropy_override,
     )
-    n_out = max(1, math.floor(report.extraction_ratio * ent.n_in))
+    n_out = math.floor(report.extraction_ratio * ent.n_in)
     min_head = stats.MIN_VALUES_PER_LAG * _MAX_LAG
     blocks_needed = max(math.ceil(pipe.n_output_bits / n_out),
                         math.ceil(min_head / n_out))
@@ -371,8 +372,7 @@ def pipeline(cfg: Config) -> PipelineResult:
 
     # diagnostic heads as stored (codes, bits): r ignores the ADC scale
     raw_r = stats.autocorrelation(block.samples[:_HEAD], _MAX_LAG)
-    bits_head = BitStream(bits.bits[: _HEAD // 8], min(bits.count, _HEAD))
-    ext_r = stats.autocorrelation(bits_head.as_bit_array(), _MAX_LAG)
+    ext_r = stats.autocorrelation(bits.as_bit_array(stop=_HEAD), _MAX_LAG)
     battery = stats.nist_subset(bits, pipe.n_sequences, pipe.seq_len_bits)
     return PipelineResult(
         fit, report, extractor, bits, raw_r, ext_r, battery,

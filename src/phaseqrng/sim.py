@@ -59,8 +59,8 @@ import numpy as np
 
 from . import entropy as _entropy
 from .model import (
-    LaserNoiseModel, SampleBlock, SignalChainConfig, phase_difference_variance,
-    variance_coefficients,
+    LaserNoiseModel, SampleBlock, SignalChainConfig, VarianceFit,
+    phase_difference_variance, variance_coefficients,
 )
 
 __all__ = [
@@ -331,29 +331,6 @@ def simulate_variances(
     ]
 
 
-def _point_min_entropy(
-    sigma_sq_meas: float,
-    power: float,
-    coeffs: tuple[float, float, float],
-    chain: SignalChainConfig,
-) -> float:
-    """Min-entropy for one stability point, from the measured variance.
-
-    The quadrature error is inferred from how far the measured variance sits
-    below the calibrated maximum (cos^2 roll-off of both phase-noise terms);
-    the electronic floor F is unaffected by the drift.
-    """
-    ac, aq, f = coeffs
-    phase_var_max = aq * power + ac * power**2
-    if phase_var_max <= 0 or sigma_sq_meas <= 0:
-        return 0.0
-    cos_sq = min(max((sigma_sq_meas - f) / phase_var_max, 0.0), 1.0)
-    qcnr = aq * power * cos_sq / (ac * power**2 * cos_sq + f)
-    if qcnr <= 0.0:
-        return 0.0
-    return _entropy.min_entropy_quantum(qcnr, chain.adc_bits, chain.adc_range_sigmas)
-
-
 def simulate_stability(
     run: SimulationRun,
     phase_drift_rate: float,
@@ -368,7 +345,7 @@ def simulate_stability(
     ``recalibration_period`` (``None`` runs free), each recalibration
     re-centres the phase (fringe-scan servo) before the first measurement
     that follows it.  Each report point carries the measured variance and
-    the min-entropy recomputed from it.
+    the min-entropy that :func:`entropy.drifted_min_entropy` credits it.
     """
 
     def operating_point(t: float) -> tuple[float, float]:
@@ -384,13 +361,13 @@ def simulate_stability(
         (replace(run.model, power_p=power), replace(run.chain, quadrature_offset=delta))
         for power, delta in operating
     ))
-    coeffs = variance_coefficients(run.model, run.chain)
+    fit = VarianceFit(*variance_coefficients(run.model, run.chain), r_squared=1.0)
     return [
         StabilityPoint(
             time=t,
             variance=sigma_sq,
             applied_phi2=math.pi / 2.0 + delta,
-            min_entropy=_point_min_entropy(sigma_sq, power, coeffs, run.chain),
+            min_entropy=_entropy.drifted_min_entropy(sigma_sq, power, fit, run.chain),
         )
         for t, (power, delta), sigma_sq in zip(times, operating, variances)
     ]

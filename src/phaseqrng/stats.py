@@ -395,7 +395,8 @@ def nist_subset(
 
     Tests yielding two p-values per sequence (cumulative sums, serial)
     produce two report rows.  ``seq_len_bits`` must be at least 128 so every
-    test in the subset is applicable.
+    test in the subset is applicable.  Each sequence is unpacked and tested
+    in turn, so only one is held at a time.
     """
     if n_sequences < 1:
         raise ValueError("n_sequences must be >= 1")
@@ -404,11 +405,9 @@ def nist_subset(
     n = n_sequences * seq_len_bits
     if bits.count < n:
         raise ValueError(f"insufficient bits: need {n}, have {bits.count}")
-    # unpack the head only, LSB first as BitStream.as_bit_array does
-    seqs = np.unpackbits(np.frombuffer(bits.bits, np.uint8), count=n,
-                         bitorder="little").reshape(n_sequences, -1)
     pvalues = np.array([  # one row per sequence, one column per report row
-        np.hstack([func(seq) for _, func, _ in NIST_SUBSET_TESTS]) for seq in seqs
+        np.hstack([func(seq) for _, func, _ in NIST_SUBSET_TESTS])
+        for seq in (bits.as_bit_array(i, i + seq_len_bits) for i in range(0, n, seq_len_bits))
     ])
     names = [row for _, _, rows in NIST_SUBSET_TESTS for row in rows]
     return [

@@ -457,7 +457,7 @@ GOLDEN = {
         ".report": "377d4bd323e25b27ecf246f694c33e0dfa429b8d08da796484ad6991f1cac498",
     },
     "stability": {
-        "": "2462b9a69603892733426bb6b0a6579419853d1692d2cb052148876c1d9c006e",
+        "": "a00da6c63e3b5246957396535e414bbea37f23110d61ce5121f7bafc05d331d4",
     },
 }
 

@@ -600,6 +600,22 @@ def test_pipeline_rejects_override_above_budget_before_main_run(
     assert len(simulate_calls) == len(PIPELINE_SECTIONS["sweep"]["powers"])
 
 
+def test_pipeline_rejects_a_budget_under_one_bit_per_block_after_the_sweep(
+    tmp_path, capsys, simulate_calls
+):
+    # 0.785/8 - 100/1024 leaves 0.48 output bit per 1024-bit block; a main run
+    # sized for one bit a block would be 3.84e6 samples the extractor rejects
+    sections = copy.deepcopy(PIPELINE_SECTIONS)
+    sections["entropy"]["min_entropy_override"] = 0.785
+    cfg = write_config(tmp_path, **sections)
+    rc = cli.main(["pipeline", "--config", cfg, "--out", str(tmp_path / "bits.qrng")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: block too small")
+    assert len(simulate_calls) == len(PIPELINE_SECTIONS["sweep"]["powers"])
+
+
 @pytest.mark.parametrize("seed", [3, 4, 10])
 def test_pipeline_rejects_a_sweep_with_no_quantum_term(tmp_path, capsys, simulate_calls,
                                                        seed):
@@ -730,6 +746,19 @@ def test_stability_free_run_variance_decays(stability_run):
     v_recal = [float(r[4]) for r in rows[1:]]
     assert v_free[-1] < 0.6 * v_free[0]
     assert v_recal[-1] > 0.9 * v_recal[0]
+
+
+def test_stability_without_classical_or_electronic_noise_fails_in_one_line(tmp_path, capsys):
+    # the QCNR aq P / (ac P^2 + f) of each point has a zero denominator
+    cfg = write_config(
+        tmp_path, model={"classical_diffusion_c": 0.0}, chain={"electronic_noise_f": 0.0},
+        run={"duration": 2e-6}, stability={"total_time": 200.0, "report_interval": 20.0},
+    )
+    rc = cli.main(["stability", "--config", cfg, "--out", str(tmp_path / "s.csv")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: zero denominator")
 
 
 def test_stability_rejects_bad_power_drift(tmp_path, capsys):

@@ -8,7 +8,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.stats import norm
 
+from phaseqrng.calib import qcnr_from_fit
 from phaseqrng.entropy import (
+    drifted_min_entropy,
     entropy_report,
     extraction_ratio,
     gaussian_bin_probabilities,
@@ -17,6 +19,7 @@ from phaseqrng.entropy import (
     min_entropy_quantum,
     quantum_variance,
 )
+from phaseqrng.model import SignalChainConfig, VarianceFit
 
 # the reference chain's ADC range and the configs' security and block size
 REF_BUDGET = dict(range_sigmas=5.0, security_eps=2.0**-50, n_in=4096)
@@ -190,6 +193,14 @@ def test_extraction_ratio_block_too_small():
         extraction_ratio(5.6, 8, security_eps=2.0**-50, n_in=100)
 
 
+def test_extraction_ratio_needs_one_output_bit_per_block():
+    # 0.785/8 - 100/1024 is positive, but keeps 0.48 bit of a 1024-bit block
+    with pytest.raises(ValueError, match="block too small"):
+        extraction_ratio(0.785, 8, security_eps=2.0**-50, n_in=1024)
+    # one bit per block is the smallest budget (every term is dyadic, so exact)
+    assert extraction_ratio(101 * 8 / 1024, 8, security_eps=2.0**-50, n_in=1024) == 1 / 1024
+
+
 def test_extraction_ratio_validation():
     with pytest.raises(ValueError):
         extraction_ratio(0.0, 8, security_eps=2.0**-50, n_in=4096)
@@ -207,7 +218,7 @@ def test_extraction_ratio_validation():
     n_in=st.integers(min_value=2048, max_value=10**7),
 )
 def test_extraction_ratio_below_entropy_fraction(h, log2_eps, n_in):
-    assume(-2.0 * log2_eps / n_in < h / 8)  # stay inside the feasible region
+    assume((h / 8 + 2.0 * log2_eps / n_in) * n_in >= 1)  # one output bit per block
     r = extraction_ratio(h, 8, security_eps=2.0**log2_eps, n_in=n_in)
     assert 0 < r < h / 8
 
@@ -235,6 +246,33 @@ def test_min_entropy_quantum_is_free_of_the_variance(sigma_sq, qcnr, adc_bits, r
     assert min_entropy_quantum(qcnr, adc_bits, range_sigmas) == pytest.approx(
         scaled, rel=1e-11
     )
+
+
+# ---------------------------------------------------------------------------
+# drifted_min_entropy
+# ---------------------------------------------------------------------------
+
+
+def test_drifted_min_entropy_at_quadrature_is_the_calibrated_credit(ref_fit):
+    chain = SignalChainConfig()
+    power = 2.47e-4
+    full = ref_fit.ac * power**2 + ref_fit.aq * power + ref_fit.f
+    assert drifted_min_entropy(full, power, ref_fit, chain) == min_entropy_quantum(
+        qcnr_from_fit(ref_fit, power), chain.adc_bits, chain.adc_range_sigmas)
+
+
+def test_drifted_min_entropy_falls_with_the_quadrature_error(ref_fit):
+    power = 2.47e-4
+    full = ref_fit.ac * power**2 + ref_fit.aq * power + ref_fit.f
+    h = [drifted_min_entropy(ref_fit.f + (full - ref_fit.f) * cos_sq, power, ref_fit,
+                             SignalChainConfig()) for cos_sq in (1.0, 0.5, 0.1, 0.0)]
+    assert h[0] > h[1] > h[2] > h[3] == 0.0
+
+
+def test_drifted_min_entropy_without_classical_or_electronic_noise_raises():
+    # the QCNR aq P / (ac P^2 + f) has no denominator: calib refuses it
+    with pytest.raises(ValueError, match="zero denominator"):
+        drifted_min_entropy(1e-5, 1e-3, VarianceFit(0.0, 0.01, 0.0, 1.0), SignalChainConfig())
 
 
 # ---------------------------------------------------------------------------

@@ -282,6 +282,15 @@ def test_bitstream_roundtrip_explicit():
     np.testing.assert_array_equal(s.as_bit_array(), [1, 0, 1])
 
 
+@given(bits=st.lists(st.integers(min_value=0, max_value=1), max_size=60),
+       start=st.integers(min_value=0, max_value=70),
+       stop=st.one_of(st.none(), st.integers(min_value=0, max_value=70)))
+def test_bitstream_bit_range_is_a_slice_of_the_whole(bits, start, stop):
+    # starts and stops off byte boundaries, and stops past count
+    s = pack_bits(bits)
+    np.testing.assert_array_equal(s.as_bit_array(start, stop), s.as_bit_array()[start:stop])
+
+
 @given(st.lists(st.integers(min_value=0, max_value=1), min_size=0, max_size=200))
 def test_bitstream_roundtrip_property(bits):
     arr = np.array(bits, dtype=np.uint8)

@@ -624,6 +624,26 @@ def test_nist_subset_unpacks_only_the_tested_head():
     assert peaks[1] < peaks[0] + 1025
 
 
+def test_nist_subset_holds_one_sequence_at_a_time():
+    # 7 and then 70 sequences of 1025 bits: unpacking every tested bit at
+    # once adds a byte a bit, testing one sequence at a time only its p-values
+    rng = np.random.default_rng(23)
+    bits = pack_bits(rng.integers(0, 2, 70 * 1025, dtype=np.uint8))
+    nist_subset(bits, n_sequences=7, seq_len_bits=1025)  # one-time set-up
+    peaks = []
+    for n_sequences in (7, 70):
+        side = []  # the smallest peak of three calls, as above
+        for _ in range(3):
+            tracemalloc.start()
+            try:
+                nist_subset(bits, n_sequences=n_sequences, seq_len_bits=1025)
+                side.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        peaks.append(min(side))
+    assert peaks[1] - peaks[0] < 0.5 * 63 * 1025
+
+
 def test_nist_subset_validation():
     rng = np.random.default_rng(18)
     bits = pack_bits(rng.integers(0, 2, 1000, dtype=np.uint8))
