@@ -184,17 +184,16 @@ def write_bits(stream: BitStream, sink) -> int:
     meta = {"count": stream.count}
     for key, value in stream.provenance.items():
         meta[f"prov_{key}"] = value
-    with _opened(sink, "wb") as f:
-        return _write_container(f, KIND_BITS, meta, stream.bits)
+    with _opened(sink, "wb") as f:  # only the bytes that hold count bits, as read_bits wants
+        return _write_container(f, KIND_BITS, meta, stream.bits[: -(-stream.count // 8)])
 
 
 def read_bits(source) -> BitStream:
     with _read_container(source, KIND_BITS) as (meta, payload):
         count = int(meta["count"])
-        if count > 8 * len(payload):
-            raise TruncatedFileError(
-                f"payload holds {8 * len(payload)} bits, header says {count}"
-            )
+        if len(payload) != -(-count // 8):  # the whole bytes that hold count bits
+            error = TruncatedFileError if 8 * len(payload) < count else FormatError
+            raise error(f"payload holds {len(payload)} bytes, header says {count} bits")
         provenance = {
             key[len("prov_") :]: value
             for key, value in meta.items()

@@ -26,7 +26,7 @@ from phaseqrng.io import (
     write_report,
     write_samples,
 )
-from phaseqrng.model import SampleBlock
+from phaseqrng.model import BitStream, SampleBlock
 
 from conftest import pack_bits
 
@@ -296,6 +296,27 @@ def test_bits_count_payload_mismatch_rejected():
     blob[11:19] = struct.pack("<Q", 1)
     with pytest.raises(TruncatedFileError):
         read_bits(io.BytesIO(bytes(blob[:-1])))
+
+
+def test_bits_payload_longer_than_count_rejected():
+    # 3 bits take one byte; three more zero bytes, declared in the header, are
+    # a payload that disagrees with its metadata
+    buf = io.BytesIO()
+    write_bits(pack_bits([1, 0, 1]), buf)
+    blob = bytearray(buf.getvalue())
+    blob[11:19] = struct.pack("<Q", 4)
+    with pytest.raises(FormatError, match="header says 3 bits"):
+        read_bits(io.BytesIO(bytes(blob) + bytes(3)))
+
+
+def test_bits_writer_drops_zero_slack_bytes():
+    # a BitStream may carry zero bytes past its count; the file holds only
+    # the bytes read_bits accepts
+    buf = io.BytesIO()
+    write_bits(BitStream(bytes([0b101, 0, 0]), 3), buf)
+    assert _container_parts(buf.getvalue())["payload"] == bytes([0b101])
+    buf.seek(0)
+    assert read_bits(buf) == pack_bits([1, 0, 1])
 
 
 # ---------------------------------------------------------------------------
