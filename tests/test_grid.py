@@ -5,9 +5,10 @@ chain (8-bit ADC, 500 MS/s, 500 MHz TIA, ovs 8, no rf tones, no fringe).  This
 table spans the rest: ovs, the TIA cutoff (down to the 80 kHz slow filter),
 the electronic noise F, the power (0 included), the quadrature offset, 0-2
 rf tones, every ADC width 1-16 and lengths either side of ``sim._CHUNK_ROWS``.
-Each case asserts the sha256 of its codes and ``adc_scale``.  Two more cases
-run a ``calibrate`` with a fringe scan and the imported-sample tail
-(``read_samples``, budget, ``extract_stream``, battery, both autocorrelations).
+Each case asserts the sha256 of its codes and ``adc_scale``.  Three more cases
+run a ``calibrate`` with a fringe scan, a ``stability`` with phase and sine
+power drift, and the imported-sample tail (``read_samples``, budget,
+``extract_stream``, battery, both autocorrelations).
 
 A refactor must keep every digest.  A declared change re-records the table in
 its own commit:
@@ -100,6 +101,28 @@ def fringe_calibrate_digests(tmp: Path) -> dict[str, str]:
     return artifact_digests(out)
 
 
+def drifted_stability_digests(tmp: Path) -> dict[str, str]:
+    """``stability`` with phase drift, recalibration and a sine power drift."""
+    model = make_ref_model(2.47e-4)
+    cfg = {
+        "model": {"quantum_diffusion_q": model.quantum_diffusion_q,
+                  "classical_diffusion_c": model.classical_diffusion_c,
+                  "power_p": model.power_p},
+        "chain": {"delay_td": DELAY_TD, "conversion_gain_a": CONV_GAIN,
+                  "electronic_noise_f": F_REF, "adc_bits": 10},
+        "run": {"duration": 1e-5, "seed": 13},
+        "stability": {"phase_drift_rate": 2e-3, "recalibration_period": 45.0,
+                      "total_time": 300.0, "report_interval": 20.0,
+                      "power_drift": {"type": "sine", "relative_amplitude": 0.3,
+                                      "period_s": 170.0}},
+    }
+    path = tmp / "stability.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp / "stability.csv"
+    assert _quiet(["stability", "--config", str(path), "--out", str(out)]) == 0
+    return artifact_digests(out)
+
+
 def imported_block_digests(tmp: Path) -> dict[str, str]:
     """A sample file through the budget, the extractor and the diagnostics.
 
@@ -143,13 +166,14 @@ def imported_block_digests(tmp: Path) -> dict[str, str]:
 def record() -> dict:
     """Every digest of the grid, as the tests compare them."""
     with tempfile.TemporaryDirectory() as tmp:
-        a, b = Path(tmp, "fringe"), Path(tmp, "imported")
-        a.mkdir()
-        b.mkdir()
+        a, b, c = Path(tmp, "fringe"), Path(tmp, "imported"), Path(tmp, "stability")
+        for d in (a, b, c):
+            d.mkdir()
         return {
             "codes": {name: codes_digest(run) for name, run in GRID.items()},
             "calibrate_fringe": fringe_calibrate_digests(a),
             "imported_block": imported_block_digests(b),
+            "stability_drift": drifted_stability_digests(c),
         }
 
 
@@ -176,6 +200,10 @@ def test_grid_codes_match_recorded_digests(name):
 
 def test_fringe_calibrate_matches_recorded_digests(tmp_path):
     assert fringe_calibrate_digests(tmp_path) == RECORDED["calibrate_fringe"]
+
+
+def test_drifted_stability_matches_recorded_digests(tmp_path):
+    assert drifted_stability_digests(tmp_path) == RECORDED["stability_drift"]
 
 
 def test_imported_block_matches_recorded_digests(tmp_path):
