@@ -13,23 +13,4 @@ runs     config parsing and the calibrate/pipeline/stability runs
 cli      command line: argument parsing, rendering, exit codes
 """
 
-from .model import (
-    BitStream,
-    EntropyReport,
-    LaserNoiseModel,
-    SampleBlock,
-    SignalChainConfig,
-    VarianceFit,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "LaserNoiseModel",
-    "SignalChainConfig",
-    "VarianceFit",
-    "EntropyReport",
-    "SampleBlock",
-    "BitStream",
-    "__version__",
-]

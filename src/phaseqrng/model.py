@@ -165,7 +165,9 @@ class SampleBlock:
 
     ``samples`` is an int16 array (wide enough for any adc_bits <= 16); every
     value must be representable in ``adc_bits``.  ``adc_scale`` converts codes
-    to volts.
+    to volts.  A C-contiguous int16 array is kept as given, not copied, and
+    marked read-only; any other input is cast, and rejected if the cast
+    would change a value.
     """
 
     samples: np.ndarray
@@ -176,7 +178,14 @@ class SampleBlock:
     rng_seed: int | None = None
 
     def __post_init__(self) -> None:
-        arr = np.ascontiguousarray(self.samples, dtype=np.int16)
+        arr = np.asarray(self.samples)
+        if arr.dtype != np.int16:  # simulate and read_samples give int16
+            with np.errstate(invalid="ignore"):  # NaN and inf fail the check
+                cast = arr.astype(np.int16)
+            if not np.array_equal(cast, arr):
+                raise ValueError("samples must be integers in the int16 range")
+            arr = cast
+        arr = np.ascontiguousarray(arr)
         arr.flags.writeable = False
         object.__setattr__(self, "samples", arr)
         if not 1 <= int(self.adc_bits) <= 16:

@@ -264,19 +264,6 @@ def sweep_direct(run: SimulationRun, sweep: SweepConfig) -> list[float]:
     ])
 
 
-def sweep_attenuated(run: SimulationRun, sweep: SweepConfig) -> list[float]:
-    """Variance at each sweep power with the quantum noise suppressed.
-
-    The source runs bright at ``source_power`` and is attenuated down to the
-    detected power of the direct point: the attenuation method's QCNR
-    cross-check, which only :func:`calibrate` reports.
-    """
-    bright = replace(run.model, power_p=sweep.source_power)
-    return _variances(run, sweep.samples_per_point, NS_SWEEP_ATT, [
-        (attenuated_model(bright, p), run.chain) for p in sweep.powers
-    ])
-
-
 @dataclass(frozen=True)
 class Calibration:
     """Result of :func:`calibrate`."""
@@ -304,7 +291,13 @@ def calibrate(cfg: Config) -> Calibration:
         )
     variances = sweep_direct(run, sweep)
     fit = calib.fit_variance_vs_power(sweep.powers, variances)
-    return Calibration(quad_phi, variances, sweep_attenuated(run, sweep), fit)
+    # the attenuation method's QCNR cross-check: the source runs bright at
+    # source_power, attenuated down to the detected power of each direct point
+    bright = replace(run.model, power_p=sweep.source_power)
+    attenuated = _variances(run, sweep.samples_per_point, NS_SWEEP_ATT, [
+        (attenuated_model(bright, p), run.chain) for p in sweep.powers
+    ])
+    return Calibration(quad_phi, variances, attenuated, fit)
 
 
 # autocorrelation lags, and the values of each series they are taken over
@@ -392,12 +385,11 @@ def stability(cfg: Config) -> StabilityResult:
     """The drift scenario once free-running and once with recalibration."""
     stab = _require(cfg.stability, "stability")
     run = cfg.run
-    n_points = math.floor(stab.total_time / stab.report_interval) + 1
-    times = [k * stab.report_interval for k in range(n_points)]
     free, recalibrated = (
         simulate_stability(
             replace(run, seed=derive_seed(run.seed, namespace)),
-            stab.phase_drift_rate, stab.power_drift, period, times,
+            stab.phase_drift_rate, stab.power_drift, period,
+            stab.total_time, stab.report_interval,
         )
         for namespace, period in (
             (NS_STAB_FREE, None), (NS_STAB_RECAL, stab.recalibration_period)

@@ -53,14 +53,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
 from . import entropy as _entropy
 from .model import (
     LaserNoiseModel, SampleBlock, SignalChainConfig, VarianceFit,
-    phase_difference_variance, variance_coefficients,
+    phase_difference_variance, predicted_variance, variance_coefficients,
 )
 
 __all__ = [
@@ -336,10 +336,12 @@ def simulate_stability(
     phase_drift_rate: float,
     power_drift: Callable[[float], float] | None,
     recalibration_period: float | None,
-    times: Sequence[float],
+    total_time: float,
+    report_interval: float,
 ) -> list[StabilityPoint]:
     """Drifted long-term run, one short measurement at each report time.
 
+    The report times are ``0, report_interval, ...`` up to ``total_time``.
     The interferometer phase drifts at ``phase_drift_rate`` away from the
     operating point, and ``power_drift(t)`` scales the power.  With a
     ``recalibration_period`` (``None`` runs free), each recalibration
@@ -356,12 +358,18 @@ def simulate_stability(
         delta = run.chain.quadrature_offset + phase_drift_rate * (t - last_recal)
         return run.model.power_p * scale, delta
 
+    fit = VarianceFit(*variance_coefficients(run.model, run.chain), r_squared=1.0)
+    # a drifted power keeps the sign of aq P + ac P^2, so crediting the
+    # undrifted point fails, before any simulation, when any point would
+    p = run.model.power_p
+    _entropy.drifted_min_entropy(predicted_variance(fit, p), p, fit, run.chain)
+    times = [k * report_interval
+             for k in range(math.floor(total_time / report_interval) + 1)]
     operating = [operating_point(t) for t in times]
     variances = simulate_variances(run, NS_STABILITY, (
         (replace(run.model, power_p=power), replace(run.chain, quadrature_offset=delta))
         for power, delta in operating
     ))
-    fit = VarianceFit(*variance_coefficients(run.model, run.chain), r_squared=1.0)
     return [
         StabilityPoint(
             time=t,

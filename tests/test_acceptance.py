@@ -2,8 +2,10 @@
 
 Each test prints exactly one ``ACCEPTANCE <n> <name>: PASS/FAIL`` line with
 the realized numbers (visible with ``pytest -s`` or on failure), then asserts.
-The two expensive preparations — the ten-point reference power sweep and the
-full 10^7-bit pipeline run — execute once in module-scoped fixtures and are
+The reference runs are the checked-in ``configs/pipeline.json`` and
+``configs/stability.json``, read as they are: ``calibrate`` on the pipeline
+config (at seed 3), the full 10^7-bit ``pipeline`` and the hour-long
+``stability`` run each execute once in a module-scoped fixture and are
 shared between criteria.
 
 Everything here is seeded; reruns are bit-identical.
@@ -12,43 +14,35 @@ Everything here is seeded; reruns are bit-identical.
 import contextlib
 import csv
 import io as _io
-import json
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.stats import norm
 
 from conftest import (
-    AC_REF, AQ_REF, CONV_GAIN, DELAY_TD, F_REF, artifact_digests, hash_bits,
-    toeplitz_matrix,
+    AC_REF, AQ_REF, CONFIGS, F_REF, artifact_digests, hash_bits, toeplitz_matrix,
 )
 
 from phaseqrng import calib, cli, entropy, extract, runs, stats
 from phaseqrng import io as qio
-from phaseqrng.model import BitStream, LaserNoiseModel, SampleBlock, SignalChainConfig
-from phaseqrng.sim import SimulationRun, simulate
-
-REF_MODEL = LaserNoiseModel(
-    quantum_diffusion_q=AQ_REF / (CONV_GAIN * DELAY_TD),
-    classical_diffusion_c=AC_REF / (CONV_GAIN * DELAY_TD),
-    power_p=2.47e-4,
-)
-REF_CHAIN = SignalChainConfig(
-    delay_td=DELAY_TD,
-    conversion_gain_a=CONV_GAIN,
-    electronic_noise_f=F_REF,
-    tia_cutoff_hz=500e6,
-    adc_bits=8,
-    adc_range_sigmas=5.0,
-    sample_rate_hz=500e6,
-)
+from phaseqrng.model import BitStream, SampleBlock
+from phaseqrng.sim import simulate
 
 
 def report_line(number: int, name: str, ok: bool, detail: str) -> None:
     verdict = "PASS" if ok else "FAIL"
     print(f"ACCEPTANCE {number} {name}: {verdict} — {detail}", flush=True)
+
+
+def run_cli(*argv: str) -> tuple[int, float]:
+    """Exit code and wall time of one in-process CLI command, its output muted."""
+    t0 = time.monotonic()
+    with contextlib.redirect_stdout(_io.StringIO()):
+        rc = cli.main(list(argv))
+    return rc, time.monotonic() - t0
 
 
 # ---------------------------------------------------------------------------
@@ -58,99 +52,33 @@ def report_line(number: int, name: str, ok: bool, detail: str) -> None:
 
 @pytest.fixture(scope="module")
 def table1_sweep():
-    """Ten-point power sweep, 10^6 samples/point, direct + attenuated."""
-    run = SimulationRun(model=REF_MODEL, chain=REF_CHAIN, duration=4e-5, seed=3)
-    sweep = runs.SweepConfig(
-        powers=tuple(np.geomspace(1e-5, 1e-3, 10).tolist()),
-        samples_per_point=1_000_000,
-        source_power=0.1,
-    )
+    """``calibrate`` on configs/pipeline.json at seed 3: the ten-point direct
+    and attenuated sweeps, 10^6 samples a point."""
+    cfg = runs.load_config(CONFIGS / "pipeline.json", seed=3)
     t0 = time.monotonic()
-    variances = runs.sweep_direct(run, sweep)
-    att_variances = runs.sweep_attenuated(run, sweep)
+    cal = runs.calibrate(cfg)
     elapsed = time.monotonic() - t0
-    fit = calib.fit_variance_vs_power(sweep.powers, variances)
-    return sweep.powers, variances, att_variances, fit, elapsed
+    return cfg.sweep.powers, cal.variances, cal.attenuated_variances, cal.fit, elapsed
 
 
 @pytest.fixture(scope="module")
 def pipeline_artifacts(tmp_path_factory):
-    """Full-scale pipeline: 100 sequences x 10^5 bits of extracted output."""
-    tmp = tmp_path_factory.mktemp("acceptance_pipeline")
-    cfg = {
-        "model": {
-            "quantum_diffusion_q": REF_MODEL.quantum_diffusion_q,
-            "classical_diffusion_c": REF_MODEL.classical_diffusion_c,
-            "power_p": 2.47e-4,
-        },
-        "chain": {
-            "delay_td": DELAY_TD,
-            "conversion_gain_a": CONV_GAIN,
-            "electronic_noise_f": F_REF,
-            "tia_cutoff_hz": 500e6,
-            "adc_bits": 8,
-            "adc_range_sigmas": 5.0,
-            "sample_rate_hz": 500e6,
-        },
-        "run": {"duration": 4e-5, "seed": 42},
-        "sweep": {"samples_per_point": 1_000_000, "source_power": 0.1},
-        "pipeline": {
-            "n_output_bits": 10_000_000,
-            "n_sequences": 100,
-            "seq_len_bits": 100_000,
-        },
-    }
-    cfg_path = tmp / "pipeline.json"
-    cfg_path.write_text(json.dumps(cfg))
-    out = tmp / "bits.qrng"
-    buf = _io.StringIO()
-    t0 = time.monotonic()
-    with contextlib.redirect_stdout(buf):
-        rc = cli.main(["pipeline", "--config", str(cfg_path), "--out", str(out)])
-    elapsed = time.monotonic() - t0
+    """``pipeline`` on configs/pipeline.json: 100 sequences x 10^5 bits."""
+    out = tmp_path_factory.mktemp("acceptance_pipeline") / "bits.qrng"
+    rc, elapsed = run_cli(
+        "pipeline", "--config", str(CONFIGS / "pipeline.json"), "--out", str(out)
+    )
     report = qio.read_report(str(out) + ".report")
-    return {
-        "rc": rc,
-        "out": out,
-        "report": report,
-        "stdout": buf.getvalue(),
-        "elapsed": elapsed,
-    }
+    return {"rc": rc, "out": out, "report": report, "elapsed": elapsed}
 
 
 @pytest.fixture(scope="module")
 def stability_artifacts(tmp_path_factory):
-    """Hour-long drift run, free-running and recalibrated."""
-    tmp_path = tmp_path_factory.mktemp("acceptance_stability")
-    cfg = {
-        "model": {
-            "quantum_diffusion_q": REF_MODEL.quantum_diffusion_q,
-            "classical_diffusion_c": REF_MODEL.classical_diffusion_c,
-            "power_p": 2.47e-4,
-        },
-        "chain": {
-            "delay_td": DELAY_TD,
-            "conversion_gain_a": CONV_GAIN,
-            "electronic_noise_f": F_REF,
-            "tia_cutoff_hz": 500e6,
-            "adc_bits": 8,
-            "adc_range_sigmas": 5.0,
-            "sample_rate_hz": 500e6,
-        },
-        "run": {"duration": 4e-5, "seed": 777},
-        "stability": {
-            "phase_drift_rate": math.pi / 7200,
-            "recalibration_period": 120.0,
-            "total_time": 3600.0,
-            "report_interval": 30.0,
-        },
-    }
-    cfg_path = tmp_path / "stability.json"
-    cfg_path.write_text(json.dumps(cfg))
-    out = tmp_path / "stability.csv"
-    buf = _io.StringIO()
-    with contextlib.redirect_stdout(buf):
-        rc = cli.main(["stability", "--config", str(cfg_path), "--out", str(out)])
+    """``stability`` on configs/stability.json: the hour, free and recalibrated."""
+    out = tmp_path_factory.mktemp("acceptance_stability") / "stability.csv"
+    rc, _ = run_cli(
+        "stability", "--config", str(CONFIGS / "stability.json"), "--out", str(out)
+    )
     return {"rc": rc, "out": out}
 
 
@@ -252,25 +180,12 @@ def test_criterion_4_generation_rate():
 
 def test_criterion_5_oversampling_autocorrelation(pipeline_artifacts):
     t0 = time.monotonic()
-    at_band = simulate(
-        SimulationRun(model=REF_MODEL, chain=REF_CHAIN, duration=4e-4, seed=501)
-    )
-    oversampled = simulate(
-        SimulationRun(
-            model=REF_MODEL,
-            chain=SignalChainConfig(
-                delay_td=DELAY_TD,
-                conversion_gain_a=CONV_GAIN,
-                electronic_noise_f=F_REF,
-                tia_cutoff_hz=500e6,
-                adc_bits=8,
-                adc_range_sigmas=5.0,
-                sample_rate_hz=5e9,  # 10x the TIA cutoff
-            ),
-            duration=4e-5,
-            seed=502,
-        )
-    )
+    run = runs.load_config(CONFIGS / "pipeline.json").run
+    at_band = simulate(replace(run, duration=4e-4, seed=501))
+    # sampled at 10x the TIA cutoff
+    oversampled = simulate(replace(
+        run, chain=replace(run.chain, sample_rate_hz=5e9), duration=4e-5, seed=502,
+    ))
     r_band = stats.autocorrelation(at_band.volts(), 1)[1]
     r_over = stats.autocorrelation(oversampled.volts(), 1)[1]
 
@@ -447,8 +362,9 @@ def test_criterion_9_format_roundtrips(tmp_path):
     assert bits_ok
 
 
-# sha256 of the reference-config artifacts (configs/pipeline.json and
-# configs/stability.json at their own seeds); a refactor must keep them
+# sha256 of the artifacts of the checked-in configs/pipeline.json and
+# configs/stability.json, run by the fixtures above at their own seeds; a
+# refactor must keep them
 GOLDEN = {
     "pipeline": {
         "": "8560a35012840f32e538febebabbd27e9ede8288780410f8e4e713fc9d6d493d",

@@ -748,8 +748,11 @@ def test_stability_free_run_variance_decays(stability_run):
     assert v_recal[-1] > 0.9 * v_recal[0]
 
 
-def test_stability_without_classical_or_electronic_noise_fails_in_one_line(tmp_path, capsys):
-    # the QCNR aq P / (ac P^2 + f) of each point has a zero denominator
+def test_stability_without_classical_or_electronic_noise_fails_in_one_line(
+    tmp_path, capsys, simulate_calls
+):
+    # the QCNR aq P / (ac P^2 + f) of each point has a zero denominator, which
+    # the config alone decides: it fails before any simulation
     cfg = write_config(
         tmp_path, model={"classical_diffusion_c": 0.0}, chain={"electronic_noise_f": 0.0},
         run={"duration": 2e-6}, stability={"total_time": 200.0, "report_interval": 20.0},
@@ -759,6 +762,7 @@ def test_stability_without_classical_or_electronic_noise_fails_in_one_line(tmp_p
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1
     assert err.startswith("error: zero denominator")
+    assert simulate_calls == []
 
 
 def test_stability_rejects_bad_power_drift(tmp_path, capsys):

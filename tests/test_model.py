@@ -236,6 +236,23 @@ def test_sample_block_rejects_out_of_range_codes():
         _block([-129])
 
 
+@pytest.mark.parametrize("samples", [[70000, 1], [1.7, -0.2], [np.nan, 0.0], [-np.inf, 0.0]])
+def test_sample_block_rejects_values_the_int16_cast_would_change(samples):
+    # unchecked, [70000, 1] wrapped to [4464, 1] and [1.7, -0.2] truncated to [1, 0]
+    with pytest.raises(ValueError, match="int16"):
+        SampleBlock(samples=np.array(samples), adc_bits=16, sample_rate_hz=1.0,
+                    adc_scale=1.0)
+
+
+def test_sample_block_keeps_an_int16_array_and_casts_exact_values():
+    given = np.array([-3, 5], dtype=np.int16)
+    assert _block(given).samples is given
+    assert given.flags.writeable is False
+    exact = SampleBlock(samples=[-3.0, 5.0], adc_bits=8, sample_rate_hz=1.0, adc_scale=1.0)
+    assert exact.samples.dtype == np.int16
+    assert exact.samples.tolist() == [-3, 5]
+
+
 def test_sample_block_rejects_bad_scale_and_origin():
     with pytest.raises(ValueError):
         _block([0], adc_scale=0.0)

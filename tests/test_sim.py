@@ -444,11 +444,8 @@ def test_fringe_scan_flat_without_interference():
 
 def _stability(run, total_time, report_interval, phase_drift_rate=0.0,
                power_drift=None, recalibration_period=None):
-    n_points = math.floor(total_time / report_interval) + 1
-    times = [k * report_interval for k in range(n_points)]
-    return simulate_stability(
-        run, phase_drift_rate, power_drift, recalibration_period, times
-    )
+    return simulate_stability(run, phase_drift_rate, power_drift,
+                              recalibration_period, total_time, report_interval)
 
 
 def test_stability_without_drift_is_flat():
