@@ -13,9 +13,12 @@ which no wrapped term reaches the kept lags, in O(n log n) without forming
 ``T``.  The counts are small integers (bounded by n_in), so rounding them to
 the nearest integer before reducing mod 2 is exact.
 
-A sample block streams through in chunks of 64 input blocks: each chunk's
-codes are serialised, hashed and packed straight into the output, so the
-memory beyond one chunk's work is the packed output alone.
+A sample block streams through in chunks of input blocks, 64 in flight at a
+time and split evenly over one thread per usable CPU (32 each on two).  The
+calling thread serialises each chunk's codes into a buffer made once per
+call; a worker hashes and packs it straight into the output.  Each chunk is
+exact on its own, so the output bytes do not depend on the thread count, and
+the memory beyond the in-flight chunks is the packed output alone.
 
 Security note: the hash itself is deterministic and carries no entropy
 accounting — choosing ``n_out`` within the leftover-hash budget (see
@@ -26,19 +29,20 @@ to uniform.
 from __future__ import annotations
 
 import hashlib
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import _threads
 from .model import BitStream, EntropyReport, SampleBlock
 
 __all__ = ["ToeplitzSeed", "samples_to_bits", "extract_stream"]
 
-# Input blocks serialised, hashed and packed at a time.  64 * n_out bits is a
-# whole number of bytes, so the packed chunks join up byte-exact.  At n_in
-# 4096 a chunk's float64 arrays are about 4 MB each; at 256 blocks (14 MB)
-# the allocator returned them to the system after each chunk and faulted
-# them in again, 20 000 page faults and a slower hash on 1.4e7 input bits.
+# Input blocks in flight at a time, split over the hashing threads.  Each
+# thread's chunk is a multiple of 8 blocks, so 8 * n_out bits is a whole
+# number of bytes and the packed chunks join up byte-exact.  At n_in 4096
+# the in-flight blocks take two arrays of about 4 MB each.
 _CHUNK_BLOCKS = 64
 
 
@@ -101,6 +105,29 @@ def samples_to_bits(codes: np.ndarray, adc_bits: int) -> np.ndarray:
     return bits16[:, :adc_bits].reshape(-1)
 
 
+def _hash_chunk(padded, spectrum, seed_spectrum, n_in, n_out, out) -> None:
+    """Hash the blocks in ``padded`` and pack their output bits into ``out``.
+
+    Runs on a worker thread.  The spectrum goes into ``spectrum``, the inverse
+    FFT back into ``padded``, the integer counts into the spectrum's spent
+    buffer and their parities into the head of ``padded``'s, so the packed
+    bits are all it allocates.  Every ufunc runs on contiguous rows: on a
+    broadcast or strided operand NumPy takes ~130 kB of buffers per call,
+    and how those overlapped across threads set the traced peak.
+    """
+    np.fft.rfft(padded, axis=1, out=spectrum)
+    for row in spectrum:
+        row *= seed_spectrum
+    np.fft.irfft(spectrum, padded.shape[1], axis=1, out=padded)
+    np.rint(padded, out=padded)
+    counts = spectrum.view(np.int64)[:, :n_out]  # n_out < n + 2 int64 a row
+    counts[...] = padded[:, n_in - 1 : n_in - 1 + n_out]
+    parity = padded.reshape(-1).view(np.uint8)[: counts.size].reshape(counts.shape)
+    np.copyto(parity, counts, casting="unsafe")  # the low bit survives the wrap
+    parity &= 1
+    out[:] = np.packbits(parity, bitorder="little")
+
+
 def extract_stream(
     samples: SampleBlock, report: EntropyReport, seed: ToeplitzSeed
 ) -> BitStream:
@@ -108,9 +135,9 @@ def extract_stream(
 
     Samples are serialised to bits, split into n_in-bit blocks (the final
     partial block is discarded), each block is Toeplitz-hashed, and the
-    outputs are concatenated in order.  ``_CHUNK_BLOCKS`` blocks are
-    serialised, hashed and packed at a time, so only the packed output grows
-    with the input.
+    outputs are concatenated in order.  ``_CHUNK_BLOCKS`` blocks are in
+    flight at a time, split over one hashing thread per usable CPU, so only
+    the packed output grows with the input.
     """
     ratio = seed.n_out / seed.n_in
     if ratio > report.extraction_ratio * (1 + 1e-12):
@@ -138,25 +165,35 @@ def extract_stream(
     n = _next_fast_len(n_in + n_out - 1)
     seed_spectrum = np.fft.rfft(seed.bits[::-1].astype(np.float64), n)
     payload = np.empty(-(-n_blocks * n_out // 8), dtype=np.uint8)
-    # every chunk's blocks go into the head of one zero-padded float64 buffer;
-    # numpy.fft pads and converts a uint8 input itself more slowly
-    padded = np.zeros((min(_CHUNK_BLOCKS, n_blocks), n))
-    for k in range(0, n_blocks, _CHUNK_BLOCKS):
-        m = min(_CHUNK_BLOCKS, n_blocks - k)
-        # the chunk's first bit is bit `skip` of sample `first`: a chunk edge
-        # falls mid-sample unless adc_bits divides k * n_in
-        first, skip = divmod(k * n_in, b)
-        last = -(-(k + m) * n_in // b)
-        bits = samples_to_bits(samples.samples[first:last], b)[skip : skip + m * n_in]
-        padded[:m, :n_in] = bits.reshape(m, n_in)
-        spectrum = np.fft.rfft(padded[:m], axis=1)
-        spectrum *= seed_spectrum
-        conv = np.fft.irfft(spectrum, n, axis=1)
-        del spectrum  # each m-by-n array is freed as soon as it is used
-        counts = np.rint(conv[:, n_in - 1 : n_in - 1 + n_out])
-        del conv
-        packed = np.packbits((counts.astype(np.int64) & 1).astype(np.uint8),
-                             bitorder="little")
-        # k * n_out is a multiple of 8, so each chunk starts on a whole byte
-        payload[k * n_out // 8 :][: packed.size] = packed
+    workers = min(_threads.worker_count(), _CHUNK_BLOCKS // 8)
+    chunk = _CHUNK_BLOCKS // workers // 8 * 8
+    # one slot per thread, no more than there are chunks: a zero-padded
+    # float64 array for a chunk's blocks (numpy.fft pads and converts a uint8
+    # input itself more slowly) and its spectrum.  The calling thread makes
+    # them, so they sit in its heap, not in the workers' malloc arenas
+    rows = min(chunk, n_blocks)
+    free = [(np.zeros((rows, n)), np.empty((rows, n // 2 + 1), np.complex128))
+            for _ in range(max(1, min(workers, -(-n_blocks // chunk))))]
+    pending = deque()  # (slot, future) in chunk order
+    with _threads.thread_pool(len(free)) as pool:
+        for k in range(0, n_blocks, chunk):
+            if not free:  # the oldest chunk's slot is the next one free
+                slot, future = pending.popleft()
+                future.result()  # a worker's exception is raised here
+                free.append(slot)
+            padded, spectrum = slot = free.pop()
+            m = min(chunk, n_blocks - k)
+            # the chunk's first bit is bit `skip` of sample `first`: a chunk
+            # edge falls mid-sample unless adc_bits divides k * n_in
+            first, skip = divmod(k * n_in, b)
+            last = -(-(k + m) * n_in // b)
+            bits = samples_to_bits(samples.samples[first:last], b)[skip : skip + m * n_in]
+            padded[:m, :n_in] = bits.reshape(m, n_in)
+            padded[:m, n_in:] = 0.0  # the slot's last inverse FFT wrote here
+            # k * n_out is a multiple of 8, so each chunk starts on a whole byte
+            out = payload[k * n_out // 8 :][: -(-m * n_out // 8)]
+            pending.append((slot, pool.submit(
+                _hash_chunk, padded[:m], spectrum[:m], seed_spectrum, n_in, n_out, out)))
+        for _, future in pending:
+            future.result()
     return BitStream(payload.tobytes(), n_blocks * n_out, provenance)

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _threads
 from .model import BitStream
 
 __all__ = [
@@ -127,11 +128,17 @@ def _igamc(a: float, x: float) -> float:
 # raw-signal diagnostics
 # ---------------------------------------------------------------------------
 
+def _lag_sums(x: np.ndarray, lags: range) -> list[float]:
+    return [np.einsum("i,i->", x[: x.size - k], x[k:]) for k in lags]
+
+
 def autocorrelation(samples, max_lag: int) -> np.ndarray:
     """Biased normalised autocorrelation r(0..max_lag), r(0) = 1.
 
     r(k) = sum_i (x_i - xbar)(x_{i+k} - xbar) / sum_i (x_i - xbar)^2 on a
-    centred float64 copy, one ``einsum`` per lag (a BLAS dot rounds by thread count).
+    centred float64 copy, one ``einsum`` per lag (a BLAS dot rounds by thread
+    count).  The lags are dealt out over one thread per usable CPU; each sum
+    is one thread's, so r does not depend on the thread count.
     """
     x = np.array(samples, dtype=np.float64)
     if x.ndim != 1:
@@ -141,7 +148,14 @@ def autocorrelation(samples, max_lag: int) -> np.ndarray:
     if x.size < MIN_VALUES_PER_LAG * max_lag:
         raise ValueError(f"need at least {MIN_VALUES_PER_LAG}*max_lag samples")
     x -= x.mean()
-    acov = np.array([np.einsum("i,i->", x[: x.size - k], x[k:]) for k in range(max_lag + 1)])
+    lags = range(max_lag + 1)
+    workers = min(_threads.worker_count(), len(lags))
+    acov = np.empty(len(lags))
+    with _threads.thread_pool(workers) as pool:
+        # every workers-th lag to each thread: a lag costs about the same at any k
+        parts = [pool.submit(_lag_sums, x, lags[i::workers]) for i in range(workers)]
+        for i, part in enumerate(parts):
+            acov[i::workers] = part.result()
     if not acov[0] > 0.0:
         raise ValueError("zero variance: autocorrelation undefined")
     return acov / acov[0]

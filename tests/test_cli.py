@@ -91,6 +91,13 @@ def test_cli_import_loads_no_scipy():
     assert _python("-c", code).strip() == "[]"
 
 
+def test_cli_import_leaves_concurrent_futures_unimported():
+    # only the extractor and the autocorrelation use a thread pool, and they
+    # import it on first use: simulate, calibrate and stability never pay it
+    code = "import sys, phaseqrng.cli; print('concurrent.futures' in sys.modules)"
+    assert _python("-c", code).strip() == "False"
+
+
 def test_variance_fit_leaves_numpy_ma_unimported():
     # np.unique imports numpy.ma on first use, about 10 ms in every
     # calibrate and pipeline run

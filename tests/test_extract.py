@@ -1,6 +1,8 @@
 """Toeplitz extractor: GF(2) algebra against the explicit matrix, stream plumbing."""
 
 import hashlib
+import itertools
+import threading
 import tracemalloc
 
 import numpy as np
@@ -9,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.fft import next_fast_len
 
-from phaseqrng import extract
+from phaseqrng import _threads, extract
 from phaseqrng.extract import ToeplitzSeed, extract_stream, samples_to_bits
 from phaseqrng.model import EntropyReport, SampleBlock
 
@@ -211,12 +213,16 @@ def test_extract_stream_matches_per_block_hash():
     np.testing.assert_array_equal(out, expected.reshape(-1))
 
 
+@pytest.mark.parametrize("workers", [1, 2, 3])
 @pytest.mark.parametrize("chunk_blocks", [64, 8])
 @pytest.mark.parametrize("adc_bits", [7, 12])
-def test_extract_stream_chunks_match_per_block_hash(monkeypatch, adc_bits, chunk_blocks):
+def test_extract_stream_chunks_match_per_block_hash(monkeypatch, adc_bits, chunk_blocks,
+                                                    workers):
     # 100 input bits a block: 64 or 8 blocks end mid-sample at 7 and at 12
-    # bits, and 600 blocks span several chunks, the last one partial
+    # bits, and 600 blocks span several chunks, the last one partial; 64
+    # blocks split into 64, 32 or 16 a thread, 8 blocks into one chunk of 8
     monkeypatch.setattr(extract, "_CHUNK_BLOCKS", chunk_blocks)
+    monkeypatch.setattr(_threads, "worker_count", lambda: workers)
     n_in, n_out = 100, 37
     half = 1 << (adc_bits - 1)
     rng = np.random.default_rng(adc_bits)
@@ -230,6 +236,40 @@ def test_extract_stream_chunks_match_per_block_hash(monkeypatch, adc_bits, chunk
     expected = (blocks @ toeplitz_matrix(seed).T % 2).astype(np.uint8)
     assert out.count == 600 * n_out
     assert out.bits == np.packbits(expected, bitorder="little").tobytes()
+
+
+class _ChunkFailure(Exception):
+    pass
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_extract_stream_raises_a_worker_error_without_hanging(monkeypatch, workers):
+    # the second chunk's inverse FFT fails on its worker thread: the caller
+    # gets that exception, and does not wait for a slot that never frees
+    monkeypatch.setattr(_threads, "worker_count", lambda: workers)
+    failure, calls, irfft = _ChunkFailure("second chunk"), itertools.count(), np.fft.irfft
+
+    def failing_irfft(*args, **kwargs):
+        if next(calls) == 1:
+            raise failure
+        return irfft(*args, **kwargs)
+
+    monkeypatch.setattr(extract.np.fft, "irfft", failing_irfft)
+    block = _stream_block(np.random.default_rng(6).integers(-128, 128, 600 * 100 // 8))
+    seed = ToeplitzSeed.generate(100, 37, seed_rng=13)
+    raised = []
+
+    def call():
+        try:
+            extract_stream(block, _report(0.37), seed)
+        except _ChunkFailure as exc:
+            raised.append(exc)
+
+    caller = threading.Thread(target=call, daemon=True)
+    caller.start()
+    caller.join(timeout=10)
+    assert not caller.is_alive(), "extract_stream hung after a worker failed"
+    assert raised == [failure]
 
 
 def test_extract_stream_peak_memory_grows_only_by_the_packed_output():

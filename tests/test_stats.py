@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 from scipy.signal import welch
 from scipy.special import gammaincc
 
-from phaseqrng import stats
+from phaseqrng import _threads, stats
 from phaseqrng.sim import SimulationRun, simulate
 from phaseqrng.model import LaserNoiseModel, SignalChainConfig
 from phaseqrng.stats import (
@@ -130,6 +130,17 @@ def test_autocorrelation_bytes_do_not_depend_on_blas_threads():
                               capture_output=True, text=True, check=True)
         digests.add(done.stdout.strip())
     assert len(digests) == 1
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_autocorrelation_bytes_do_not_depend_on_the_worker_count(monkeypatch, workers):
+    # the lags are dealt out over the threads, but each sum is one einsum on
+    # one thread, so r(0..100) is the serial per-lag einsum to the last bit
+    monkeypatch.setattr(_threads, "worker_count", lambda: workers)
+    x = np.random.default_rng(9).standard_normal(20_000)
+    xc = x - x.mean()
+    acov = np.array([np.einsum("i,i->", xc[: xc.size - k], xc[k:]) for k in range(101)])
+    assert autocorrelation(x, 100).tobytes() == (acov / acov[0]).tobytes()
 
 
 def test_autocorrelation_leaves_its_input_unchanged():
