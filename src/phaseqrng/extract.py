@@ -164,18 +164,28 @@ def extract_stream(
     # with x at lag n_in - 1 + i; its spectrum serves every chunk
     n = _next_fast_len(n_in + n_out - 1)
     seed_spectrum = np.fft.rfft(seed.bits[::-1].astype(np.float64), n)
-    payload = np.empty(-(-n_blocks * n_out // 8), dtype=np.uint8)
     workers = min(_threads.worker_count(), _CHUNK_BLOCKS // 8)
     chunk = _CHUNK_BLOCKS // workers // 8 * 8
-    # one slot per thread, no more than there are chunks: a zero-padded
-    # float64 array for a chunk's blocks (numpy.fft pads and converts a uint8
-    # input itself more slowly) and its spectrum.  The calling thread makes
-    # them, so they sit in its heap, not in the workers' malloc arenas
     rows = min(chunk, n_blocks)
-    free = [(np.zeros((rows, n)), np.empty((rows, n // 2 + 1), np.complex128))
-            for _ in range(max(1, min(workers, -(-n_blocks // chunk))))]
+    n_slots = max(1, min(workers, -(-n_blocks // chunk)))  # no more than chunks
+    # One allocation holds the packed output and, per thread, a slot: a
+    # chunk's spectrum and its zero-padded float64 blocks (numpy.fft pads and
+    # converts a uint8 input itself more slowly).  The calling thread makes
+    # it, so it is not in the workers' malloc arenas, and it is freed in one
+    # piece: separate slot arrays left holes, split by small blocks made
+    # during the loop, that the autocorrelation's 8 MB float64 copy could
+    # not reuse, and pipeline's peak RSS grew by 6%.
+    out_size = -(-n_blocks * n_out // 8)
+    head = -(-out_size // 16) * 16  # each spectrum starts 16-byte aligned
+    spec_size = rows * (n // 2 + 1) * 16
+    buf = np.empty(head + n_slots * (spec_size + rows * n * 8), np.uint8)
+    payload = buf[:out_size]
+    spectra = buf[head : head + n_slots * spec_size].view(np.complex128)
+    blocks = buf[head + n_slots * spec_size :].view(np.float64)
+    free = list(zip(blocks.reshape(n_slots, rows, n),
+                    spectra.reshape(n_slots, rows, n // 2 + 1)))
     pending = deque()  # (slot, future) in chunk order
-    with _threads.thread_pool(len(free)) as pool:
+    with _threads.thread_pool(n_slots) as pool:
         for k in range(0, n_blocks, chunk):
             if not free:  # the oldest chunk's slot is the next one free
                 slot, future = pending.popleft()
@@ -189,7 +199,7 @@ def extract_stream(
             last = -(-(k + m) * n_in // b)
             bits = samples_to_bits(samples.samples[first:last], b)[skip : skip + m * n_in]
             padded[:m, :n_in] = bits.reshape(m, n_in)
-            padded[:m, n_in:] = 0.0  # the slot's last inverse FFT wrote here
+            padded[:m, n_in:] = 0.0  # np.empty, or the slot's last inverse FFT
             # k * n_out is a multiple of 8, so each chunk starts on a whole byte
             out = payload[k * n_out // 8 :][: -(-m * n_out // 8)]
             pending.append((slot, pool.submit(
