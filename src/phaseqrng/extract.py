@@ -42,7 +42,7 @@ __all__ = ["ToeplitzSeed", "samples_to_bits", "extract_stream"]
 # Input blocks in flight at a time, split over the hashing threads.  Each
 # thread's chunk is a multiple of 8 blocks, so 8 * n_out bits is a whole
 # number of bytes and the packed chunks join up byte-exact.  At n_in 4096
-# the in-flight blocks take two arrays of about 4 MB each.
+# the in-flight blocks and their spectra take about 7.4 MB.
 _CHUNK_BLOCKS = 64
 
 
@@ -181,8 +181,8 @@ def extract_stream(
     buf = np.empty(head + n_slots * (spec_size + rows * n * 8), np.uint8)
     payload = buf[:out_size]
     spectra = buf[head : head + n_slots * spec_size].view(np.complex128)
-    blocks = buf[head + n_slots * spec_size :].view(np.float64)
-    free = list(zip(blocks.reshape(n_slots, rows, n),
+    padded_rows = buf[head + n_slots * spec_size :].view(np.float64)
+    free = list(zip(padded_rows.reshape(n_slots, rows, n),
                     spectra.reshape(n_slots, rows, n // 2 + 1)))
     pending = deque()  # (slot, future) in chunk order
     with _threads.thread_pool(n_slots) as pool:
