@@ -213,16 +213,8 @@ def test_extract_stream_matches_per_block_hash():
     np.testing.assert_array_equal(out, expected.reshape(-1))
 
 
-@pytest.mark.parametrize("workers", [1, 2, 3])
-@pytest.mark.parametrize("chunk_blocks", [64, 8])
-@pytest.mark.parametrize("adc_bits", [7, 12])
-def test_extract_stream_chunks_match_per_block_hash(monkeypatch, adc_bits, chunk_blocks,
-                                                    workers):
-    # 100 input bits a block: 64 or 8 blocks end mid-sample at 7 and at 12
-    # bits, and 600 blocks span several chunks, the last one partial; 64
-    # blocks split into 64, 32 or 16 a thread, 8 blocks into one chunk of 8
+def _check_chunks_match_per_block_hash(monkeypatch, adc_bits, chunk_blocks):
     monkeypatch.setattr(extract, "_CHUNK_BLOCKS", chunk_blocks)
-    monkeypatch.setattr(_threads, "worker_count", lambda: workers)
     n_in, n_out = 100, 37
     half = 1 << (adc_bits - 1)
     rng = np.random.default_rng(adc_bits)
@@ -236,6 +228,25 @@ def test_extract_stream_chunks_match_per_block_hash(monkeypatch, adc_bits, chunk
     expected = (blocks @ toeplitz_matrix(seed).T % 2).astype(np.uint8)
     assert out.count == 600 * n_out
     assert out.bits == np.packbits(expected, bitorder="little").tobytes()
+
+
+@pytest.mark.parametrize("chunk_blocks", [64, 8])
+@pytest.mark.parametrize("adc_bits", [7, 12])
+def test_extract_stream_chunks_match_per_block_hash(monkeypatch, adc_bits, chunk_blocks):
+    # 100 input bits a block: 64 or 8 blocks end mid-sample at 7 and at 12
+    # bits, and 600 blocks span several chunks, the last one partial
+    _check_chunks_match_per_block_hash(monkeypatch, adc_bits, chunk_blocks)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("chunk_blocks", [64, 8])
+@pytest.mark.parametrize("adc_bits", [7, 12])
+def test_extract_stream_chunks_match_per_block_hash_on_workers(monkeypatch, adc_bits,
+                                                               chunk_blocks, workers):
+    # as above with a fixed thread count: 64 blocks split into 64, 32 or 16
+    # a thread, 8 blocks into one chunk of 8
+    monkeypatch.setattr(_threads, "worker_count", lambda: workers)
+    _check_chunks_match_per_block_hash(monkeypatch, adc_bits, chunk_blocks)
 
 
 class _ChunkFailure(Exception):
