@@ -18,7 +18,8 @@ time and split evenly over one thread per usable CPU (32 each on two).  The
 calling thread serialises each chunk's codes into a buffer made once per
 call; a worker hashes and packs it straight into the output.  Each chunk is
 exact on its own, so the output bytes do not depend on the thread count, and
-the memory beyond the in-flight chunks is the packed output alone.
+the memory beyond the in-flight chunks is the packed output alone.  Only a
+hash imports ``concurrent.futures``: simulate, calibrate and stability do not.
 
 Security note: the hash itself is deterministic and carries no entropy
 accounting — choosing ``n_out`` within the leftover-hash budget (see
@@ -29,12 +30,12 @@ to uniform.
 from __future__ import annotations
 
 import hashlib
+import os
 from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import _threads
 from .model import BitStream, EntropyReport, SampleBlock
 
 __all__ = ["ToeplitzSeed", "samples_to_bits", "extract_stream"]
@@ -44,6 +45,12 @@ __all__ = ["ToeplitzSeed", "samples_to_bits", "extract_stream"]
 # number of bytes and the packed chunks join up byte-exact.  At n_in 4096
 # the in-flight blocks and their spectra take about 7.4 MB.
 _CHUNK_BLOCKS = 64
+
+
+def _worker_count() -> int:
+    """The CPUs this process may run on."""
+    affinity = getattr(os, "sched_getaffinity", None)  # not on every platform
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
 
 
 def _next_fast_len(target: int) -> int:
@@ -164,17 +171,16 @@ def extract_stream(
     # with x at lag n_in - 1 + i; its spectrum serves every chunk
     n = _next_fast_len(n_in + n_out - 1)
     seed_spectrum = np.fft.rfft(seed.bits[::-1].astype(np.float64), n)
-    workers = min(_threads.worker_count(), _CHUNK_BLOCKS // 8)
+    workers = min(_worker_count(), _CHUNK_BLOCKS // 8)
     chunk = _CHUNK_BLOCKS // workers // 8 * 8
     rows = min(chunk, n_blocks)
     n_slots = max(1, min(workers, -(-n_blocks // chunk)))  # no more than chunks
     # One allocation holds the packed output and, per thread, a slot: a
     # chunk's spectrum and its zero-padded float64 blocks (numpy.fft pads and
     # converts a uint8 input itself more slowly).  The calling thread makes
-    # it, so it is not in the workers' malloc arenas, and it is freed in one
-    # piece: separate slot arrays left holes, split by small blocks made
-    # during the loop, that the autocorrelation's 8 MB float64 copy could
-    # not reuse, and pipeline's peak RSS grew by 6%.
+    # it, so it is not in the workers' malloc arenas, and frees it in one
+    # piece: separate slot arrays left heap holes that grew pipeline's peak
+    # RSS by 6%.
     out_size = -(-n_blocks * n_out // 8)
     head = -(-out_size // 16) * 16  # each spectrum starts 16-byte aligned
     spec_size = rows * (n // 2 + 1) * 16
@@ -185,7 +191,8 @@ def extract_stream(
     free = list(zip(padded_rows.reshape(n_slots, rows, n),
                     spectra.reshape(n_slots, rows, n // 2 + 1)))
     pending = deque()  # (slot, future) in chunk order
-    with _threads.thread_pool(n_slots) as pool:
+    from concurrent.futures import ThreadPoolExecutor  # on first use: see above
+    with ThreadPoolExecutor(n_slots, thread_name_prefix="phaseqrng") as pool:
         for k in range(0, n_blocks, chunk):
             if not free:  # the oldest chunk's slot is the next one free
                 slot, future = pending.popleft()

@@ -32,6 +32,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from . import stats
+
 __all__ = [
     "LaserNoiseModel",
     "SignalChainConfig",
@@ -213,10 +215,12 @@ class SampleBlock:
         return self.samples.astype(np.float64) * self.adc_scale
 
     def variance_volts(self) -> float:
-        """Sample variance of the block in V^2."""
-        if self.samples.size < 2:
+        """Sample variance of the block in V^2, from exact sums of the codes."""
+        n = self.samples.size
+        if n < 2:
             raise ValueError("need at least 2 samples for a variance")
-        return float(np.var(self.volts(), ddof=1))
+        n2_c0 = stats._centred_lag_sums(self.samples, 0)[0]  # n^2 (n - 1) var, in codes
+        return n2_c0 / (n * n * (n - 1)) * self.adc_scale ** 2
 
     def saturation_fraction(self) -> float:
         """Fraction of samples pinned at either end of the code range."""

@@ -1,6 +1,6 @@
 """Statistical validation: autocorrelation and a NIST SP800-22 subset.
 
-:func:`autocorrelation` is one dot product per lag, with no FFT scratch.
+:func:`autocorrelation` and the block variance share one exact sum, :func:`_centred_lag_sums`.
 
 The implemented SP800-22 tests are Frequency (monobit), Block Frequency,
 Runs, Longest Run of Ones, Cumulative Sums (forward and reverse), Spectral
@@ -26,9 +26,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from . import _threads
-from .model import BitStream
 
 __all__ = [
     "TestReport",
@@ -128,37 +125,59 @@ def _igamc(a: float, x: float) -> float:
 # raw-signal diagnostics
 # ---------------------------------------------------------------------------
 
-def _lag_sums(x: np.ndarray, lags: range) -> list[float]:
-    return [np.einsum("i,i->", x[: x.size - k], x[k:]) for k in lags]
+# values per chunk of the lag sums: 2^16 int16 codes less the first make
+# products below 2^32, so every chunk's float64 sum is below 2^48, exact
+_SUM_CHUNK = 1 << 16
+
+
+def _centred_lag_sums(x: np.ndarray, max_lag: int) -> list:
+    """n^2 C_k for k = 0..max_lag, where C_k = sum_i (x_i - xbar)(x_{i+k} - xbar).
+
+    Chunk by chunk, y = x - x_0 in float64 gives T = sum y, S_k = sum y_i y_{i+k}
+    and, over the first and last k values, H_k and E_k:
+    n^2 C_k = n^2 S_k - n T (2T - H_k - E_k) + (n - k) T^2.  On 8- and 16-bit
+    integers each chunk's sum is an exact integer, carried as a Python int, so
+    the result does not depend on chunking, order, BLAS or threads, and a ratio
+    of two is correctly rounded.  Other input goes through ``einsum``, which,
+    unlike a BLAS dot, rounds the same on any thread count.
+    """
+    exact = x.dtype.kind in "biu" and x.dtype.itemsize <= 2
+    num, dot = (int, np.dot) if exact else (float, lambda a, b: np.einsum("i,i->", a, b))
+    n, lags = x.size, range(max_lag + 1)
+    total, sums = num(0), [num(0)] * len(lags)
+    window = np.empty(min(n, _SUM_CHUNK + max_lag))  # a chunk and the next max_lag
+    for a in range(0, n, _SUM_CHUNK):
+        b = min(a + _SUM_CHUNK, n)
+        y = window[: min(b + max_lag, n) - a]
+        np.subtract(x[a : a + y.size], x[0], out=y, dtype=np.float64)  # int16 would overflow
+        total += num(y[: b - a].sum())
+        for k in lags:
+            m = max(min(b, n - k) - a, 0)
+            sums[k] += num(dot(y[:m], y[k : k + m]))
+    head = np.subtract(x[:max_lag], x[0], dtype=np.float64).cumsum()
+    tail = np.subtract(x[n - max_lag :][::-1], x[0], dtype=np.float64).cumsum()
+    edges = [num(0)] + [num(h) + num(e) for h, e in zip(head, tail)]  # H_k + E_k
+    return [n * n * s - n * total * (2 * total - e) + (n - k) * total * total
+            for k, (s, e) in enumerate(zip(sums, edges))]
 
 
 def autocorrelation(samples, max_lag: int) -> np.ndarray:
     """Biased normalised autocorrelation r(0..max_lag), r(0) = 1.
 
-    r(k) = sum_i (x_i - xbar)(x_{i+k} - xbar) / sum_i (x_i - xbar)^2 on a
-    centred float64 copy, one ``einsum`` per lag (a BLAS dot rounds by thread
-    count).  The lags are dealt out over one thread per usable CPU; each sum
-    is one thread's, so r does not depend on the thread count.
+    r(k) = C_k / C_0 of :func:`_centred_lag_sums`: correctly rounded on
+    integer codes and bits.
     """
-    x = np.array(samples, dtype=np.float64)
+    x = np.asarray(samples)
     if x.ndim != 1:
         raise ValueError("samples must be one-dimensional")
     if max_lag < 1:
         raise ValueError("max_lag must be >= 1")
     if x.size < MIN_VALUES_PER_LAG * max_lag:
         raise ValueError(f"need at least {MIN_VALUES_PER_LAG}*max_lag samples")
-    x -= x.mean()
-    lags = range(max_lag + 1)
-    workers = min(_threads.worker_count(), len(lags))
-    acov = np.empty(len(lags))
-    with _threads.thread_pool(workers) as pool:
-        # every workers-th lag to each thread: a lag costs about the same at any k
-        parts = [pool.submit(_lag_sums, x, lags[i::workers]) for i in range(workers)]
-        for i, part in enumerate(parts):
-            acov[i::workers] = part.result()
-    if not acov[0] > 0.0:
+    acov = _centred_lag_sums(x, max_lag)
+    if not acov[0] > 0:
         raise ValueError("zero variance: autocorrelation undefined")
-    return acov / acov[0]
+    return np.array([c / acov[0] for c in acov])
 
 
 # ---------------------------------------------------------------------------
@@ -402,10 +421,8 @@ NIST_SUBSET_TESTS = (
 )
 
 
-def nist_subset(
-    bits: BitStream, n_sequences: int, seq_len_bits: int
-) -> list[TestReport]:
-    """Run the SP800-22 subset over disjoint sequences and aggregate.
+def nist_subset(bits, n_sequences: int, seq_len_bits: int) -> list[TestReport]:
+    """Run the SP800-22 subset over disjoint sequences of a ``BitStream``.
 
     Tests yielding two p-values per sequence (cumulative sums, serial)
     produce two report rows.  ``seq_len_bits`` must be at least 128 so every

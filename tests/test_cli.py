@@ -92,8 +92,8 @@ def test_cli_import_loads_no_scipy():
 
 
 def test_cli_import_leaves_concurrent_futures_unimported():
-    # only the extractor and the autocorrelation use a thread pool, and they
-    # import it on first use: simulate, calibrate and stability never pay it
+    # only the extractor uses a thread pool, and it imports it on first
+    # use: simulate, calibrate and stability never pay it
     code = "import sys, phaseqrng.cli; print('concurrent.futures' in sys.modules)"
     assert _python("-c", code).strip() == "False"
 

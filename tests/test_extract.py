@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.fft import next_fast_len
 
-from phaseqrng import _threads, extract
+from phaseqrng import extract
 from phaseqrng.extract import ToeplitzSeed, extract_stream, samples_to_bits
 from phaseqrng.model import EntropyReport, SampleBlock
 
@@ -245,7 +245,7 @@ def test_extract_stream_chunks_match_per_block_hash_on_workers(monkeypatch, adc_
                                                                chunk_blocks, workers):
     # as above with a fixed thread count: 64 blocks split into 64, 32 or 16
     # a thread, 8 blocks into one chunk of 8
-    monkeypatch.setattr(_threads, "worker_count", lambda: workers)
+    monkeypatch.setattr(extract, "_worker_count", lambda: workers)
     _check_chunks_match_per_block_hash(monkeypatch, adc_bits, chunk_blocks)
 
 
@@ -257,7 +257,7 @@ class _ChunkFailure(Exception):
 def test_extract_stream_raises_a_worker_error_without_hanging(monkeypatch, workers):
     # the second chunk's inverse FFT fails on its worker thread: the caller
     # gets that exception, and does not wait for a slot that never frees
-    monkeypatch.setattr(_threads, "worker_count", lambda: workers)
+    monkeypatch.setattr(extract, "_worker_count", lambda: workers)
     failure, calls, irfft = _ChunkFailure("second chunk"), itertools.count(), np.fft.irfft
 
     def failing_irfft(*args, **kwargs):

@@ -15,6 +15,7 @@ import subprocess
 import sys
 import tracemalloc
 from decimal import Decimal, localcontext
+from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
@@ -25,9 +26,9 @@ from hypothesis import strategies as st
 from scipy.signal import welch
 from scipy.special import gammaincc
 
-from phaseqrng import _threads, stats
+from phaseqrng import stats
 from phaseqrng.sim import SimulationRun, simulate
-from phaseqrng.model import LaserNoiseModel, SignalChainConfig
+from phaseqrng.model import LaserNoiseModel, SampleBlock, SignalChainConfig
 from phaseqrng.stats import (
     NIST_SUBSET_TESTS,
     TestReport as StatsReport,
@@ -115,12 +116,16 @@ def test_autocorrelation_validation():
 
 def test_autocorrelation_bytes_do_not_depend_on_blas_threads():
     # BLAS ddot (``x @ y``) splits a long sum across its threads, which
-    # changes the rounding; the einsum kernel sums in one order on any count
+    # changes the rounding of float input, so that goes through einsum;
+    # the int16 sums go through ddot, but every partial sum is exact
     src = str(Path(stats.__file__).resolve().parents[1])
     code = (
         "import numpy as np; from phaseqrng.stats import autocorrelation; "
-        "x = np.random.default_rng(7).standard_normal(1_000_000); "
-        "print(autocorrelation(x, 100).tobytes().hex())"
+        "rng = np.random.default_rng(7); "
+        "x = rng.standard_normal(1_000_000); "
+        "codes = rng.integers(-32768, 32768, 1_000_000).astype(np.int16); "
+        "print(autocorrelation(x, 100).tobytes().hex(), "
+        "autocorrelation(codes, 100).tobytes().hex())"
     )
     digests = set()
     for threads in ("1", "2"):
@@ -132,15 +137,33 @@ def test_autocorrelation_bytes_do_not_depend_on_blas_threads():
     assert len(digests) == 1
 
 
-@pytest.mark.parametrize("workers", [1, 2, 3])
-def test_autocorrelation_bytes_do_not_depend_on_the_worker_count(monkeypatch, workers):
-    # the lags are dealt out over the threads, but each sum is one einsum on
-    # one thread, so r(0..100) is the serial per-lag einsum to the last bit
-    monkeypatch.setattr(_threads, "worker_count", lambda: workers)
-    x = np.random.default_rng(9).standard_normal(20_000)
-    xc = x - x.mean()
-    acov = np.array([np.einsum("i,i->", xc[: xc.size - k], xc[k:]) for k in range(101)])
-    assert autocorrelation(x, 100).tobytes() == (acov / acov[0]).tobytes()
+@given(seed=st.integers(0, 2**32 - 1), max_lag=st.integers(1, 20),
+       n_extra=st.integers(0, 2800), first=st.sampled_from([-32768, 32767, None]),
+       bits=st.booleans())
+@settings(max_examples=30, deadline=None)
+def test_autocorrelation_and_variance_are_exact_sums_correctly_rounded(
+        seed, max_lag, n_extra, first, bits):
+    # int16 codes from both ends of the range (an int16 difference of them
+    # overflows), or 0/1 bits; r(k) and the code variance are ratios of exact
+    # integer sums, so each must be that exact ratio rounded once
+    rng = np.random.default_rng(seed)
+    n = 10 * max_lag + n_extra
+    if bits:
+        x = rng.integers(0, 2, n).astype(np.uint8)
+        x[1] = 1 - x[0]
+    else:
+        ends = rng.choice([-32768, 32767], n)
+        x = np.where(rng.random(n) < 0.5, ends, rng.integers(-32768, 32768, n)).astype(np.int16)
+        x[1:3] = -32768, 32767
+        if first is not None:
+            x[0] = first
+    ints = np.array([int(v) for v in x], dtype=object)
+    d = n * ints - int(x.sum(dtype=np.int64))  # n (x_i - xbar), exactly
+    lag_sums = [np.dot(d[: n - k], d[k:]) for k in range(max_lag + 1)]
+    expected = [float(Fraction(c, lag_sums[0])) for c in lag_sums]
+    assert autocorrelation(x, max_lag).tolist() == expected
+    block = SampleBlock(x, adc_bits=16, sample_rate_hz=1.0, adc_scale=1.0)
+    assert block.variance_volts() == float(Fraction(lag_sums[0], n * n * (n - 1)))
 
 
 def test_autocorrelation_leaves_its_input_unchanged():
@@ -150,19 +173,31 @@ def test_autocorrelation_leaves_its_input_unchanged():
     assert np.array_equal(x, before)
 
 
-def test_autocorrelation_holds_one_copy_of_its_input():
-    # a zero-padded FFT of the input holds about four copies (padded input,
-    # spectrum, inverse); the definition needs only the centred float64 copy
-    n = 1_000_000
-    x = np.random.default_rng(9).standard_normal(n)
-    autocorrelation(x[:10_000], max_lag=100)  # one-time set-up
+def _traced_peak(func, *args):
     tracemalloc.start()
     try:
-        autocorrelation(x, max_lag=100)
-        peak = tracemalloc.get_traced_memory()[1]
+        func(*args)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.5 * 8 * n
+
+
+@pytest.mark.parametrize("dtype", [np.int16, np.uint8, np.float64])
+def test_autocorrelation_peak_memory_does_not_grow_with_its_input(dtype):
+    # the sums go through 2^16 values at a time: no copy of the input, no
+    # FFT scratch (about four copies), so the peak is the same at any length
+    n = 1_000_000
+    x = np.random.default_rng(9).integers(0, 2, n).astype(dtype)
+    autocorrelation(x[:10_000], max_lag=100)  # one-time set-up
+    assert _traced_peak(autocorrelation, x, 100) <= 1.5e6
+
+
+def test_variance_volts_peak_memory_does_not_grow_with_the_block():
+    # a float64 copy of 10^6 codes and np.var's temporary were 16 MB
+    codes = np.random.default_rng(10).integers(-2048, 2048, 1_000_000).astype(np.int16)
+    block = SampleBlock(codes, adc_bits=12, sample_rate_hz=1e9, adc_scale=1e-4)
+    block.variance_volts()  # one-time set-up
+    assert _traced_peak(block.variance_volts) <= 1e6
 
 
 def test_autocorrelation_of_codes_equals_that_of_volts():
