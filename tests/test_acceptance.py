@@ -368,12 +368,12 @@ def test_criterion_9_format_roundtrips(tmp_path):
 GOLDEN = {
     "pipeline": {
         "": "8560a35012840f32e538febebabbd27e9ede8288780410f8e4e713fc9d6d493d",
-        ".autocorr.csv": "63f89439d7138b0d916f96be418295e29c705b5efe8032db1cdb1bcad808fe50",
+        ".autocorr.csv": "1bcd1053ea795a7c44460e8b6561f81306e2c447a7491ec2ed3dbad5e7ac67ec",
         ".nist.csv": "512bde06cc762e2e81a4eaadbde580e9b7069f0301fdffc41726c49d89197de4",
-        ".report": "377d4bd323e25b27ecf246f694c33e0dfa429b8d08da796484ad6991f1cac498",
+        ".report": "bd4664932dec4ecd08e83f4dc48bebb4f2a30bd2b8fb77b80997ecf98a3d61ca",
     },
     "stability": {
-        "": "a00da6c63e3b5246957396535e414bbea37f23110d61ce5121f7bafc05d331d4",
+        "": "da1ed6c75ebbc6a6049afc1435abacc70bdf14f988fa05771f78df193a3f7402",
     },
 }
 

@@ -846,18 +846,18 @@ def test_out_in_missing_directory_fails_before_any_run(
 
 GOLDEN = {
     "calibrate": {
-        "": "95c8bf1d8b2e87c9e9a8c965591834f796d695fe88ee2a72775bcad707e3a581",
-        ".qcnr.csv": "2d3e8f3e400a953c644666c8e17984a742384176c431e5662e8c14fc8c20c75f",
-        ".sweep.csv": "32e954a499cdec48867bde808d4fd6edf16e4cbedfb1d110d290fb580ba79877",
+        "": "b292f7a6deb1570d282cdbe610f55383a98403e8cc0276beff711918759cb563",
+        ".qcnr.csv": "20780b0f62e18e25ce6b2c88fc11308208513bfea9a2c106d7a9e536852d5dc1",
+        ".sweep.csv": "92f5aee5eb36bef68020c6134a8cf3600a3c13aaafca5e229ffbe8de1aa0968d",
     },
     "pipeline": {
         "": "9f65ec0b299c9bcd724354a25c4be7d31d943a08dcaf3d5f1b83f3ecc5ba3903",
-        ".autocorr.csv": "6fdf15475c755d11beed1dbec5a5bb6525cb712a4d05df00dc15836c7755ae69",
+        ".autocorr.csv": "e9944b1b515dc2f4657233956c12bbe5fabdf55b9aff5700780c073f2edf632d",
         ".nist.csv": "bfa4d0f4b175c17e2210ad74978bafabebf96392e574907c3358d367f2f46ecf",
-        ".report": "36805f9047297e09abdb515eb2f6bed6267d327a8738d0631ae1ec094e5b72c0",
+        ".report": "ef697337a0f95307f9ba4e7257e10285b8e2df15e77242a3e633c9fcb8d8c1a4",
     },
     "stability": {
-        "": "d04ccfb49275889cca8a44119bce2e7dfba72ed70ccc4523e376f511a0d855c0",
+        "": "2d5ca8ef081119265df8dea274e91c620516d0a40cbb825c9fb8f3080aca1cfa",
     },
     "simulate": {
         "": "c47f3d5068e62a41c2696132b49e8c2a46ac2254ff34edffa7315553164e2e50",
