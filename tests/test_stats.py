@@ -193,7 +193,8 @@ def test_autocorrelation_peak_memory_does_not_grow_with_its_input(dtype):
 
 
 def test_variance_volts_peak_memory_does_not_grow_with_the_block():
-    # a float64 copy of 10^6 codes and np.var's temporary were 16 MB
+    # exact sums over fixed chunks: a float64 copy of the codes and np.var's
+    # temporary would be 16 MB here
     codes = np.random.default_rng(10).integers(-2048, 2048, 1_000_000).astype(np.int16)
     block = SampleBlock(codes, adc_bits=12, sample_rate_hz=1e9, adc_scale=1e-4)
     block.variance_volts()  # one-time set-up
