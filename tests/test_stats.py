@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 from scipy.signal import welch
 from scipy.special import gammaincc
 
-from phaseqrng import stats
+from phaseqrng import extract, stats
 from phaseqrng.sim import SimulationRun, simulate
 from phaseqrng.model import LaserNoiseModel, SampleBlock, SignalChainConfig
 from phaseqrng.stats import (
@@ -137,6 +137,26 @@ def test_autocorrelation_bytes_do_not_depend_on_blas_threads():
     assert len(digests) == 1
 
 
+def _exact_lag_sums(x, max_lag):
+    # n^2 times the lag sums of the centred integers, as Python ints
+    n = x.size
+    ints = np.array([int(v) for v in x], dtype=object)
+    d = n * ints - int(x.sum(dtype=np.int64))  # n (x_i - xbar), exactly
+    return [np.dot(d[: n - k], d[k:]) for k in range(max_lag + 1)]
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_autocorrelation_bytes_do_not_depend_on_the_worker_count(monkeypatch, workers):
+    # the extractor's hashing pool is the package's only thread pool; the
+    # lag sums run on the calling thread, so r(0..100) of int16 codes is the
+    # exact ratio rounded once whatever the worker count
+    monkeypatch.setattr(extract, "_worker_count", lambda: workers)
+    x = np.random.default_rng(9).integers(-32768, 32768, 20_000).astype(np.int16)
+    lag_sums = _exact_lag_sums(x, 100)
+    expected = np.array([float(Fraction(c, lag_sums[0])) for c in lag_sums])
+    assert autocorrelation(x, 100).tobytes() == expected.tobytes()
+
+
 @given(seed=st.integers(0, 2**32 - 1), max_lag=st.integers(1, 20),
        n_extra=st.integers(0, 2800), first=st.sampled_from([-32768, 32767, None]),
        bits=st.booleans())
@@ -157,9 +177,7 @@ def test_autocorrelation_and_variance_are_exact_sums_correctly_rounded(
         x[1:3] = -32768, 32767
         if first is not None:
             x[0] = first
-    ints = np.array([int(v) for v in x], dtype=object)
-    d = n * ints - int(x.sum(dtype=np.int64))  # n (x_i - xbar), exactly
-    lag_sums = [np.dot(d[: n - k], d[k:]) for k in range(max_lag + 1)]
+    lag_sums = _exact_lag_sums(x, max_lag)
     expected = [float(Fraction(c, lag_sums[0])) for c in lag_sums]
     assert autocorrelation(x, max_lag).tolist() == expected
     block = SampleBlock(x, adc_bits=16, sample_rate_hz=1.0, adc_scale=1.0)
