@@ -196,6 +196,9 @@ def main(argv: list[str] | None = None) -> int:
         for path in (args.out, *(args.out + suffix for suffix in suffixes)):
             if Path(path).is_dir():
                 raise ValueError(f"output path {path} is a directory")
+            # open() on an existing file we may not write fails only after the run
+            if os.path.exists(path) and not os.access(path, os.W_OK):
+                raise ValueError(f"output path {path} is not writable")
         if not os.access(out_dir, os.W_OK):
             raise ValueError(f"output directory {out_dir} is not writable")
         return command(cfg, args.out)

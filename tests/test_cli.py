@@ -805,6 +805,9 @@ COMMANDS = ["simulate", "calibrate", "pipeline", "stability"]
     *(pytest.param(c, "dot", id=f"{c}-out-ends-in-a-dot") for c in COMMANDS),
     pytest.param("calibrate", ".sweep.csv", id="calibrate-sibling-is-a-directory"),
     pytest.param("pipeline", ".report", id="pipeline-sibling-is-a-directory"),
+    *(pytest.param(c, "locked", id=f"{c}-out-not-writable") for c in COMMANDS),
+    pytest.param("calibrate", "locked.qcnr.csv", id="calibrate-sibling-not-writable"),
+    pytest.param("pipeline", "locked.report", id="pipeline-sibling-not-writable"),
 ])
 def test_out_in_missing_directory_fails_before_any_run(
     tmp_path, capsys, monkeypatch, command, case
@@ -829,6 +832,12 @@ def test_out_in_missing_directory_fails_before_any_run(
            "dot": f"{tmp_path}/missing/."}.get(case, tmp_path / "fit.txt")
     if case.startswith("."):  # a file written next to --out is a directory
         Path(str(out) + case).mkdir()
+    if case.startswith("locked"):  # an existing output file refuses writes
+        locked = str(out) + case.removeprefix("locked")
+        Path(locked).write_text("")
+        access = os.access
+        monkeypatch.setattr(os, "access",
+                            lambda path, mode: str(path) != locked and access(path, mode))
     rc = cli.main([command, "--config", cfg, "--out", str(out)])
     err = capsys.readouterr().err
     assert rc == 1
@@ -837,6 +846,8 @@ def test_out_in_missing_directory_fails_before_any_run(
         "missing": ("error: output directory", "does not exist"),
         "read-only": ("error: output directory", "is not writable"),
     }.get(case, ("error: output path", "is a directory"))
+    if case.startswith("locked"):  # named by the file, not by its directory
+        start, reason = f"error: output path {locked} ", "is not writable"
     assert err.startswith(start) and reason in err
 
 
