@@ -13,13 +13,13 @@ which no wrapped term reaches the kept lags, in O(n log n) without forming
 ``T``.  The counts are small integers (bounded by n_in), so rounding them to
 the nearest integer before reducing mod 2 is exact.
 
-A sample block streams through in chunks of input blocks, 64 in flight at a
-time and split evenly over one thread per usable CPU (32 each on two).  The
-calling thread serialises each chunk's codes into a buffer made once per
-call; a worker hashes and packs it straight into the output.  Each chunk is
-exact on its own, so the output bytes do not depend on the thread count, and
-the memory beyond the in-flight chunks is the packed output alone.  Only a
-hash imports ``concurrent.futures``: simulate, calibrate and stability do not.
+A sample block streams through one buffer of 64 input blocks, made once per
+call.  The calling thread serialises the next 64 blocks into it; a thread
+per usable CPU hashes one split of its rows (32 each on two) straight into
+the output, and at one CPU the calling thread hashes them all itself.  Each
+split is exact on its own, so the output bytes do not depend on the thread
+count, and beyond the buffer only the packed output grows.  Only a hash
+imports ``concurrent.futures``: simulate, calibrate and stability do not.
 
 Security note: the hash itself is deterministic and carries no entropy
 accounting — choosing ``n_out`` within the leftover-hash budget (see
@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import hashlib
 import os
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,8 +40,8 @@ from .model import BitStream, EntropyReport, SampleBlock
 __all__ = ["ToeplitzSeed", "samples_to_bits", "extract_stream"]
 
 # Input blocks in flight at a time, split over the hashing threads.  Each
-# thread's chunk is a multiple of 8 blocks, so 8 * n_out bits is a whole
-# number of bytes and the packed chunks join up byte-exact.  At n_in 4096
+# thread's split is a multiple of 8 blocks, so 8 * n_out bits is a whole
+# number of bytes and the packed splits join up byte-exact.  At n_in 4096
 # the in-flight blocks and their spectra take about 7.4 MB.
 _CHUNK_BLOCKS = 64
 
@@ -115,12 +114,13 @@ def samples_to_bits(codes: np.ndarray, adc_bits: int) -> np.ndarray:
 def _hash_chunk(padded, spectrum, seed_spectrum, n_in, n_out, out) -> None:
     """Hash the blocks in ``padded`` and pack their output bits into ``out``.
 
-    Runs on a worker thread.  The spectrum goes into ``spectrum``, the inverse
-    FFT back into ``padded``, the integer counts into the spectrum's spent
-    buffer and their parities into the head of ``padded``'s, so the packed
-    bits are all it allocates.  Every ufunc runs on contiguous rows: on a
-    broadcast or strided operand NumPy takes ~130 kB of buffers per call,
-    and how those overlapped across threads set the traced peak.
+    Runs on a pool thread, or at one worker on the calling thread.  The
+    spectrum goes into ``spectrum``, the inverse FFT back into ``padded``,
+    the integer counts into the spectrum's spent buffer and their parities
+    into the head of ``padded``'s, so the packed bits are all it allocates.
+    Every ufunc runs on contiguous rows: on a broadcast or strided operand
+    NumPy takes ~130 kB of buffers per call, and how those overlapped across
+    threads set the traced peak.
     """
     np.fft.rfft(padded, axis=1, out=spectrum)
     for row in spectrum:
@@ -142,9 +142,10 @@ def extract_stream(
 
     Samples are serialised to bits, split into n_in-bit blocks (the final
     partial block is discarded), each block is Toeplitz-hashed, and the
-    outputs are concatenated in order.  ``_CHUNK_BLOCKS`` blocks are in
-    flight at a time, split over one hashing thread per usable CPU, so only
-    the packed output grows with the input.
+    outputs are concatenated in order.  One buffer of ``_CHUNK_BLOCKS``
+    blocks is in flight, hashed in one split of rows per usable CPU (by the
+    calling thread at one CPU), so only the packed output grows with the
+    input.
     """
     ratio = seed.n_out / seed.n_in
     if ratio > report.extraction_ratio * (1 + 1e-12):
@@ -168,49 +169,45 @@ def extract_stream(
         "extraction_ratio": repr(report.extraction_ratio),
     }
     # y[i] = sum_j seed[n_out-1-i+j] * x[j] is the reversed seed convolved
-    # with x at lag n_in - 1 + i; its spectrum serves every chunk
+    # with x at lag n_in - 1 + i; its spectrum serves every block
     n = _next_fast_len(n_in + n_out - 1)
     seed_spectrum = np.fft.rfft(seed.bits[::-1].astype(np.float64), n)
     workers = min(_worker_count(), _CHUNK_BLOCKS // 8)
-    chunk = _CHUNK_BLOCKS // workers // 8 * 8
-    rows = min(chunk, n_blocks)
-    n_slots = max(1, min(workers, -(-n_blocks // chunk)))  # no more than chunks
-    # One allocation holds the packed output and, per thread, a slot: a
-    # chunk's spectrum and its zero-padded float64 blocks (numpy.fft pads and
-    # converts a uint8 input itself more slowly).  The calling thread makes
-    # it, so it is not in the workers' malloc arenas, and frees it in one
-    # piece: separate slot arrays left heap holes that grew pipeline's peak
+    split = -(-_CHUNK_BLOCKS // (8 * workers)) * 8  # one split a worker
+    rows = min(_CHUNK_BLOCKS, n_blocks)
+    # One allocation holds the packed output, then the in-flight blocks'
+    # spectra and their zero-padded float64 rows (numpy.fft pads and converts
+    # a uint8 input itself more slowly).  The calling thread makes it, so it
+    # is not in the workers' malloc arenas, and frees it in one piece:
+    # separate per-thread arrays left heap holes that grew pipeline's peak
     # RSS by 6%.
     out_size = -(-n_blocks * n_out // 8)
-    head = -(-out_size // 16) * 16  # each spectrum starts 16-byte aligned
+    head = -(-out_size // 16) * 16  # the spectra start 16-byte aligned
     spec_size = rows * (n // 2 + 1) * 16
-    buf = np.empty(head + n_slots * (spec_size + rows * n * 8), np.uint8)
+    buf = np.empty(head + spec_size + rows * n * 8, np.uint8)
     payload = buf[:out_size]
-    spectra = buf[head : head + n_slots * spec_size].view(np.complex128)
-    padded_rows = buf[head + n_slots * spec_size :].view(np.float64)
-    free = list(zip(padded_rows.reshape(n_slots, rows, n),
-                    spectra.reshape(n_slots, rows, n // 2 + 1)))
-    pending = deque()  # (slot, future) in chunk order
+    spectra = buf[head : head + spec_size].view(np.complex128).reshape(rows, n // 2 + 1)
+    padded = buf[head + spec_size :].view(np.float64).reshape(rows, n)
+
+    def hash_split(k: int, s: int, e: int) -> None:
+        # blocks k + s to k + e; 8 divides k + s, so out starts on a whole byte
+        out = payload[(k + s) * n_out // 8 : -(-(k + e) * n_out // 8)]
+        _hash_chunk(padded[s:e], spectra[s:e], seed_spectrum, n_in, n_out, out)
+
     from concurrent.futures import ThreadPoolExecutor  # on first use: see above
-    with ThreadPoolExecutor(n_slots, thread_name_prefix="phaseqrng") as pool:
-        for k in range(0, n_blocks, chunk):
-            if not free:  # the oldest chunk's slot is the next one free
-                slot, future = pending.popleft()
-                future.result()  # a worker's exception is raised here
-                free.append(slot)
-            padded, spectrum = slot = free.pop()
-            m = min(chunk, n_blocks - k)
-            # the chunk's first bit is bit `skip` of sample `first`: a chunk
-            # edge falls mid-sample unless adc_bits divides k * n_in
+    with ThreadPoolExecutor(workers, thread_name_prefix="phaseqrng") as pool:
+        # at one worker the builtin map hashes on this thread; the pool starts none
+        hash_map = pool.map if workers > 1 else map
+        for k in range(0, n_blocks, _CHUNK_BLOCKS):
+            m = min(_CHUNK_BLOCKS, n_blocks - k)
+            # the first bit is bit `skip` of sample `first`: a buffer edge
+            # falls mid-sample unless adc_bits divides k * n_in
             first, skip = divmod(k * n_in, b)
             last = -(-(k + m) * n_in // b)
             bits = samples_to_bits(samples.samples[first:last], b)[skip : skip + m * n_in]
             padded[:m, :n_in] = bits.reshape(m, n_in)
-            padded[:m, n_in:] = 0.0  # np.empty, or the slot's last inverse FFT
-            # k * n_out is a multiple of 8, so each chunk starts on a whole byte
-            out = payload[k * n_out // 8 :][: -(-m * n_out // 8)]
-            pending.append((slot, pool.submit(
-                _hash_chunk, padded[:m], spectrum[:m], seed_spectrum, n_in, n_out, out)))
-        for _, future in pending:
-            future.result()
+            padded[:m, n_in:] = 0.0  # np.empty, or the last inverse FFT
+            starts = range(0, m, split)
+            # reading every result raises a worker's exception here
+            list(hash_map(hash_split, [k] * len(starts), starts, [*starts[1:], m]))
     return BitStream(payload.tobytes(), n_blocks * n_out, provenance)

@@ -238,13 +238,13 @@ def test_extract_stream_chunks_match_per_block_hash(monkeypatch, adc_bits, chunk
     _check_chunks_match_per_block_hash(monkeypatch, adc_bits, chunk_blocks)
 
 
-@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("workers", [1, 2, 3, 8])
 @pytest.mark.parametrize("chunk_blocks", [64, 8])
 @pytest.mark.parametrize("adc_bits", [7, 12])
 def test_extract_stream_chunks_match_per_block_hash_on_workers(monkeypatch, adc_bits,
                                                                chunk_blocks, workers):
-    # as above with a fixed thread count: 64 blocks split into 64, 32 or 16
-    # a thread, 8 blocks into one chunk of 8
+    # as above with a fixed thread count: 64 blocks split into 64, 32, 24 or
+    # 8 rows a thread (the last of 3 takes 16), 8 blocks into one split of 8
     monkeypatch.setattr(extract, "_worker_count", lambda: workers)
     _check_chunks_match_per_block_hash(monkeypatch, adc_bits, chunk_blocks)
 
@@ -255,8 +255,9 @@ class _ChunkFailure(Exception):
 
 @pytest.mark.parametrize("workers", [1, 3])
 def test_extract_stream_raises_a_worker_error_without_hanging(monkeypatch, workers):
-    # the second chunk's inverse FFT fails on its worker thread: the caller
-    # gets that exception, and does not wait for a slot that never frees
+    # the second split's inverse FFT fails (on a pool thread at 3 workers,
+    # the second buffer's on the calling thread at 1): the caller gets that
+    # exception, and does not wait for the rest of the buffer's splits
     monkeypatch.setattr(extract, "_worker_count", lambda: workers)
     failure, calls, irfft = _ChunkFailure("second chunk"), itertools.count(), np.fft.irfft
 
@@ -281,6 +282,24 @@ def test_extract_stream_raises_a_worker_error_without_hanging(monkeypatch, worke
     caller.join(timeout=10)
     assert not caller.is_alive(), "extract_stream hung after a worker failed"
     assert raised == [failure]
+
+
+def test_extract_stream_hashes_on_the_calling_thread_at_one_worker(monkeypatch):
+    # at one usable CPU there is nothing to overlap: no thread is handed a split
+    monkeypatch.setattr(extract, "_worker_count", lambda: 1)
+    threads, hash_chunk = [], extract._hash_chunk
+
+    def recording_hash_chunk(*args):
+        threads.append(threading.get_ident())
+        hash_chunk(*args)
+
+    block = _stream_block(np.random.default_rng(8).integers(-128, 128, 600 * 100 // 8))
+    seed = ToeplitzSeed.generate(100, 37, seed_rng=13)
+    expected = extract_stream(block, _report(0.37), seed)
+    monkeypatch.setattr(extract, "_hash_chunk", recording_hash_chunk)
+    assert extract_stream(block, _report(0.37), seed) == expected
+    # 600 blocks fill the buffer of 64 ten times, the last one 24 rows deep
+    assert threads == [threading.get_ident()] * 10
 
 
 def test_extract_stream_peak_memory_grows_only_by_the_packed_output():
