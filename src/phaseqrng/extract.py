@@ -13,13 +13,15 @@ which no wrapped term reaches the kept lags, in O(n log n) without forming
 ``T``.  The counts are small integers (bounded by n_in), so rounding them to
 the nearest integer before reducing mod 2 is exact.
 
-A sample block streams through one buffer of 64 input blocks, made once per
-call.  The calling thread serialises the next 64 blocks into it; a thread
-per usable CPU hashes one split of its rows (32 each on two) straight into
-the output, and at one CPU the calling thread hashes them all itself.  Each
-split is exact on its own, so the output bytes do not depend on the thread
-count, and beyond the buffer only the packed output grows.  Only a hash
-imports ``concurrent.futures``: simulate, calibrate and stability do not.
+A sample block streams through one buffer of 8 input blocks per usable CPU
+(16 on two), made once per call.  The calling thread serialises the next
+blocks into it; a thread per usable CPU hashes its split of 8 rows straight
+into the packed output, and at one CPU the calling thread hashes them
+itself.  Each split is exact on its own, so the output bytes do not depend
+on the thread count, and beyond the buffer only the packed output grows.
+That output is handed to the ``BitStream`` as a read-only buffer, not
+copied.  Only a hash imports ``concurrent.futures``: simulate, calibrate
+and stability do not.
 
 Security note: the hash itself is deterministic and carries no entropy
 accounting — choosing ``n_out`` within the leftover-hash budget (see
@@ -39,11 +41,14 @@ from .model import BitStream, EntropyReport, SampleBlock
 
 __all__ = ["ToeplitzSeed", "samples_to_bits", "extract_stream"]
 
-# Input blocks in flight at a time, split over the hashing threads.  Each
-# thread's split is a multiple of 8 blocks, so 8 * n_out bits is a whole
-# number of bytes and the packed splits join up byte-exact.  At n_in 4096
-# the in-flight blocks and their spectra take about 7.4 MB.
-_CHUNK_BLOCKS = 64
+# Input blocks in flight per hashing thread: the fewest whose output,
+# 8 * n_out bits, is a whole number of bytes, so each thread's packed split
+# starts on a byte and the splits join up byte-exact.  At n_in 4096 and
+# n_out 2878 (configs/pipeline.json) the in-flight blocks and their spectra
+# take about 0.92 MB a thread.
+_CHUNK_BLOCKS = 8
+# Hashing threads at most, so the in-flight buffer stays within 64 blocks
+_MAX_WORKERS = 8
 
 
 def _worker_count() -> int:
@@ -142,10 +147,10 @@ def extract_stream(
 
     Samples are serialised to bits, split into n_in-bit blocks (the final
     partial block is discarded), each block is Toeplitz-hashed, and the
-    outputs are concatenated in order.  One buffer of ``_CHUNK_BLOCKS``
-    blocks is in flight, hashed in one split of rows per usable CPU (by the
+    outputs are concatenated in order.  ``_CHUNK_BLOCKS`` blocks a usable
+    CPU are in flight, each CPU's split hashed by its own thread (by the
     calling thread at one CPU), so only the packed output grows with the
-    input.
+    input.  ``bits`` of the result is a read-only view of that output.
     """
     ratio = seed.n_out / seed.n_in
     if ratio > report.extraction_ratio * (1 + 1e-12):
@@ -172,22 +177,19 @@ def extract_stream(
     # with x at lag n_in - 1 + i; its spectrum serves every block
     n = _next_fast_len(n_in + n_out - 1)
     seed_spectrum = np.fft.rfft(seed.bits[::-1].astype(np.float64), n)
-    workers = min(_worker_count(), _CHUNK_BLOCKS // 8)
-    split = -(-_CHUNK_BLOCKS // (8 * workers)) * 8  # one split a worker
-    rows = min(_CHUNK_BLOCKS, n_blocks)
-    # One allocation holds the packed output, then the in-flight blocks'
-    # spectra and their zero-padded float64 rows (numpy.fft pads and converts
-    # a uint8 input itself more slowly).  The calling thread makes it, so it
-    # is not in the workers' malloc arenas, and frees it in one piece:
-    # separate per-thread arrays left heap holes that grew pipeline's peak
-    # RSS by 6%.
-    out_size = -(-n_blocks * n_out // 8)
-    head = -(-out_size // 16) * 16  # the spectra start 16-byte aligned
-    spec_size = rows * (n // 2 + 1) * 16
-    buf = np.empty(head + spec_size + rows * n * 8, np.uint8)
-    payload = buf[:out_size]
-    spectra = buf[head : head + spec_size].view(np.complex128).reshape(rows, n // 2 + 1)
-    padded = buf[head + spec_size :].view(np.float64).reshape(rows, n)
+    workers = min(_worker_count(), _MAX_WORKERS)
+    chunk = _CHUNK_BLOCKS * workers  # blocks in flight, one split a worker
+    rows = min(chunk, n_blocks)
+    payload = np.empty(-(-n_blocks * n_out // 8), np.uint8)
+    # One allocation holds the in-flight blocks' spectra and their
+    # zero-padded float64 rows (numpy.fft pads and converts a uint8 input
+    # itself more slowly).  The calling thread makes it, so it is not in the
+    # workers' malloc arenas, and frees it in one piece: separate per-thread
+    # arrays left heap holes that grew pipeline's peak RSS by 6%.
+    spec_size = rows * (n // 2 + 1) * 16  # the rows after it start 16-byte aligned
+    buf = np.empty(spec_size + rows * n * 8, np.uint8)
+    spectra = buf[:spec_size].view(np.complex128).reshape(rows, n // 2 + 1)
+    padded = buf[spec_size:].view(np.float64).reshape(rows, n)
 
     def hash_split(k: int, s: int, e: int) -> None:
         # blocks k + s to k + e; 8 divides k + s, so out starts on a whole byte
@@ -198,8 +200,8 @@ def extract_stream(
     with ThreadPoolExecutor(workers, thread_name_prefix="phaseqrng") as pool:
         # at one worker the builtin map hashes on this thread; the pool starts none
         hash_map = pool.map if workers > 1 else map
-        for k in range(0, n_blocks, _CHUNK_BLOCKS):
-            m = min(_CHUNK_BLOCKS, n_blocks - k)
+        for k in range(0, n_blocks, chunk):
+            m = min(chunk, n_blocks - k)
             # the first bit is bit `skip` of sample `first`: a buffer edge
             # falls mid-sample unless adc_bits divides k * n_in
             first, skip = divmod(k * n_in, b)
@@ -207,7 +209,9 @@ def extract_stream(
             bits = samples_to_bits(samples.samples[first:last], b)[skip : skip + m * n_in]
             padded[:m, :n_in] = bits.reshape(m, n_in)
             padded[:m, n_in:] = 0.0  # np.empty, or the last inverse FFT
-            starts = range(0, m, split)
+            starts = range(0, m, _CHUNK_BLOCKS)
             # reading every result raises a worker's exception here
             list(hash_map(hash_split, [k] * len(starts), starts, [*starts[1:], m]))
-    return BitStream(payload.tobytes(), n_blocks * n_out, provenance)
+    del buf, spectra, padded  # the hash's scratch goes before the BitStream is made
+    payload.flags.writeable = False
+    return BitStream(memoryview(payload), n_blocks * n_out, provenance)

@@ -86,7 +86,7 @@ def _decode_metadata(raw: bytes) -> dict[str, str]:
     return meta
 
 
-def _write_container(sink: BinaryIO, kind: int, meta: dict, payload: bytes) -> int:
+def _write_container(sink: BinaryIO, kind: int, meta: dict, payload: bytes | memoryview) -> int:
     meta_bytes = _encode_metadata(meta)
     header = _HEADER.pack(MAGIC, VERSION, kind, len(meta_bytes), len(payload))
     sink.write(header)

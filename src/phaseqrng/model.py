@@ -233,9 +233,15 @@ class SampleBlock:
 
 @dataclass(frozen=True)
 class BitStream:
-    """Packed extracted bits.  Bits are stored LSB-first within each byte."""
+    """Packed extracted bits.  Bits are stored LSB-first within each byte.
 
-    bits: bytes
+    ``bits`` is a read-only bytes-like object: ``bytes`` as read from a
+    container, or a read-only ``memoryview`` of the extractor's output, which
+    is handed over without a copy.  Both compare, slice and feed ``hashlib``
+    as bytes do.
+    """
+
+    bits: bytes | memoryview
     count: int
     provenance: dict = field(default_factory=dict)
 

@@ -365,6 +365,7 @@ def pipeline(cfg: Config) -> PipelineResult:
 
     # diagnostic heads as stored (codes, bits): r ignores the ADC scale
     raw_r = stats.autocorrelation(block.samples[:_HEAD], _MAX_LAG)
+    del block  # the run's codes, its largest array, are freed before the battery
     ext_r = stats.autocorrelation(bits.as_bit_array(stop=_HEAD), _MAX_LAG)
     battery = stats.nist_subset(bits, pipe.n_sequences, pipe.seq_len_bits)
     return PipelineResult(

@@ -16,6 +16,7 @@ import re
 import subprocess
 import sys
 import time
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -589,6 +590,28 @@ def test_pipeline_budgets_once_before_the_main_run(tmp_path, monkeypatch):
     blocks = max(math.ceil(cfg.pipeline.n_output_bits / n_out), math.ceil(head / n_out))
     assert blocks * ent.n_in >= head * cfg.run.chain.adc_bits  # the head bound does not bind
     assert result.bits.count == blocks * n_out
+
+
+def test_pipeline_frees_the_main_run_before_the_battery(tmp_path, monkeypatch):
+    # the main run's codes are its largest array: once the extractor and the
+    # raw autocorrelation head have read them, the battery runs without them
+    main_run, alive = [], []
+    real_simulate, real_nist_subset = runs.simulate, stats.nist_subset
+
+    def simulate(run):
+        block = real_simulate(run)
+        main_run.append(weakref.ref(block))
+        return block
+
+    def nist_subset(*args):
+        alive.append(main_run[0]() is not None)
+        return real_nist_subset(*args)
+
+    monkeypatch.setattr(runs, "simulate", simulate)  # the main run only
+    monkeypatch.setattr(stats, "nist_subset", nist_subset)
+    runs.pipeline(runs.load_config(write_config(tmp_path, **PIPELINE_SECTIONS)))
+    assert len(main_run) == 1
+    assert alive == [False]
 
 
 def test_pipeline_rejects_override_above_budget_before_main_run(

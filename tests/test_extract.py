@@ -233,8 +233,9 @@ def _check_chunks_match_per_block_hash(monkeypatch, adc_bits, chunk_blocks):
 @pytest.mark.parametrize("chunk_blocks", [64, 8])
 @pytest.mark.parametrize("adc_bits", [7, 12])
 def test_extract_stream_chunks_match_per_block_hash(monkeypatch, adc_bits, chunk_blocks):
-    # 100 input bits a block: 64 or 8 blocks end mid-sample at 7 and at 12
-    # bits, and 600 blocks span several chunks, the last one partial
+    # 100 input bits a block: buffers of 64 or 8 blocks a worker end
+    # mid-sample at 7 and at 12 bits, and 600 blocks span several buffers,
+    # the last one partial
     _check_chunks_match_per_block_hash(monkeypatch, adc_bits, chunk_blocks)
 
 
@@ -243,8 +244,8 @@ def test_extract_stream_chunks_match_per_block_hash(monkeypatch, adc_bits, chunk
 @pytest.mark.parametrize("adc_bits", [7, 12])
 def test_extract_stream_chunks_match_per_block_hash_on_workers(monkeypatch, adc_bits,
                                                                chunk_blocks, workers):
-    # as above with a fixed thread count: 64 blocks split into 64, 32, 24 or
-    # 8 rows a thread (the last of 3 takes 16), 8 blocks into one split of 8
+    # as above with a fixed thread count: one split of 64 or 8 rows a
+    # thread, fewer in the last, partial buffer
     monkeypatch.setattr(extract, "_worker_count", lambda: workers)
     _check_chunks_match_per_block_hash(monkeypatch, adc_bits, chunk_blocks)
 
@@ -298,8 +299,8 @@ def test_extract_stream_hashes_on_the_calling_thread_at_one_worker(monkeypatch):
     expected = extract_stream(block, _report(0.37), seed)
     monkeypatch.setattr(extract, "_hash_chunk", recording_hash_chunk)
     assert extract_stream(block, _report(0.37), seed) == expected
-    # 600 blocks fill the buffer of 64 ten times, the last one 24 rows deep
-    assert threads == [threading.get_ident()] * 10
+    # one split a buffer of in-flight blocks, the last one partial
+    assert threads == [threading.get_ident()] * -(-600 // extract._CHUNK_BLOCKS)
 
 
 def test_extract_stream_peak_memory_grows_only_by_the_packed_output():
@@ -318,6 +319,35 @@ def test_extract_stream_peak_memory_grows_only_by_the_packed_output():
     # the peak is one chunk's hash beside the packed output so far; the
     # unpacked bits of four times the input would be several MB more
     assert peaks[1] - peaks[0] <= sizes[1] - sizes[0] + 65536, (peaks, sizes)
+
+
+def test_extract_stream_peak_memory_is_the_in_flight_blocks_and_the_output(monkeypatch):
+    # at n_in 4096 on two workers, 16 blocks are in flight: their spectra and
+    # padded rows, beside the packed output, are all the hash keeps
+    monkeypatch.setattr(extract, "_worker_count", lambda: 2)
+    n_in, n_out = 4096, 2048
+    seed = ToeplitzSeed.generate(n_in, n_out, seed_rng=3)
+    block = _stream_block(np.random.default_rng(5).integers(-128, 128, 200 * n_in // 8))
+    n = next_fast_len(n_in + n_out - 1, real=True)
+    in_flight = 16 * ((n // 2 + 1) * 16 + n * 8)
+    tracemalloc.start()
+    try:
+        out = extract_stream(block, _report(0.51), seed)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(out.bits) == 200 * n_out // 8
+    assert peak - len(out.bits) <= in_flight + 2**20, (peak, len(out.bits), in_flight)
+
+
+def test_extract_stream_hands_over_its_output_read_only():
+    seed = ToeplitzSeed.generate(1024, 512, seed_rng=3)
+    out = extract_stream(_stream_block(np.arange(-128, 128).repeat(16)), _report(0.51), seed)
+    assert isinstance(out.bits, memoryview)  # the hash's own output, not a copy
+    with pytest.raises(TypeError):
+        out.bits[0] = 1
+    with pytest.raises(ValueError):
+        out.bits.obj[0] = 1  # nor through the array under it
 
 
 def test_extract_stream_deterministic():

@@ -310,13 +310,14 @@ def test_bits_payload_longer_than_count_rejected():
 
 
 def test_bits_writer_drops_zero_slack_bytes():
-    # a BitStream may carry zero bytes past its count; the file holds only
-    # the bytes read_bits accepts
-    buf = io.BytesIO()
-    write_bits(BitStream(bytes([0b101, 0, 0]), 3), buf)
-    assert _container_parts(buf.getvalue())["payload"] == bytes([0b101])
-    buf.seek(0)
-    assert read_bits(buf) == pack_bits([1, 0, 1])
+    # a BitStream may carry zero bytes past its count, as bytes or as the
+    # extractor's read-only view; the file holds only the bytes read_bits accepts
+    for wrap in (bytes, lambda b: memoryview(np.frombuffer(b, np.uint8))):
+        buf = io.BytesIO()
+        write_bits(BitStream(wrap(bytes([0b101, 0, 0])), 3), buf)
+        assert _container_parts(buf.getvalue())["payload"] == bytes([0b101])
+        buf.seek(0)
+        assert read_bits(buf) == pack_bits([1, 0, 1])
 
 
 # ---------------------------------------------------------------------------

@@ -280,10 +280,14 @@ def test_sample_block_twelve_bit_range():
 
 
 def test_bitstream_pad_bits_must_be_zero():
-    # 3 valid bits, but a set bit in the padding region of the last byte
-    with pytest.raises(ValueError, match="pad"):
-        BitStream(bits=bytes([0b0000_1101]), count=3, provenance={})
-    BitStream(bits=bytes([0b0000_0101]), count=3, provenance={})  # ok
+    # 3 valid bits, but a set bit in the padding region of the last byte;
+    # the same as bytes and as a read-only array view, as extract_stream gives
+    for wrap in (bytes, lambda b: memoryview(np.frombuffer(b, np.uint8))):
+        with pytest.raises(ValueError, match="pad"):
+            BitStream(bits=wrap(bytes([0b0000_1101])), count=3, provenance={})
+        s = BitStream(bits=wrap(bytes([0b0000_0101])), count=3, provenance={})  # ok
+        assert s == BitStream(bits=bytes([0b0000_0101]), count=3, provenance={})
+        np.testing.assert_array_equal(s.as_bit_array(), [1, 0, 1])
 
 
 def test_bitstream_count_bounds():
