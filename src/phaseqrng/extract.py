@@ -8,20 +8,36 @@ by ``n_in + n_out - 1`` seed bits: the first column of ``T`` is
 the corner element ``seed[n_out - 1]``, i.e. ``T[i, j] = seed[n_out-1-i+j]``.
 
 A Toeplitz matrix-vector product is a slice of a convolution, so blocks are
-hashed by a real-FFT circular correlation of length >= n_in + n_out - 1, at
+hashed by a real-FFT circular correlation of length n >= n_in + n_out - 1, at
 which no wrapped term reaches the kept lags, in O(n log n) without forming
-``T``.  The counts are small integers (bounded by n_in), so rounding them to
-the nearest integer before reducing mod 2 is exact.
+``T``.  The counts are integers in [0, n_in], so rounding them to the
+nearest integer before reducing mod 2 is exact while the FFT's error stays
+below 1/2.
 
-A sample block streams through one buffer of 8 input blocks per usable CPU
-(16 on two), made once per call.  The calling thread serialises the next
-blocks into it; a thread per usable CPU hashes its split of 8 rows straight
-into the packed output, and at one CPU the calling thread hashes them
-itself.  Each split is exact on its own, so the output bytes do not depend
-on the thread count, and beyond the buffer only the packed output grows.
-That output is handed to the ``BitStream`` as a read-only buffer, not
-copied.  Only a hash imports ``concurrent.futures``: simulate, calibrate
-and stability do not.
+Each FFT row carries K blocks as the digits of one base-2^w number,
+w = ``n_in.bit_length()``: every count lies below 2^w, so the row's
+correlation holds each block's counts in its own w bits, and block j's
+parity is bit w*j of the rounded result.  For a length-n FFT convolution of
+``a`` and ``b``, Percival (Math. Comp. 72, 387-395, 2003) bounds the error of
+every output by
+
+    ||a||_2 ||b||_2 ((1 + u)^(3m) (1 + u sqrt(5))^(3m+1) (1 + beta)^(3m) - 1),
+
+m = log2 n, u = 2^-53, beta the error of the twiddle factors (taken as u).
+Here ||a||_2 <= sqrt(n) for the seed, ||b||_2 <= sqrt(n_in) D for a row
+whose largest entry is D = (2^(wK) - 1) / (2^w - 1), and the 1/n scaling of
+the inverse transform adds at most u n_in D.  K is the most blocks for which
+the sum stays below 1/4: half the 1/2 that rounding allows, for pocketfft's
+radix-3 and radix-5 passes, which the radix-2 bound does not cover.  At n_in
+4096 and n 7200 (``configs/pipeline.json``) that is K = 3, with values below
+2^39 and a bound of 6.7e-3; K = 1 is the plain, one-block-a-row hash.
+
+Codes arrive in chunks, a ``SampleBlock``'s as one and a simulated stream's
+as it is made; a sample or a block may straddle a chunk edge.  They are
+serialised into one buffer of 8 rows of K blocks, made once per call, which
+the calling thread hashes straight into the packed output whenever it
+fills.  The output is all that grows with the input, and it is handed to the
+``BitStream`` as a read-only buffer, not copied.
 
 Security note: the hash itself is deterministic and carries no entropy
 accounting — choosing ``n_out`` within the leftover-hash budget (see
@@ -32,7 +48,6 @@ to uniform.
 from __future__ import annotations
 
 import hashlib
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,20 +56,13 @@ from .model import BitStream, EntropyReport, SampleBlock
 
 __all__ = ["ToeplitzSeed", "samples_to_bits", "extract_stream"]
 
-# Input blocks in flight per hashing thread: the fewest whose output,
-# 8 * n_out bits, is a whole number of bytes, so each thread's packed split
-# starts on a byte and the splits join up byte-exact.  At n_in 4096 and
-# n_out 2878 (configs/pipeline.json) the in-flight blocks and their spectra
-# take about 0.92 MB a thread.
-_CHUNK_BLOCKS = 8
-# Hashing threads at most, so the in-flight buffer stays within 64 blocks
-_MAX_WORKERS = 8
-
-
-def _worker_count() -> int:
-    """The CPUs this process may run on."""
-    affinity = getattr(os, "sched_getaffinity", None)  # not on every platform
-    return len(affinity(0)) if affinity else os.cpu_count() or 1
+# FFT rows in flight: with 8 rows of K blocks each buffer's output, 8 K n_out
+# bits, is a whole number of bytes, so it starts on a byte of the packed
+# output.  At n_in 4096 and n_out 2878 the rows and their spectra take
+# 0.92 MB and the staged bits 0.1 MB.
+_CHUNK_ROWS = 8
+# unit roundoff of float64
+_EPS = 2.0**-53
 
 
 def _next_fast_len(target: int) -> int:
@@ -116,41 +124,70 @@ def samples_to_bits(codes: np.ndarray, adc_bits: int) -> np.ndarray:
     return bits16[:, :adc_bits].reshape(-1)
 
 
-def _hash_chunk(padded, spectrum, seed_spectrum, n_in, n_out, out) -> None:
-    """Hash the blocks in ``padded`` and pack their output bits into ``out``.
+def _digits_per_row(n_in: int, n: int) -> int:
+    """K: the most n_in-bit blocks one length-n FFT row hashes exactly.
 
-    Runs on a pool thread, or at one worker on the calling thread.  The
-    spectrum goes into ``spectrum``, the inverse FFT back into ``padded``,
-    the integer counts into the spectrum's spent buffer and their parities
-    into the head of ``padded``'s, so the packed bits are all it allocates.
-    Every ufunc runs on contiguous rows: on a broadcast or strided operand
-    NumPy takes ~130 kB of buffers per call, and how those overlapped across
-    threads set the traced peak.
+    The bound is Percival's, set out in the module docstring.
     """
-    np.fft.rfft(padded, axis=1, out=spectrum)
-    for row in spectrum:
-        row *= seed_spectrum
-    np.fft.irfft(spectrum, padded.shape[1], axis=1, out=padded)
-    np.rint(padded, out=padded)
-    counts = spectrum.view(np.int64)[:, :n_out]  # n_out < n + 2 int64 a row
-    counts[...] = padded[:, n_in - 1 : n_in - 1 + n_out]
-    parity = padded.reshape(-1).view(np.uint8)[: counts.size].reshape(counts.shape)
-    np.copyto(parity, counts, casting="unsafe")  # the low bit survives the wrap
+    m = np.log2(n)
+    growth = np.expm1(6 * m * np.log1p(_EPS) + (3 * m + 1) * np.log1p(_EPS * np.sqrt(5.0)))
+    per_entry = np.sqrt(n * n_in) * growth + n_in * _EPS  # the error per unit of D
+    w, k = n_in.bit_length(), 1
+    while per_entry * (((1 << (w * (k + 1))) - 1) // ((1 << w) - 1)) < 0.25:
+        k += 1
+    return k
+
+
+def _hash_rows(staged, m, k, padded, spectra, seed_spectrum, n_in, n_out, out) -> None:
+    """Hash the first ``m`` blocks in ``staged`` and pack their output bits into ``out``.
+
+    ``staged`` holds 0/1 bits, block after block; row r of ``padded`` takes
+    blocks r k to r k + k - 1 as its base-2^w digits (see the module
+    docstring), a short last row with zero digits.  The spectra go into
+    ``spectra``, the inverse FFT back into ``padded``, the rounded counts into
+    the spectra's spent buffer and the parities into ``staged``, so the
+    packed bits are all it allocates.
+    """
+    r, w = -(-m // k), n_in.bit_length()
+    staged[m * n_in : r * k * n_in] = 0
+    digits = staged[: r * k * n_in].reshape(r, k, n_in)
+    row = padded[:r]
+    packed = row[:, :n_in]
+    np.copyto(packed, digits[:, k - 1])
+    for j in range(k - 2, -1, -1):  # Horner's rule: exact, every value is below 2^53
+        packed *= float(1 << w)
+        packed += digits[:, j]
+    row[:, n_in:] = 0.0  # np.empty, or the last inverse FFT
+    spectrum = spectra[:r]
+    np.fft.rfft(row, axis=1, out=spectrum)
+    for line in spectrum:  # row by row: a broadcast operand takes ~130 kB of buffers
+        line *= seed_spectrum
+    np.fft.irfft(spectrum, padded.shape[1], axis=1, out=row)
+    kept = row[:, n_in - 1 : n_in - 1 + n_out]
+    np.rint(kept, out=kept)
+    counts = spectra.view(np.int64)[:r, :n_out]  # n_out < n + 2 int64 a row
+    counts[...] = kept
+    parity = staged[: r * k * n_out].reshape(r, k, n_out)
+    for j in range(k):
+        np.copyto(parity[:, j], counts, casting="unsafe")  # the low bit survives the wrap
+        counts >>= w
     parity &= 1
-    out[:] = np.packbits(parity, bitorder="little")
+    out[:] = np.packbits(parity.reshape(-1)[: m * n_out], bitorder="little")
 
 
 def extract_stream(
     samples: SampleBlock, report: EntropyReport, seed: ToeplitzSeed
 ) -> BitStream:
-    """Run the extractor over a sample block.
+    """Run the extractor over the codes of ``samples``.
 
-    Samples are serialised to bits, split into n_in-bit blocks (the final
-    partial block is discarded), each block is Toeplitz-hashed, and the
-    outputs are concatenated in order.  ``_CHUNK_BLOCKS`` blocks a usable
-    CPU are in flight, each CPU's split hashed by its own thread (by the
-    calling thread at one CPU), so only the packed output grows with the
-    input.  ``bits`` of the result is a read-only view of that output.
+    ``samples`` is a ``SampleBlock`` or any stream like it: ``len()`` codes
+    of ``adc_bits`` bits, read once, in order, from the C-contiguous int16
+    arrays of its ``chunks``.  The codes are serialised to bits, split into
+    n_in-bit blocks (the final partial block is discarded), each block is
+    Toeplitz-hashed, and the outputs are concatenated in order.  The calling
+    thread hashes ``_CHUNK_ROWS`` FFT rows at a time, so only the packed
+    output grows with the input; ``bits`` of the result is a read-only view
+    of it.  ``source_sha256`` is the digest of every code read.
     """
     ratio = seed.n_out / seed.n_in
     if ratio > report.extraction_ratio * (1 + 1e-12):
@@ -165,53 +202,49 @@ def extract_stream(
             f"({report.samples_bits} bits)"
         )
     b, n_in, n_out = samples.adc_bits, seed.n_in, seed.n_out
-    n_blocks = samples.samples.size * b // n_in
-    provenance = {
-        # the codes are C-contiguous, so their buffer is the int16 bytes
-        "source_sha256": hashlib.sha256(samples.samples).hexdigest(),
-        "seed_sha256": hashlib.sha256(seed.bits).hexdigest(),
-        "seed_rng": seed.seed_rng,
-        "extraction_ratio": repr(report.extraction_ratio),
-    }
+    n_blocks = len(samples) * b // n_in
     # y[i] = sum_j seed[n_out-1-i+j] * x[j] is the reversed seed convolved
     # with x at lag n_in - 1 + i; its spectrum serves every block
     n = _next_fast_len(n_in + n_out - 1)
     seed_spectrum = np.fft.rfft(seed.bits[::-1].astype(np.float64), n)
-    workers = min(_worker_count(), _MAX_WORKERS)
-    chunk = _CHUNK_BLOCKS * workers  # blocks in flight, one split a worker
-    rows = min(chunk, n_blocks)
+    k = _digits_per_row(n_in, n)
+    rows = min(_CHUNK_ROWS, -(-n_blocks // k))
     payload = np.empty(-(-n_blocks * n_out // 8), np.uint8)
-    # One allocation holds the in-flight blocks' spectra and their
-    # zero-padded float64 rows (numpy.fft pads and converts a uint8 input
-    # itself more slowly).  The calling thread makes it, so it is not in the
-    # workers' malloc arenas, and frees it in one piece: separate per-thread
-    # arrays left heap holes that grew pipeline's peak RSS by 6%.
+    # One allocation holds the rows' spectra and their zero-padded float64
+    # values (numpy.fft pads and converts a uint8 input itself more slowly)
     spec_size = rows * (n // 2 + 1) * 16  # the rows after it start 16-byte aligned
     buf = np.empty(spec_size + rows * n * 8, np.uint8)
     spectra = buf[:spec_size].view(np.complex128).reshape(rows, n // 2 + 1)
     padded = buf[spec_size:].view(np.float64).reshape(rows, n)
-
-    def hash_split(k: int, s: int, e: int) -> None:
-        # blocks k + s to k + e; 8 divides k + s, so out starts on a whole byte
-        out = payload[(k + s) * n_out // 8 : -(-(k + e) * n_out // 8)]
-        _hash_chunk(padded[s:e], spectra[s:e], seed_spectrum, n_in, n_out, out)
-
-    from concurrent.futures import ThreadPoolExecutor  # on first use: see above
-    with ThreadPoolExecutor(workers, thread_name_prefix="phaseqrng") as pool:
-        # at one worker the builtin map hashes on this thread; the pool starts none
-        hash_map = pool.map if workers > 1 else map
-        for k in range(0, n_blocks, chunk):
-            m = min(chunk, n_blocks - k)
-            # the first bit is bit `skip` of sample `first`: a buffer edge
-            # falls mid-sample unless adc_bits divides k * n_in
-            first, skip = divmod(k * n_in, b)
-            last = -(-(k + m) * n_in // b)
-            bits = samples_to_bits(samples.samples[first:last], b)[skip : skip + m * n_in]
-            padded[:m, :n_in] = bits.reshape(m, n_in)
-            padded[:m, n_in:] = 0.0  # np.empty, or the last inverse FFT
-            starts = range(0, m, _CHUNK_BLOCKS)
-            # reading every result raises a worker's exception here
-            list(hash_map(hash_split, [k] * len(starts), starts, [*starts[1:], m]))
-    del buf, spectra, padded  # the hash's scratch goes before the BitStream is made
+    staged = np.empty(rows * k * n_in, np.uint8)  # the next rows' bits
+    source = hashlib.sha256()
+    done = fill = 0  # blocks hashed, bits staged
+    need = min(_CHUNK_ROWS * k, n_blocks) * n_in  # bits the next buffer takes
+    for chunk in samples.chunks:
+        source.update(chunk)
+        i = 0
+        while i < chunk.size and need:
+            # the codes that fill the buffer; the last may spill into the next
+            take = min(chunk.size - i, -(-(need - fill) // b))
+            bits = samples_to_bits(chunk[i : i + take], b)
+            i, j = i + take, 0
+            while j < bits.size and need:
+                step = min(bits.size - j, need - fill)
+                staged[fill : fill + step] = bits[j : j + step]
+                fill, j = fill + step, j + step
+                if fill == need:
+                    m = need // n_in
+                    # done is a multiple of 8 K, so out starts on a whole byte
+                    out = payload[done * n_out // 8 : -(-(done + m) * n_out // 8)]
+                    _hash_rows(staged, m, k, padded, spectra, seed_spectrum, n_in, n_out, out)
+                    done, fill = done + m, 0
+                    need = min(_CHUNK_ROWS * k, n_blocks - done) * n_in
+    del buf, spectra, padded, staged  # the hash's scratch goes before the BitStream is made
     payload.flags.writeable = False
+    provenance = {
+        "source_sha256": source.hexdigest(),
+        "seed_sha256": hashlib.sha256(seed.bits).hexdigest(),
+        "seed_rng": seed.seed_rng,
+        "extraction_ratio": repr(report.extraction_ratio),
+    }
     return BitStream(memoryview(payload), n_blocks * n_out, provenance)

@@ -210,6 +210,11 @@ class SampleBlock:
     def __len__(self) -> int:
         return int(self.samples.size)
 
+    @property
+    def chunks(self) -> tuple[np.ndarray]:
+        """The codes as one chunk, read as a simulated stream's chunks are."""
+        return (self.samples,)
+
     def volts(self) -> np.ndarray:
         """Samples converted to volts."""
         return self.samples.astype(np.float64) * self.adc_scale
@@ -219,7 +224,9 @@ class SampleBlock:
         n = self.samples.size
         if n < 2:
             raise ValueError("need at least 2 samples for a variance")
-        n2_c0 = stats._centred_lag_sums(self.samples, 0)[0]  # n^2 (n - 1) var, in codes
+        sums = stats.CentredLagSums(0)
+        sums.add(self.samples)
+        n2_c0 = sums.sums()[0]  # n^2 (n - 1) var, in codes
         return n2_c0 / (n * n * (n - 1)) * self.adc_scale ** 2
 
     def saturation_fraction(self) -> float:

@@ -23,7 +23,7 @@ from .model import (
 )
 from .sim import (
     NS_EXTRACTOR, NS_FRINGE, NS_PIPELINE, NS_STAB_FREE, NS_STAB_RECAL, NS_SWEEP,
-    NS_SWEEP_ATT, SimulationRun, StabilityPoint, derive_seed, simulate,
+    NS_SWEEP_ATT, SimulationRun, StabilityPoint, code_stream, derive_seed,
     simulate_stability, simulate_variances,
 )
 
@@ -353,7 +353,7 @@ def pipeline(cfg: Config) -> PipelineResult:
     samples_needed = max(math.ceil(blocks_needed * ent.n_in / run.chain.adc_bits),
                          min_head)
     duration = samples_needed / run.chain.sample_rate_hz
-    block = simulate(
+    stream = code_stream(
         replace(run, duration=duration, seed=derive_seed(run.seed, NS_PIPELINE))
     )
 
@@ -361,11 +361,21 @@ def pipeline(cfg: Config) -> PipelineResult:
     if ext_seed is None:  # not configured: derived from the run seed
         ext_seed = derive_seed(run.seed, NS_EXTRACTOR)
     extractor = extract.ToeplitzSeed.generate(ent.n_in, n_out, ext_seed)
-    bits = extract.extract_stream(block, report, extractor)
+    # the codes go from the simulator to the extractor chunk by chunk, never
+    # held whole; the raw autocorrelation sums the head as it passes
+    raw = stats.CentredLagSums(_MAX_LAG)
 
+    def head_first(chunks):
+        for chunk in chunks:
+            raw.add(chunk[: _HEAD - raw.n])
+            yield chunk
+
+    bits = extract.extract_stream(
+        replace(stream, chunks=head_first(stream.chunks)), report, extractor
+    )
     # diagnostic heads as stored (codes, bits): r ignores the ADC scale
-    raw_r = stats.autocorrelation(block.samples[:_HEAD], _MAX_LAG)
-    del block  # the run's codes, its largest array, are freed before the battery
+    raw_r = raw.autocorrelation()
+    del raw  # its window goes before the battery
     ext_r = stats.autocorrelation(bits.as_bit_array(stop=_HEAD), _MAX_LAG)
     battery = stats.nist_subset(bits, pipe.n_sequences, pipe.seq_len_bits)
     return PipelineResult(

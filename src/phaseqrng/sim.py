@@ -29,9 +29,11 @@ then per output sample:
 No output sample depends on a statistic of the whole block, so a run is a
 prefix of the same run with a longer duration.  All seven steps run in one
 pass, a fixed chunk of output rows at a time in reused buffers that carry the
-last ``L`` cumulative phases and the AR(1) state between chunks, so a run
-holds its int16 codes (2 bytes a sample) and a few chunk buffers, whatever
-the oversampling.  The chunking moves no byte of the output.
+last ``L`` cumulative phases and the AR(1) state between chunks.
+:func:`code_stream` hands out each chunk's int16 codes as they are made, so
+it holds only the chunk buffers, whatever the length or the oversampling;
+:func:`simulate` collects them into one array (2 bytes a sample).  The
+chunking moves no byte of the output.
 
 Gain bookkeeping
 ----------------
@@ -64,8 +66,10 @@ from .model import (
 )
 
 __all__ = [
+    "CodeStream",
     "SimulationRun",
     "StabilityPoint",
+    "code_stream",
     "model_sigma",
     "simulate",
     "simulate_variances",
@@ -272,10 +276,28 @@ def _analog_chain(run: SimulationRun, n_samples: int) -> Iterator[np.ndarray]:
         yield x[k:]
 
 
-def simulate(run: SimulationRun) -> SampleBlock:
-    """Produce one SampleBlock; bit-identical for identical runs.
+@dataclass(frozen=True)
+class CodeStream:
+    """A run's int16 codes, made as ``chunks`` is read: once, in order.
 
-    A run's samples are a prefix of the same run with a longer duration.
+    ``len()`` of them in all, ``_CHUNK_ROWS`` or fewer a chunk; each chunk
+    is a view of one reused buffer, valid until the next is read.
+    """
+
+    chunks: Iterator[np.ndarray]
+    n_samples: int
+    adc_bits: int
+    adc_scale: float
+
+    def __len__(self) -> int:
+        return self.n_samples
+
+
+def code_stream(run: SimulationRun) -> CodeStream:
+    """The run's codes as a stream; bit-identical for identical runs.
+
+    A run's codes are a prefix of the same run with a longer duration.  The
+    run is checked here, before any code is made.
     """
     chain = run.chain
     if run.duration < chain.delay_td:
@@ -290,22 +312,37 @@ def simulate(run: SimulationRun) -> SampleBlock:
         raise ValueError("sigma_configured <= 0: the configured chain is silent")
 
     half_range = chain.adc_range_sigmas * sigma_configured
-    n_codes = 1 << chain.adc_bits
-    adc_scale = 2.0 * half_range / n_codes
-    codes = np.empty(n_samples, np.int16)
-    i = 0
+    adc_scale = 2.0 * half_range / (1 << chain.adc_bits)
+    return CodeStream(_quantise(run, n_samples, adc_scale), n_samples,
+                      chain.adc_bits, adc_scale)
+
+
+def _quantise(run: SimulationRun, n_samples: int, adc_scale: float) -> Iterator[np.ndarray]:
+    """Steps 6-7 on each chunk of :func:`_analog_chain`, into one int16 buffer."""
+    half = 1 << (run.chain.adc_bits - 1)
+    codes = np.empty(min(_CHUNK_ROWS, n_samples), np.int16)
     for x in _analog_chain(run, n_samples):
         x /= adc_scale
         np.rint(x, out=x)
-        np.clip(x, -(n_codes // 2), n_codes // 2 - 1, out=x)
-        codes[i : i + x.size] = x
-        i += x.size
+        np.clip(x, -half, half - 1, out=x)
+        chunk = codes[: x.size]
+        chunk[...] = x
+        yield chunk
 
+
+def simulate(run: SimulationRun) -> SampleBlock:
+    """Produce one SampleBlock: the codes of :func:`code_stream`, collected."""
+    stream = code_stream(run)
+    codes = np.empty(len(stream), np.int16)
+    i = 0
+    for chunk in stream.chunks:
+        codes[i : i + chunk.size] = chunk
+        i += chunk.size
     return SampleBlock(
         samples=codes,
-        adc_bits=chain.adc_bits,
-        sample_rate_hz=chain.sample_rate_hz,
-        adc_scale=adc_scale,
+        adc_bits=stream.adc_bits,
+        sample_rate_hz=run.chain.sample_rate_hz,
+        adc_scale=stream.adc_scale,
         origin="simulated",
         rng_seed=run.seed,
     )

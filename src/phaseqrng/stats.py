@@ -1,6 +1,7 @@
 """Statistical validation: autocorrelation and a NIST SP800-22 subset.
 
-:func:`autocorrelation` and the block variance share one exact sum, :func:`_centred_lag_sums`.
+:func:`autocorrelation` and the block variance share one exact sum,
+:class:`CentredLagSums`, which a stream of codes can also feed chunk by chunk.
 
 The implemented SP800-22 tests are Frequency (monobit), Block Frequency,
 Runs, Longest Run of Ones, Cumulative Sums (forward and reverse), Spectral
@@ -30,6 +31,7 @@ import numpy as np
 __all__ = [
     "TestReport",
     "MIN_VALUES_PER_LAG",
+    "CentredLagSums",
     "autocorrelation",
     "frequency_test",
     "block_frequency_test",
@@ -125,46 +127,101 @@ def _igamc(a: float, x: float) -> float:
 # raw-signal diagnostics
 # ---------------------------------------------------------------------------
 
-# values per chunk of the lag sums: 2^16 int16 codes less the first make
-# products below 2^32, so every chunk's float64 sum is below 2^48, exact
+# values per window of the lag sums: 2^16 int16 codes less the first make
+# products below 2^32, so every window's float64 sum is below 2^48, exact
 _SUM_CHUNK = 1 << 16
 
 
-def _centred_lag_sums(x: np.ndarray, max_lag: int) -> list:
+class CentredLagSums:
     """n^2 C_k for k = 0..max_lag, where C_k = sum_i (x_i - xbar)(x_{i+k} - xbar).
 
-    Chunk by chunk, y = x - x_0 in float64 gives T = sum y, S_k = sum y_i y_{i+k}
-    and, over the first and last k values, H_k and E_k:
+    Fed chunk by chunk with :meth:`add`: y = x - x_0 in float64 goes through
+    windows of 2^16 first indices, each held until the max_lag values after it
+    have arrived, giving T = sum y, S_k = sum y_i y_{i+k} and, over the first
+    and last k values, H_k and E_k:
     n^2 C_k = n^2 S_k - n T (2T - H_k - E_k) + (n - k) T^2.  On 8- and 16-bit
-    integers each chunk's sum is an exact integer, carried as a Python int, so
-    the result does not depend on chunking, order, BLAS or threads, and a ratio
-    of two is correctly rounded.  Other input goes through ``einsum``, which,
-    unlike a BLAS dot, rounds the same on any thread count.
+    integers each window's sum is an exact integer, carried as a Python int,
+    so the result does not depend on chunking, order, BLAS or threads, and a
+    ratio of two is correctly rounded.  Other input is summed in the same
+    windows whatever its chunking, so a whole array rounds as it always has.
+    Only the window, 2^16 + max_lag float64 values, is kept.
     """
-    exact = x.dtype.kind in "biu" and x.dtype.itemsize <= 2
-    num, dot = (int, np.dot) if exact else (float, lambda a, b: np.einsum("i,i->", a, b))
-    n, lags = x.size, range(max_lag + 1)
-    total, sums = num(0), [num(0)] * len(lags)
-    window = np.empty(min(n, _SUM_CHUNK + max_lag))  # a chunk and the next max_lag
-    for a in range(0, n, _SUM_CHUNK):
-        b = min(a + _SUM_CHUNK, n)
-        y = window[: min(b + max_lag, n) - a]
-        np.subtract(x[a : a + y.size], x[0], out=y, dtype=np.float64)  # int16 would overflow
-        total += num(y[: b - a].sum())
-        for k in lags:
-            m = max(min(b, n - k) - a, 0)
-            sums[k] += num(dot(y[:m], y[k : k + m]))
-    head = np.subtract(x[:max_lag], x[0], dtype=np.float64).cumsum()
-    tail = np.subtract(x[n - max_lag :][::-1], x[0], dtype=np.float64).cumsum()
-    edges = [num(0)] + [num(h) + num(e) for h, e in zip(head, tail)]  # H_k + E_k
-    return [n * n * s - n * total * (2 * total - e) + (n - k) * total * total
-            for k, (s, e) in enumerate(zip(sums, edges))]
+
+    def __init__(self, max_lag: int):
+        self.max_lag = max_lag
+        self.n = 0  # values added
+        self._shift = None  # x_0; its dtype picks exact or float sums
+        self._num = int
+        self._total = 0
+        self._sums = [0] * (max_lag + 1)
+        self._head = np.empty(max_lag)  # the first max_lag values of y
+        self._window = None  # y from the first unsummed index on
+        self._fill = 0
+
+    def add(self, x) -> None:
+        """Append the values of the one-dimensional array ``x``."""
+        x = np.asarray(x)
+        if x.size == 0:
+            return
+        if self._shift is None:
+            self._shift = x[0]
+            exact = x.dtype.kind in "biu" and x.dtype.itemsize <= 2
+            self._num = int if exact else float
+            self._total, self._sums = self._num(0), [self._num(0)] * len(self._sums)
+            self._window = np.empty(_SUM_CHUNK + self.max_lag)
+        lag, window = self.max_lag, self._window
+        i = 0
+        while i < x.size:
+            k = min(x.size - i, window.size - self._fill)
+            y = window[self._fill : self._fill + k]
+            np.subtract(x[i : i + k], self._shift, out=y, dtype=np.float64)  # int16 would overflow
+            if self.n < lag:
+                h = min(lag - self.n, k)
+                self._head[self.n : self.n + h] = y[:h]
+            self._fill, self.n, i = self._fill + k, self.n + k, i + k
+            if self._fill == window.size:  # the next max_lag values are in
+                self._total, self._sums = self._summed(
+                    self._total, self._sums, window, _SUM_CHUNK)
+                window[:lag] = window[_SUM_CHUNK:]
+                self._fill = lag
+
+    def _summed(self, total, sums: list, y: np.ndarray, count: int):
+        """T and S_k plus those of window ``y``, over its first ``count`` indices."""
+        num, sums = self._num, list(sums)
+        total += num(y[:count].sum())
+        for k in range(len(sums)):
+            m = max(min(count, y.size - k), 0)
+            # einsum sums on this thread: a BLAS dot of 10^4 values or more
+            # enters threaded OpenBLAS, which stalled 0.5-8 ms a call in some
+            # processes and splits a float sum differently by thread count
+            sums[k] += num(np.einsum("i,i->", y[:m], y[k : k + m]))
+        return total, sums
+
+    def sums(self) -> list:
+        """n^2 C_k for k = 0..max_lag over the values added so far."""
+        n, lag, num = self.n, self.max_lag, self._num
+        y = self._window[: self._fill] if self.n else np.empty(0)
+        total, sums = self._total, self._sums
+        for a in range(0, y.size, _SUM_CHUNK):  # the window or two still held
+            total, sums = self._summed(total, sums, y[a:], min(_SUM_CHUNK, y.size - a))
+        head = self._head[: min(lag, n)].cumsum()
+        tail = y[max(y.size - lag, 0) :][::-1].cumsum()
+        edges = [num(0)] + [num(h) + num(e) for h, e in zip(head, tail)]  # H_k + E_k
+        return [n * n * s - n * total * (2 * total - e) + (n - k) * total * total
+                for k, (s, e) in enumerate(zip(sums, edges))]
+
+    def autocorrelation(self) -> np.ndarray:
+        """r(0..max_lag) = C_k / C_0: correctly rounded on integer codes and bits."""
+        acov = self.sums()
+        if not acov[0] > 0:
+            raise ValueError("zero variance: autocorrelation undefined")
+        return np.array([c / acov[0] for c in acov])
 
 
 def autocorrelation(samples, max_lag: int) -> np.ndarray:
     """Biased normalised autocorrelation r(0..max_lag), r(0) = 1.
 
-    r(k) = C_k / C_0 of :func:`_centred_lag_sums`: correctly rounded on
+    r(k) = C_k / C_0 of :class:`CentredLagSums`: correctly rounded on
     integer codes and bits.
     """
     x = np.asarray(samples)
@@ -174,10 +231,9 @@ def autocorrelation(samples, max_lag: int) -> np.ndarray:
         raise ValueError("max_lag must be >= 1")
     if x.size < MIN_VALUES_PER_LAG * max_lag:
         raise ValueError(f"need at least {MIN_VALUES_PER_LAG}*max_lag samples")
-    acov = _centred_lag_sums(x, max_lag)
-    if not acov[0] > 0:
-        raise ValueError("zero variance: autocorrelation undefined")
-    return np.array([c / acov[0] for c in acov])
+    sums = CentredLagSums(max_lag)
+    sums.add(x)
+    return sums.autocorrelation()
 
 
 # ---------------------------------------------------------------------------
@@ -300,8 +356,11 @@ def spectral_test(bits) -> float:
     """Discrete Fourier transform (spectral) test."""
     eps = _check_bits(bits)
     n = eps.size
-    x = 2.0 * eps.astype(np.float64) - 1.0
-    spectrum = np.abs(np.fft.rfft(x))[: n // 2]
+    x = eps.astype(np.float64)
+    x *= 2.0
+    x -= 1.0
+    # the moduli go into x's buffer, which the transform no longer needs
+    spectrum = np.abs(np.fft.rfft(x), out=x[: n // 2 + 1])[: n // 2]
     threshold = math.sqrt(math.log(1.0 / 0.05) * n)
     n0 = 0.95 * n / 2.0
     n1 = int(np.count_nonzero(spectrum < threshold))

@@ -80,6 +80,21 @@ def toeplitz_matrix(seed) -> np.ndarray:
     return seed.bits[seed.n_out - 1 - i + j]
 
 
+def toeplitz_product(seed, blocks) -> np.ndarray:
+    """T @ x for each row x of the 0/1 ``blocks``, as exact integers.
+
+    The counts the hash reduces mod 2, summed in int64 a few rows of ``T``
+    at a time, so a large matrix is never held whole.
+    """
+    blocks = np.asarray(blocks, dtype=np.int64)
+    i = np.arange(seed.n_out)
+    counts = np.empty((blocks.shape[0], seed.n_out), np.int64)
+    for a in range(0, seed.n_out, 256):
+        rows = seed.bits[seed.n_out - 1 - i[a : a + 256, None] + np.arange(seed.n_in)]
+        counts[:, a : a + 256] = blocks @ rows.T.astype(np.int64)
+    return counts
+
+
 def hash_bits(seed, bits) -> np.ndarray:
     """Hash 0/1 ``bits`` through ``extract_stream``; n_out bits per n_in.
 

@@ -16,6 +16,7 @@ import re
 import subprocess
 import sys
 import time
+import tracemalloc
 import weakref
 from dataclasses import replace
 from pathlib import Path
@@ -25,7 +26,7 @@ import pytest
 
 from conftest import AC_REF, AQ_REF, CONFIGS, CONV_GAIN, DELAY_TD, F_REF, artifact_digests
 
-from phaseqrng import calib, cli, entropy, runs, sim, stats
+from phaseqrng import calib, cli, entropy, extract, runs, sim, stats
 from phaseqrng import io as qio
 from phaseqrng.model import SampleBlock, VarianceFit, predicted_variance
 
@@ -394,8 +395,8 @@ def test_calibrate_rejects_rank_deficient_sweep(tmp_path, capsys, monkeypatch):
         tmp_path,
         sweep={"powers": [1e-4, 1e-4, 2e-4, 2e-4], "samples_per_point": 20_000},
     )
-    for module in (sim, runs, cli):
-        monkeypatch.setattr(module, "simulate", _no_simulation)
+    for module in (sim, runs):  # every run, collected or streamed, starts here
+        monkeypatch.setattr(module, "code_stream", _no_simulation)
     t0 = time.perf_counter()
     rc = cli.main(["calibrate", "--config", cfg, "--out", str(tmp_path / "fit.txt")])
     elapsed = time.perf_counter() - t0
@@ -547,17 +548,18 @@ def test_pipeline_seed_override_changes_bits(pipeline_run, tmp_path):
 
 @pytest.fixture
 def simulate_calls(monkeypatch):
-    """Every run passed to ``simulate`` during the test, in order."""
+    """Every run simulated during the test, in order, streamed or collected."""
     calls = []
-    real_simulate = sim.simulate
+    real_code_stream = sim.code_stream
 
-    def counting_simulate(run):
+    def counting_code_stream(run):
         calls.append(run)
-        return real_simulate(run)
+        return real_code_stream(run)
 
-    # the sweep points run in sim's point loop, the main run in runs
-    monkeypatch.setattr(sim, "simulate", counting_simulate)
-    monkeypatch.setattr(runs, "simulate", counting_simulate)
+    # the sweep points' ``simulate`` streams through sim's, the main run
+    # through runs' own name for it
+    monkeypatch.setattr(sim, "code_stream", counting_code_stream)
+    monkeypatch.setattr(runs, "code_stream", counting_code_stream)
     return calls
 
 
@@ -593,25 +595,67 @@ def test_pipeline_budgets_once_before_the_main_run(tmp_path, monkeypatch):
 
 
 def test_pipeline_frees_the_main_run_before_the_battery(tmp_path, monkeypatch):
-    # the main run's codes are its largest array: once the extractor and the
-    # raw autocorrelation head have read them, the battery runs without them
-    main_run, alive = [], []
-    real_simulate, real_nist_subset = runs.simulate, stats.nist_subset
+    # the main run's codes pass through one reused chunk buffer: once the
+    # extractor and the raw autocorrelation head have read them, the battery
+    # runs without it
+    buffers, alive = [], []
+    real_code_stream, real_nist_subset = runs.code_stream, stats.nist_subset
 
-    def simulate(run):
-        block = real_simulate(run)
-        main_run.append(weakref.ref(block))
-        return block
+    def code_stream(run):
+        stream = real_code_stream(run)
+
+        def chunks():
+            for chunk in stream.chunks:
+                buffers.append(weakref.ref(chunk.base))
+                yield chunk
+
+        return replace(stream, chunks=chunks())
 
     def nist_subset(*args):
-        alive.append(main_run[0]() is not None)
+        alive.append(any(ref() is not None for ref in buffers))
         return real_nist_subset(*args)
 
-    monkeypatch.setattr(runs, "simulate", simulate)  # the main run only
+    monkeypatch.setattr(runs, "code_stream", code_stream)  # the main run only
     monkeypatch.setattr(stats, "nist_subset", nist_subset)
     runs.pipeline(runs.load_config(write_config(tmp_path, **PIPELINE_SECTIONS)))
-    assert len(main_run) == 1
+    assert len(buffers) > 1
     assert alive == [False]
+
+
+def test_pipeline_never_holds_an_int16_array_of_the_main_run(tmp_path, monkeypatch):
+    # 1.78e6 codes make 10^7 bits: an int16 array of them would be 3.56 MB.
+    # The extractor's packed output is made before it reads a code, so from
+    # the main run's start to the extractor's return the traced peak, less
+    # that output, would hold such an array whole had one ever been made
+    sections = copy.deepcopy(PIPELINE_SECTIONS)
+    sections["entropy"]["n_in"] = 4096
+    sections["pipeline"] = {"n_output_bits": 10_000_000, "n_sequences": 1,
+                            "seq_len_bits": 1500}
+    cfg = runs.load_config(write_config(tmp_path, **sections))
+    seen = {}
+    real_code_stream, real_extract_stream = runs.code_stream, extract.extract_stream
+
+    def code_stream(run):
+        seen["start"] = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        return real_code_stream(run)
+
+    def extract_stream(codes, *args):
+        bits = real_extract_stream(codes, *args)
+        seen["peak"] = tracemalloc.get_traced_memory()[1]
+        seen["codes"], seen["output"] = len(codes), len(bits.bits)
+        return bits
+
+    monkeypatch.setattr(runs, "code_stream", code_stream)
+    monkeypatch.setattr(extract, "extract_stream", extract_stream)
+    tracemalloc.start()
+    try:
+        runs.pipeline(cfg)
+    finally:
+        tracemalloc.stop()
+    assert seen["codes"] > 1_700_000
+    held = seen["peak"] - seen["start"] - seen["output"]
+    assert held < 2 * seen["codes"], seen
 
 
 def test_pipeline_rejects_override_above_budget_before_main_run(
@@ -674,7 +718,7 @@ def test_pipeline_rejects_short_output_for_suite(tmp_path, capsys):
 
 
 def test_pipeline_sizes_main_run_for_autocorrelation_heads(
-    tmp_path, capsys, simulate_calls
+    tmp_path, capsys, monkeypatch, simulate_calls
 ):
     # 128 output bits from 64-bit blocks need only a 32-sample main run, but
     # each 100-lag autocorrelation needs 1000 values of its series
@@ -684,10 +728,15 @@ def test_pipeline_sizes_main_run_for_autocorrelation_heads(
     sections["pipeline"] = {"n_output_bits": 128, "n_sequences": 1, "seq_len_bits": 128}
     cfg = write_config(tmp_path, **sections)
     out = tmp_path / "bits.qrng"
+    read, real_extract_stream = [], extract.extract_stream
+    monkeypatch.setattr(extract, "extract_stream",
+                        lambda codes, *args: read.append(len(codes))
+                        or real_extract_stream(codes, *args))
     rc = cli.main(["pipeline", "--config", cfg, "--out", str(out)])
     assert rc in (0, 2), capsys.readouterr().err  # 2: the one sequence failed
     main_run = simulate_calls[-1]
     assert round(main_run.duration * main_run.chain.sample_rate_hz) == 1000
+    assert read == [1000]  # the extractor reads the main run's stream whole
     assert qio.read_bits(str(out)).count >= 1000
 
 
@@ -838,8 +887,8 @@ def test_out_in_missing_directory_fails_before_any_run(
     # the suffixes checked up front are those of the files the command writes
     _, suffixes = cli._COMMANDS[command]
     assert set(suffixes) == set(GOLDEN[command]) - {""}
-    for module in (sim, runs, cli):
-        monkeypatch.setattr(module, "simulate", _no_simulation)
+    for module in (sim, runs):  # every run, collected or streamed, starts here
+        monkeypatch.setattr(module, "code_stream", _no_simulation)
     if case == "read-only":  # root ignores mode bits, so chmod cannot set this up
         monkeypatch.setattr(os, "access", lambda path, mode: mode != os.W_OK)
     sections = {

@@ -236,8 +236,8 @@ def run_cli(cfg: dict, command: str):
             contextlib.redirect_stderr(err),
             contextlib.redirect_stdout(io.StringIO()),
         ):
-            for module in (sim, runs, cli):
-                mp.setattr(module, "simulate", _no_simulation)
+            for module in (sim, runs):  # every run, collected or streamed, starts here
+                mp.setattr(module, "code_stream", _no_simulation)
             t0 = time.perf_counter()
             rc = cli.main([command, "--config", str(path), "--out", str(Path(tmp) / "o")])
             elapsed = time.perf_counter() - t0

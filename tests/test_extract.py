@@ -1,7 +1,6 @@
 """Toeplitz extractor: GF(2) algebra against the explicit matrix, stream plumbing."""
 
 import hashlib
-import itertools
 import threading
 import tracemalloc
 
@@ -14,8 +13,9 @@ from scipy.fft import next_fast_len
 from phaseqrng import extract
 from phaseqrng.extract import ToeplitzSeed, extract_stream, samples_to_bits
 from phaseqrng.model import EntropyReport, SampleBlock
+from phaseqrng.sim import CodeStream
 
-from conftest import hash_bits, toeplitz_matrix
+from conftest import hash_bits, toeplitz_matrix, toeplitz_product
 
 
 def _seed_from_bits(bits, n_in, n_out):
@@ -213,94 +213,112 @@ def test_extract_stream_matches_per_block_hash():
     np.testing.assert_array_equal(out, expected.reshape(-1))
 
 
-def _check_chunks_match_per_block_hash(monkeypatch, adc_bits, chunk_blocks):
-    monkeypatch.setattr(extract, "_CHUNK_BLOCKS", chunk_blocks)
+def _check_chunks_match_per_block_hash(monkeypatch, adc_bits, chunk_rows, n_blocks=600):
+    monkeypatch.setattr(extract, "_CHUNK_ROWS", chunk_rows)
     n_in, n_out = 100, 37
     half = 1 << (adc_bits - 1)
     rng = np.random.default_rng(adc_bits)
-    block = _stream_block(rng.integers(-half, half, 600 * n_in // adc_bits + 3),
+    block = _stream_block(rng.integers(-half, half, n_blocks * n_in // adc_bits + 3),
                           bits=adc_bits)
     seed = ToeplitzSeed.generate(n_in, n_out, seed_rng=13)
     out = extract_stream(block, _report(0.37, bits=adc_bits), seed)
     raw = samples_to_bits(block.samples, adc_bits)
-    assert raw.size // n_in == 600
-    blocks = raw[: 600 * n_in].reshape(600, n_in).astype(np.int64)
+    assert raw.size // n_in == n_blocks
+    blocks = raw[: n_blocks * n_in].reshape(n_blocks, n_in).astype(np.int64)
     expected = (blocks @ toeplitz_matrix(seed).T % 2).astype(np.uint8)
-    assert out.count == 600 * n_out
+    assert out.count == n_blocks * n_out
     assert out.bits == np.packbits(expected, bitorder="little").tobytes()
 
 
 @pytest.mark.parametrize("chunk_blocks", [64, 8])
 @pytest.mark.parametrize("adc_bits", [7, 12])
 def test_extract_stream_chunks_match_per_block_hash(monkeypatch, adc_bits, chunk_blocks):
-    # 100 input bits a block: buffers of 64 or 8 blocks a worker end
-    # mid-sample at 7 and at 12 bits, and 600 blocks span several buffers,
-    # the last one partial
+    # 100 input bits a block, 6 blocks an FFT row: buffers of 64 or 8 rows
+    # end mid-sample at 7 and at 12 bits, and 600 blocks span several
+    # buffers, the last one partial
+    assert extract._digits_per_row(100, extract._next_fast_len(136)) == 6
     _check_chunks_match_per_block_hash(monkeypatch, adc_bits, chunk_blocks)
 
 
-@pytest.mark.parametrize("workers", [1, 2, 3, 8])
-@pytest.mark.parametrize("chunk_blocks", [64, 8])
+@pytest.mark.parametrize("digits", [1, 2, 5])
 @pytest.mark.parametrize("adc_bits", [7, 12])
-def test_extract_stream_chunks_match_per_block_hash_on_workers(monkeypatch, adc_bits,
-                                                               chunk_blocks, workers):
-    # as above with a fixed thread count: one split of 64 or 8 rows a
-    # thread, fewer in the last, partial buffer
-    monkeypatch.setattr(extract, "_worker_count", lambda: workers)
-    _check_chunks_match_per_block_hash(monkeypatch, adc_bits, chunk_blocks)
+def test_extract_stream_matches_per_block_hash_at_any_digit_count(monkeypatch, adc_bits,
+                                                                  digits):
+    # one block a row is the plain hash; at 2 and 5 blocks a row, 603 blocks
+    # end in a short last row of 1 and 3 blocks, in a partial last buffer
+    monkeypatch.setattr(extract, "_digits_per_row", lambda n_in, n: digits)
+    _check_chunks_match_per_block_hash(monkeypatch, adc_bits, 8, n_blocks=603)
 
 
-class _ChunkFailure(Exception):
-    pass
+def _check_all_ones_hash_is_exact(n_in, n_out, n_blocks):
+    # an all-ones seed and an all-ones input: every count is n_in, and every
+    # packed row is at the largest value its digits can take
+    seed = _seed_from_bits(np.ones(n_in + n_out - 1), n_in, n_out)
+    block = _stream_block(np.full(-(-n_blocks * n_in // 16), -1), bits=16)
+    out = extract_stream(block, _report(n_out / n_in, bits=16), seed)
+    x = np.ones((len(block) * 16 // n_in, n_in), np.uint8)
+    expected = (toeplitz_product(seed, x) % 2).astype(np.uint8)
+    assert out.bits == np.packbits(expected, bitorder="little").tobytes()
 
 
-@pytest.mark.parametrize("workers", [1, 3])
-def test_extract_stream_raises_a_worker_error_without_hanging(monkeypatch, workers):
-    # the second split's inverse FFT fails (on a pool thread at 3 workers,
-    # the second buffer's on the calling thread at 1): the caller gets that
-    # exception, and does not wait for the rest of the buffer's splits
-    monkeypatch.setattr(extract, "_worker_count", lambda: workers)
-    failure, calls, irfft = _ChunkFailure("second chunk"), itertools.count(), np.fft.irfft
+@pytest.mark.parametrize("n_out", [2878, 4096])
+def test_packed_rows_are_exact_at_the_worst_case_of_n_in_4096(n_out):
+    n_in = 4096
+    assert extract._digits_per_row(n_in, extract._next_fast_len(n_in + n_out - 1)) == 3
+    _check_all_ones_hash_is_exact(n_in, n_out, 6)  # two full rows of 3 blocks
 
-    def failing_irfft(*args, **kwargs):
-        if next(calls) == 1:
-            raise failure
-        return irfft(*args, **kwargs)
 
-    monkeypatch.setattr(extract.np.fft, "irfft", failing_irfft)
-    block = _stream_block(np.random.default_rng(6).integers(-128, 128, 600 * 100 // 8))
-    seed = ToeplitzSeed.generate(100, 37, seed_rng=13)
-    raised = []
+# the largest n_in at which an FFT row for n_out = 1 carries K blocks: past
+# it, the error bound allows fewer
+LARGEST_N_IN = {2: 2_097_151, 3: 16_383, 4: 1_831, 5: 300, 6: 127, 7: 63, 8: 31,
+                9: 30, 11: 15, 15: 7, 23: 3, 49: 1}
 
-    def call():
-        try:
-            extract_stream(block, _report(0.37), seed)
-        except _ChunkFailure as exc:
-            raised.append(exc)
 
-    caller = threading.Thread(target=call, daemon=True)
-    caller.start()
-    caller.join(timeout=10)
-    assert not caller.is_alive(), "extract_stream hung after a worker failed"
-    assert raised == [failure]
+@pytest.mark.parametrize("digits, n_in", LARGEST_N_IN.items())
+def test_packed_rows_are_exact_at_the_largest_n_in_of_each_digit_count(digits, n_in):
+    fast_len = extract._next_fast_len
+    assert extract._digits_per_row(n_in, fast_len(n_in)) == digits
+    assert extract._digits_per_row(n_in + 1, fast_len(n_in + 1)) < digits
+    # a full row and a short one (more where a row is a few bits)
+    _check_all_ones_hash_is_exact(n_in, 1, max(digits + 1, 16 // n_in))
 
 
 def test_extract_stream_hashes_on_the_calling_thread_at_one_worker(monkeypatch):
-    # at one usable CPU there is nothing to overlap: no thread is handed a split
-    monkeypatch.setattr(extract, "_worker_count", lambda: 1)
-    threads, hash_chunk = [], extract._hash_chunk
+    # the package starts no thread: every buffer is hashed by the caller
+    threads, hash_rows = [], extract._hash_rows
 
-    def recording_hash_chunk(*args):
+    def recording_hash_rows(*args):
         threads.append(threading.get_ident())
-        hash_chunk(*args)
+        hash_rows(*args)
 
     block = _stream_block(np.random.default_rng(8).integers(-128, 128, 600 * 100 // 8))
     seed = ToeplitzSeed.generate(100, 37, seed_rng=13)
     expected = extract_stream(block, _report(0.37), seed)
-    monkeypatch.setattr(extract, "_hash_chunk", recording_hash_chunk)
+    monkeypatch.setattr(extract, "_hash_rows", recording_hash_rows)
+    running = threading.active_count()
     assert extract_stream(block, _report(0.37), seed) == expected
-    # one split a buffer of in-flight blocks, the last one partial
-    assert threads == [threading.get_ident()] * -(-600 // extract._CHUNK_BLOCKS)
+    assert threading.active_count() == running
+    # one buffer of 8 rows of 6 blocks at a time, the last one partial
+    assert threads == [threading.get_ident()] * -(-600 // (extract._CHUNK_ROWS * 6))
+
+
+@given(seed=st.integers(0, 2**32 - 1), adc_bits=st.sampled_from([7, 12]),
+       n_cuts=st.integers(0, 40), ones=st.integers(0, 60))
+@settings(max_examples=40, deadline=None)
+def test_extract_stream_of_chunks_equals_that_of_one_block(seed, adc_bits, n_cuts, ones):
+    # the first ``ones`` chunks one code each, then edges anywhere: mid-block
+    # and, at 7 and 12 bits, mid-sample; bits, count and provenance are those
+    # of the same codes in one SampleBlock
+    rng = np.random.default_rng(seed)
+    half = 1 << (adc_bits - 1)
+    codes = rng.integers(-half, half, 600 * 100 // adc_bits + 3).astype(np.int16)
+    edges = sorted({*range(ones), *rng.integers(0, codes.size, n_cuts).tolist()})
+    chunks = [codes[a:b] for a, b in zip([0, *edges], [*edges, codes.size])]
+    stream = CodeStream(iter(chunks), codes.size, adc_bits, adc_scale=1e-4)
+    tseed = ToeplitzSeed.generate(100, 37, seed_rng=13)
+    report = _report(0.37, bits=adc_bits)
+    assert extract_stream(stream, report, tseed) == extract_stream(
+        _stream_block(codes, bits=adc_bits), report, tseed)
 
 
 def test_extract_stream_peak_memory_grows_only_by_the_packed_output():
@@ -321,15 +339,14 @@ def test_extract_stream_peak_memory_grows_only_by_the_packed_output():
     assert peaks[1] - peaks[0] <= sizes[1] - sizes[0] + 65536, (peaks, sizes)
 
 
-def test_extract_stream_peak_memory_is_the_in_flight_blocks_and_the_output(monkeypatch):
-    # at n_in 4096 on two workers, 16 blocks are in flight: their spectra and
-    # padded rows, beside the packed output, are all the hash keeps
-    monkeypatch.setattr(extract, "_worker_count", lambda: 2)
+def test_extract_stream_peak_memory_is_the_in_flight_blocks_and_the_output():
+    # at n_in 4096, 8 rows of 3 blocks are in flight: their spectra, padded
+    # rows and staged bits, beside the packed output, are all the hash keeps
     n_in, n_out = 4096, 2048
     seed = ToeplitzSeed.generate(n_in, n_out, seed_rng=3)
     block = _stream_block(np.random.default_rng(5).integers(-128, 128, 200 * n_in // 8))
     n = next_fast_len(n_in + n_out - 1, real=True)
-    in_flight = 16 * ((n // 2 + 1) * 16 + n * 8)
+    in_flight = 8 * ((n // 2 + 1) * 16 + n * 8 + 3 * n_in)
     tracemalloc.start()
     try:
         out = extract_stream(block, _report(0.51), seed)

@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 from scipy.signal import welch
 from scipy.special import gammaincc
 
-from phaseqrng import extract, stats
+from phaseqrng import stats
 from phaseqrng.sim import SimulationRun, simulate
 from phaseqrng.model import LaserNoiseModel, SampleBlock, SignalChainConfig
 from phaseqrng.stats import (
@@ -145,16 +145,38 @@ def _exact_lag_sums(x, max_lag):
     return [np.dot(d[: n - k], d[k:]) for k in range(max_lag + 1)]
 
 
-@pytest.mark.parametrize("workers", [1, 2, 3])
-def test_autocorrelation_bytes_do_not_depend_on_the_worker_count(monkeypatch, workers):
-    # the extractor's hashing pool is the package's only thread pool; the
-    # lag sums run on the calling thread, so r(0..100) of int16 codes is the
-    # exact ratio rounded once whatever the worker count
-    monkeypatch.setattr(extract, "_worker_count", lambda: workers)
+def test_autocorrelation_of_int16_codes_is_the_exact_ratio_rounded_once():
+    # r(0..100) of int16 codes, over the whole range, against Fraction
     x = np.random.default_rng(9).integers(-32768, 32768, 20_000).astype(np.int16)
     lag_sums = _exact_lag_sums(x, 100)
     expected = np.array([float(Fraction(c, lag_sums[0])) for c in lag_sums])
     assert autocorrelation(x, 100).tobytes() == expected.tobytes()
+
+
+@given(seed=st.integers(0, 2**32 - 1), dtype=st.sampled_from(["int16", "uint8", "float64"]),
+       max_lag=st.sampled_from([0, 1, 7, 100]), n=st.integers(1_000, 140_000),
+       n_cuts=st.integers(0, 12), ones=st.integers(0, 120))
+@settings(max_examples=25, deadline=None)
+def test_lag_sums_fed_in_chunks_equal_the_whole_array(seed, dtype, max_lag, n, n_cuts,
+                                                     ones):
+    # chunk edges anywhere, the first ``ones`` chunks one value each (the head
+    # of max_lag values spans them), and n past one or two 2^16-value windows:
+    # every sum is that of the whole array, float sums too, byte for byte
+    rng = np.random.default_rng(seed)
+    if dtype == "float64":
+        x = rng.standard_normal(n) + 3.0
+    else:
+        lo, hi = np.iinfo(dtype).min, np.iinfo(dtype).max
+        x = rng.integers(lo, hi, n, endpoint=True).astype(dtype)
+    edges = sorted({*range(min(ones, n)), *rng.integers(0, n, n_cuts).tolist()})
+    whole, chunked = stats.CentredLagSums(max_lag), stats.CentredLagSums(max_lag)
+    whole.add(x)
+    for a, b in zip([0, *edges], [*edges, n]):
+        chunked.add(x[a:b])
+    assert chunked.n == whole.n == n
+    assert list(map(repr, chunked.sums())) == list(map(repr, whole.sums()))
+    if max_lag:
+        assert chunked.autocorrelation().tobytes() == autocorrelation(x, max_lag).tobytes()
 
 
 @given(seed=st.integers(0, 2**32 - 1), max_lag=st.integers(1, 20),
