@@ -7,6 +7,7 @@ that these exact values should be recovered.
 """
 
 import hashlib
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -107,6 +108,30 @@ def hash_bits(seed, bits) -> np.ndarray:
                            min_entropy_bits=1.0, samples_bits=1,
                            extraction_ratio=1.0)
     return extract_stream(block, report, seed).as_bit_array()
+
+
+def on_threads(call, workers, timeout=30.0) -> list:
+    """Run ``call()`` on ``workers`` threads at once; what each returned or raised.
+
+    The threads start together behind a barrier, so their calls overlap, and
+    none may still be running after ``timeout`` seconds.
+    """
+    start, results = threading.Barrier(workers), [None] * workers
+
+    def run(i):
+        start.wait()
+        try:
+            results[i] = call()
+        except Exception as exc:  # handed back to the test to check
+            results[i] = exc
+
+    threads = [threading.Thread(target=run, args=(i,), daemon=True) for i in range(workers)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout)
+    assert not any(t.is_alive() for t in threads), "a call hung on a worker thread"
+    return results
 
 
 def pack_bits(bits) -> BitStream:

@@ -1,6 +1,7 @@
 """Toeplitz extractor: GF(2) algebra against the explicit matrix, stream plumbing."""
 
 import hashlib
+import itertools
 import threading
 import tracemalloc
 
@@ -15,7 +16,7 @@ from phaseqrng.extract import ToeplitzSeed, extract_stream, samples_to_bits
 from phaseqrng.model import EntropyReport, SampleBlock
 from phaseqrng.sim import CodeStream
 
-from conftest import hash_bits, toeplitz_matrix, toeplitz_product
+from conftest import hash_bits, on_threads, toeplitz_matrix, toeplitz_product
 
 
 def _seed_from_bits(bits, n_in, n_out):
@@ -213,7 +214,9 @@ def test_extract_stream_matches_per_block_hash():
     np.testing.assert_array_equal(out, expected.reshape(-1))
 
 
-def _check_chunks_match_per_block_hash(monkeypatch, adc_bits, chunk_rows, n_blocks=600):
+def _check_chunks_match_per_block_hash(monkeypatch, adc_bits, chunk_rows, n_blocks=600,
+                                       workers=0):
+    # workers > 0: that many threads hash the same block at once
     monkeypatch.setattr(extract, "_CHUNK_ROWS", chunk_rows)
     n_in, n_out = 100, 37
     half = 1 << (adc_bits - 1)
@@ -221,13 +224,18 @@ def _check_chunks_match_per_block_hash(monkeypatch, adc_bits, chunk_rows, n_bloc
     block = _stream_block(rng.integers(-half, half, n_blocks * n_in // adc_bits + 3),
                           bits=adc_bits)
     seed = ToeplitzSeed.generate(n_in, n_out, seed_rng=13)
-    out = extract_stream(block, _report(0.37, bits=adc_bits), seed)
+
+    def call():
+        return extract_stream(block, _report(0.37, bits=adc_bits), seed)
+
+    outs = on_threads(call, workers) if workers else [call()]
     raw = samples_to_bits(block.samples, adc_bits)
     assert raw.size // n_in == n_blocks
     blocks = raw[: n_blocks * n_in].reshape(n_blocks, n_in).astype(np.int64)
     expected = (blocks @ toeplitz_matrix(seed).T % 2).astype(np.uint8)
-    assert out.count == n_blocks * n_out
-    assert out.bits == np.packbits(expected, bitorder="little").tobytes()
+    for out in outs:
+        assert out.count == n_blocks * n_out
+        assert out.bits == np.packbits(expected, bitorder="little").tobytes()
 
 
 @pytest.mark.parametrize("chunk_blocks", [64, 8])
@@ -238,6 +246,45 @@ def test_extract_stream_chunks_match_per_block_hash(monkeypatch, adc_bits, chunk
     # buffers, the last one partial
     assert extract._digits_per_row(100, extract._next_fast_len(136)) == 6
     _check_chunks_match_per_block_hash(monkeypatch, adc_bits, chunk_blocks)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3, 8])
+@pytest.mark.parametrize("chunk_blocks", [64, 8])
+@pytest.mark.parametrize("adc_bits", [7, 12])
+def test_extract_stream_chunks_match_per_block_hash_on_workers(monkeypatch, adc_bits,
+                                                               chunk_blocks, workers):
+    # as above, called from 1 to 8 threads at once on one block and one seed:
+    # each call keeps its own buffers, so every thread gets the same bytes
+    _check_chunks_match_per_block_hash(monkeypatch, adc_bits, chunk_blocks,
+                                       workers=workers)
+
+
+class _ChunkFailure(Exception):
+    pass
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_extract_stream_raises_a_worker_error_without_hanging(monkeypatch, workers):
+    # on each of 1 or 3 threads calling at once, the second buffer's inverse
+    # FFT fails: each caller gets its own exception and returns, and a later
+    # call is not disturbed by the buffers the failed ones left behind
+    block = _stream_block(np.random.default_rng(6).integers(-128, 128, 600 * 100 // 8))
+    seed = ToeplitzSeed.generate(100, 37, seed_rng=13)
+    expected = extract_stream(block, _report(0.37), seed)
+    local, irfft = threading.local(), np.fft.irfft
+
+    def failing_irfft(*args, **kwargs):
+        calls = local.__dict__.setdefault("calls", itertools.count())
+        if next(calls) == 1:
+            raise _ChunkFailure(threading.get_ident())
+        return irfft(*args, **kwargs)
+
+    monkeypatch.setattr(extract.np.fft, "irfft", failing_irfft)
+    raised = on_threads(lambda: extract_stream(block, _report(0.37), seed), workers)
+    assert all(isinstance(exc, _ChunkFailure) for exc in raised), raised
+    assert len({exc.args for exc in raised}) == workers  # one a thread, its own
+    monkeypatch.setattr(extract.np.fft, "irfft", irfft)
+    assert extract_stream(block, _report(0.37), seed) == expected
 
 
 @pytest.mark.parametrize("digits", [1, 2, 5])

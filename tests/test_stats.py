@@ -51,7 +51,7 @@ from phaseqrng.stats import (
     uniformity_pvalue,
 )
 
-from conftest import pack_bits
+from conftest import on_threads, pack_bits
 
 
 def _bits(s: str) -> np.ndarray:
@@ -145,12 +145,16 @@ def _exact_lag_sums(x, max_lag):
     return [np.dot(d[: n - k], d[k:]) for k in range(max_lag + 1)]
 
 
-def test_autocorrelation_of_int16_codes_is_the_exact_ratio_rounded_once():
-    # r(0..100) of int16 codes, over the whole range, against Fraction
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_autocorrelation_bytes_do_not_depend_on_the_worker_count(workers):
+    # r(0..100) of int16 codes, over the whole range, against Fraction, from
+    # 1 to 3 threads at once: the lag sums are exact integers that no BLAS
+    # thread splits, so each caller gets the exact ratio rounded once
     x = np.random.default_rng(9).integers(-32768, 32768, 20_000).astype(np.int16)
     lag_sums = _exact_lag_sums(x, 100)
     expected = np.array([float(Fraction(c, lag_sums[0])) for c in lag_sums])
-    assert autocorrelation(x, 100).tobytes() == expected.tobytes()
+    for r in on_threads(lambda: autocorrelation(x, 100), workers):
+        assert r.tobytes() == expected.tobytes()
 
 
 @given(seed=st.integers(0, 2**32 - 1), dtype=st.sampled_from(["int16", "uint8", "float64"]),
