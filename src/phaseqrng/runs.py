@@ -370,9 +370,13 @@ def pipeline(cfg: Config) -> PipelineResult:
             raw.add(chunk[: _HEAD - raw.n])
             yield chunk
 
-    bits = extract.extract_stream(
-        replace(stream, chunks=head_first(stream.chunks)), report, extractor
-    )
+    try:
+        bits = extract.extract_stream(
+            replace(stream, chunks=head_first(stream.chunks)), report, extractor
+        )
+    finally:
+        # a run the extractor left unread ends here, with its helper thread
+        stream.chunks.close()
     # diagnostic heads as stored (codes, bits): r ignores the ADC scale
     raw_r = raw.autocorrelation()
     del raw  # its window goes before the battery

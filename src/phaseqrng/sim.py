@@ -29,11 +29,14 @@ then per output sample:
 No output sample depends on a statistic of the whole block, so a run is a
 prefix of the same run with a longer duration.  All seven steps run in one
 pass, a fixed chunk of output rows at a time in reused buffers that carry the
-last ``L`` cumulative phases and the AR(1) state between chunks.
-:func:`code_stream` hands out each chunk's int16 codes as they are made, so
-it holds only the chunk buffers, whatever the length or the oversampling;
-:func:`simulate` collects them into one array (2 bytes a sample).  The
-chunking moves no byte of the output.
+last ``L`` cumulative phases and the AR(1) state between chunks.  While the
+calling thread runs a chunk, a helper thread that the call owns draws the
+next chunk's phase normals, from the same generator in the same order, into
+a second phase buffer.  :func:`code_stream` hands out each chunk's int16
+codes as they are made, so it holds only the chunk buffers, whatever the
+length or the oversampling; :func:`simulate` collects them into one array
+(2 bytes a sample).  Neither the chunking nor the helper moves a byte of the
+output.
 
 Gain bookkeeping
 ----------------
@@ -54,8 +57,9 @@ matches ``AC P^2 + AQ P + F`` with AC, AQ, F exactly as configured.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Callable, Generator, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -188,6 +192,64 @@ def model_sigma(run: SimulationRun) -> float:
     return math.sqrt(var)
 
 
+def _chunk_spans(n_rows: int, chunk_rows: int, ovs: int,
+                 pad: int) -> Iterator[tuple[int, int, int]]:
+    """``(first row, internal steps, DC pad)`` of each chunk of output rows.
+
+    Only the first chunk holds the pad.
+    """
+    for r0 in range(0, n_rows, chunk_rows):
+        yield r0, (min(r0 + chunk_rows, n_rows) - r0) * ovs, max(pad - r0 * ovs, 0)
+
+
+class _DrawsAhead:
+    """A helper thread that draws each chunk's phase normals one chunk ahead.
+
+    Chunk ``i``'s standard normals, the ``i``-th of ``sizes``, go to
+    ``bufs[i % 2][head:]``: the same values, in the same order, as drawing
+    them in turn on the calling thread, which alone touches the rest of each
+    buffer.  The caller blocks in :meth:`wait` until a chunk's draws are in,
+    gives its buffer back with :meth:`hand_back` once done with it, and joins
+    the helper with :meth:`close`.  An exception on the helper is raised from
+    the next :meth:`wait`.
+    """
+
+    def __init__(self, rng: np.random.Generator, sizes: Iterable[int],
+                 bufs: tuple[np.ndarray, np.ndarray], head: int) -> None:
+        self._free = threading.Semaphore(len(bufs))  # buffers the helper may fill
+        self._ready = threading.Semaphore(0)  # chunks drawn, or the helper's error
+        self._error: BaseException | None = None
+        self._closed = False
+        self._thread = threading.Thread(target=self._draw, args=(rng, sizes, bufs, head),
+                                        daemon=True)
+        self._thread.start()
+
+    def _draw(self, rng, sizes, bufs, head) -> None:
+        try:
+            for i, m in enumerate(sizes):
+                self._free.acquire()
+                if self._closed:
+                    return
+                rng.standard_normal(out=bufs[i % len(bufs)][head : head + m])
+                self._ready.release()
+        except BaseException as exc:  # re-raised on the calling thread
+            self._error = exc
+            self._ready.release()
+
+    def wait(self) -> None:
+        self._ready.acquire()
+        if self._error is not None:
+            raise self._error
+
+    def hand_back(self) -> None:
+        self._free.release()
+
+    def close(self) -> None:
+        self._closed = True
+        self._free.release()  # wakes a helper that waits for a buffer
+        self._thread.join()
+
+
 def _analog_chain(run: SimulationRun, n_samples: int) -> Iterator[np.ndarray]:
     """Decimated analog voltage (volts) about the model DC, chunk by chunk.
 
@@ -206,7 +268,10 @@ def _analog_chain(run: SimulationRun, n_samples: int) -> Iterator[np.ndarray]:
     rows = np.empty(min(_CHUNK_ROWS, n_rows))
     buf = np.empty(rows.size * ovs)
     taps = alpha * rho ** np.arange(ovs - 1, -1, -1.0)
+    r, f = rho**ovs, chain.electronic_noise_f
+    noise = np.random.default_rng(derive_seed(run.seed, NS_ELECTRONIC))
     dc = 0.0
+    ahead = None
     if model.power_p > 0:
         # combined Wiener increments for the two independent phase processes,
         # whose delay difference has variance s over the L-step buffer
@@ -228,52 +293,60 @@ def _analog_chain(run: SimulationRun, n_samples: int) -> Iterator[np.ndarray]:
         )
         # E[sin(x + offset)] = sin(offset) * exp(-var(x) / 2) for Gaussian x
         dc = amp * math.sin(chain.quadrature_offset) * math.exp(-s / 2.0)
-    r, f = rho**ovs, chain.electronic_noise_f
-    noise = np.random.default_rng(derive_seed(run.seed, NS_ELECTRONIC))
+        # the next chunk's normals are drawn into spare while theta is in use
+        spare = np.empty_like(theta)
+        ahead = _DrawsAhead(rng, (n_steps - n_pad for _, n_steps, n_pad
+                                  in _chunk_spans(n_rows, rows.size, ovs, pad)),
+                            (theta, spare), L)
     # the AR(1) state starts at the DC, so no DC transient reaches the output
     y_last = dc
-    for r0 in range(0, n_rows, _CHUNK_ROWS):
-        w = buf[: (min(r0 + _CHUNK_ROWS, n_rows) - r0) * ovs]
-        n_pad = max(pad - r0 * ovs, 0)  # only the first chunk holds the pad
-        w[:n_pad] = dc
-        v = w[n_pad:]
-        j0 = r0 * ovs + n_pad - pad  # the internal step of v[0]
-        if model.power_p > 0:
-            m = v.size
-            inc = theta[L : L + m]
-            rng.standard_normal(out=inc)
-            inc *= sd
-            inc[0] += theta[L - 1]
-            np.cumsum(inc, out=inc)
-            np.subtract(inc, theta[:m], out=v)
-            theta[:L] = theta[m : m + L]
-            v += chain.quadrature_offset
-            np.sin(v, out=v)
-            v *= amp
-        else:
-            v.fill(0.0)
-        for freq, amplitude in run.rf_tones:
-            t = (np.arange(j0, j0 + v.size) + L) * dt
-            v += amplitude * np.sin(2.0 * math.pi * freq * t)
-        # the pole read every ovs steps: an ovs-tap FIR into an AR(1) in r
-        x = rows[: w.size // ovs]
-        np.matmul(w.reshape(-1, ovs), taps, out=x)
-        x[0] += r * y_last
-        k = max(y0 - r0, 0)  # step 5 on the chunk's output rows, in order
-        if f > 0 and k < x.size:
-            e = noise.standard_normal(out=buf[: x.size - k])
-            first = int(r0 <= y0)  # the first output sample: the stationary law
-            e[:first] *= math.sqrt(f)
-            e[first:] *= math.sqrt(f * (1.0 - r * r))
-            x[k:] += e
-        # x[i] += r x[i-1] by recursive doubling (Blelloch 1990) until r = 0
-        step, r_step = 1, r
-        while step < x.size and r_step > 0.0:
-            x[step:] += np.multiply(x[:-step], r_step, out=buf[: x.size - step])
-            r_step, step = r_step * r_step, 2 * step
-        y_last = x[-1]
-        x[k:] -= dc
-        yield x[k:]
+    try:
+        for r0, n_steps, n_pad in _chunk_spans(n_rows, rows.size, ovs, pad):
+            w = buf[:n_steps]
+            w[:n_pad] = dc
+            v = w[n_pad:]
+            j0 = r0 * ovs + n_pad - pad  # the internal step of v[0]
+            if ahead is not None:
+                m = v.size
+                ahead.wait()  # this chunk's normals are in theta[L : L + m]
+                inc = theta[L : L + m]
+                inc *= sd
+                inc[0] += theta[L - 1]
+                np.cumsum(inc, out=inc)
+                np.subtract(inc, theta[:m], out=v)
+                spare[:L] = theta[m : m + L]
+                ahead.hand_back()  # theta is the helper's to fill again
+                theta, spare = spare, theta
+                v += chain.quadrature_offset
+                np.sin(v, out=v)
+                v *= amp
+            else:
+                v.fill(0.0)
+            for freq, amplitude in run.rf_tones:
+                t = (np.arange(j0, j0 + v.size) + L) * dt
+                v += amplitude * np.sin(2.0 * math.pi * freq * t)
+            # the pole read every ovs steps: an ovs-tap FIR into an AR(1) in r
+            x = rows[: w.size // ovs]
+            np.matmul(w.reshape(-1, ovs), taps, out=x)
+            x[0] += r * y_last
+            k = max(y0 - r0, 0)  # step 5 on the chunk's output rows, in order
+            if f > 0 and k < x.size:
+                e = noise.standard_normal(out=buf[: x.size - k])
+                first = int(r0 <= y0)  # the first output sample: the stationary law
+                e[:first] *= math.sqrt(f)
+                e[first:] *= math.sqrt(f * (1.0 - r * r))
+                x[k:] += e
+            # x[i] += r x[i-1] by recursive doubling (Blelloch 1990) until r = 0
+            step, r_step = 1, r
+            while step < x.size and r_step > 0.0:
+                x[step:] += np.multiply(x[:-step], r_step, out=buf[: x.size - step])
+                r_step, step = r_step * r_step, 2 * step
+            y_last = x[-1]
+            x[k:] -= dc
+            yield x[k:]
+    finally:
+        if ahead is not None:
+            ahead.close()
 
 
 @dataclass(frozen=True)
@@ -281,10 +354,12 @@ class CodeStream:
     """A run's int16 codes, made as ``chunks`` is read: once, in order.
 
     ``len()`` of them in all, ``_CHUNK_ROWS`` or fewer a chunk; each chunk
-    is a view of one reused buffer, valid until the next is read.
+    is a view of one reused buffer, valid until the next is read.  A run
+    with phase noise draws on a helper thread, which ends with ``chunks``:
+    when it is read to the end, raises, is closed or is collected.
     """
 
-    chunks: Iterator[np.ndarray]
+    chunks: Generator[np.ndarray, None, None]
     n_samples: int
     adc_bits: int
     adc_scale: float
@@ -317,7 +392,8 @@ def code_stream(run: SimulationRun) -> CodeStream:
                       chain.adc_bits, adc_scale)
 
 
-def _quantise(run: SimulationRun, n_samples: int, adc_scale: float) -> Iterator[np.ndarray]:
+def _quantise(run: SimulationRun, n_samples: int,
+              adc_scale: float) -> Generator[np.ndarray, None, None]:
     """Steps 6-7 on each chunk of :func:`_analog_chain`, into one int16 buffer."""
     half = 1 << (run.chain.adc_bits - 1)
     codes = np.empty(min(_CHUNK_ROWS, n_samples), np.int16)

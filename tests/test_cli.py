@@ -94,8 +94,8 @@ def test_cli_import_loads_no_scipy():
 
 
 def test_cli_import_leaves_concurrent_futures_unimported():
-    # only the extractor uses a thread pool, and it imports it on first
-    # use: simulate, calibrate and stability never pay it
+    # no command uses a thread pool (the simulator's helper thread is a
+    # plain threading.Thread), so no run pays for importing one
     code = "import sys, phaseqrng.cli; print('concurrent.futures' in sys.modules)"
     assert _python("-c", code).strip() == "False"
 

@@ -331,7 +331,7 @@ def test_packed_rows_are_exact_at_the_largest_n_in_of_each_digit_count(digits, n
 
 
 def test_extract_stream_hashes_on_the_calling_thread_at_one_worker(monkeypatch):
-    # the package starts no thread: every buffer is hashed by the caller
+    # the extractor starts no thread: every buffer is hashed by the caller
     threads, hash_rows = [], extract._hash_rows
 
     def recording_hash_rows(*args):

@@ -1,7 +1,11 @@
 """Time-domain simulator: variance bookkeeping, fringes, drift scenarios."""
 
+import hashlib
 import itertools
 import math
+import sys
+import threading
+import time
 import tracemalloc
 from dataclasses import replace
 
@@ -10,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.signal import lfilter, welch
 
-from phaseqrng import sim
+from phaseqrng import extract, runs, sim
 from phaseqrng.calib import find_quadrature
 from phaseqrng.model import (
     LaserNoiseModel,
@@ -35,7 +39,9 @@ from phaseqrng.sim import (
 )
 from phaseqrng.stats import autocorrelation
 
-from conftest import AC_REF, AQ_REF, CONV_GAIN, DELAY_TD, F_REF, make_ref_model
+from conftest import (
+    AC_REF, AQ_REF, CONFIGS, CONV_GAIN, DELAY_TD, F_REF, make_ref_model, on_threads,
+)
 
 P_REF = 2.47e-4
 
@@ -305,6 +311,108 @@ def test_simulate_peak_memory_does_not_grow_with_oversampling():
         allowance = 4 * sim._CHUNK_ROWS * ovs * 8  # four float64 internal-rate chunks
         for n, peak in zip(lengths, peaks):
             assert peak - 2 * n <= allowance, (ovs, n, peak)
+
+
+# ---------------------------------------------------------------------------
+# the phase draws' helper thread: one per call, gone when the call ends
+# ---------------------------------------------------------------------------
+
+# 20000 samples are five default chunks; the digest was recorded with every
+# phase draw made on the calling thread
+FIVE_CHUNKS = 20_000 / 500e6
+FIVE_CHUNKS_SHA256 = "8a765996ba37e2e41b743d29b399b08ce4b35ad04f585a4f2458db7178d21133"
+
+
+def test_a_failed_phase_draw_reaches_the_caller_and_leaves_no_thread(monkeypatch):
+    run = _run(duration=FIVE_CHUNKS, seed=41)
+    real_default_rng, helper_draws = np.random.default_rng, []
+
+    class FailingGenerator:
+        """A generator whose third draw off its maker's thread fails."""
+
+        def __init__(self, seed):
+            self._rng, self._maker = real_default_rng(seed), threading.get_ident()
+
+        def standard_normal(self, out):
+            if threading.get_ident() != self._maker:
+                helper_draws.append(out.size)
+                if len(helper_draws) == 3:
+                    time.sleep(0.2)  # the caller is waiting for this chunk
+                    raise RuntimeError("third chunk's draw failed")
+            return self._rng.standard_normal(out=out)
+
+    running = threading.active_count()
+    monkeypatch.setattr(np.random, "default_rng", FailingGenerator)
+    [error] = on_threads(lambda: simulate(run), 1, timeout=30.0)
+    assert isinstance(error, RuntimeError) and "third chunk" in str(error)
+    assert len(helper_draws) == 3  # the phase draws, none after the failure
+    assert threading.active_count() == running
+    monkeypatch.undo()
+    codes = simulate(run).samples
+    assert hashlib.sha256(codes.tobytes()).hexdigest() == FIVE_CHUNKS_SHA256
+
+
+def test_a_closed_or_dropped_code_stream_leaves_no_thread():
+    running = threading.active_count()
+    stream = sim.code_stream(_run(duration=FIVE_CHUNKS, seed=42))
+    next(stream.chunks)
+    assert threading.active_count() == running + 1  # the helper, a chunk ahead
+    stream.chunks.close()
+    assert threading.active_count() == running
+    stream = sim.code_stream(_run(duration=FIVE_CHUNKS, seed=43))
+    next(stream.chunks)
+    del stream
+    assert threading.active_count() == running
+
+
+def test_a_failed_pipeline_main_run_leaves_no_thread(monkeypatch):
+    cfg = runs.load_config(CONFIGS / "pipeline.json")
+    cfg = replace(
+        cfg,
+        sweep=runs.SweepConfig(powers=(3e-5, 1e-4, 3e-4, 1e-3), samples_per_point=50_000),
+        pipeline=runs.PipelineConfig(n_output_bits=200_000, n_sequences=1,
+                                     seq_len_bits=1500),
+    )
+    real_samples_to_bits, calls = extract.samples_to_bits, []
+
+    def failing_samples_to_bits(codes, adc_bits):
+        calls.append(codes.size)
+        if len(calls) == 3:
+            raise RuntimeError("the extractor failed partway")
+        return real_samples_to_bits(codes, adc_bits)
+
+    monkeypatch.setattr(extract, "samples_to_bits", failing_samples_to_bits)
+    running = threading.active_count()
+    with pytest.raises(RuntimeError, match="partway") as failure:
+        runs.pipeline(cfg)
+    # the failure's traceback still holds the run's frames, and the helper
+    # is gone all the same
+    assert failure.traceback and threading.active_count() == running
+
+
+def test_callers_on_several_threads_get_the_serial_codes(monkeypatch):
+    # three callers and their helpers on two cores, switching often, with
+    # a hand-off every 64 rows: a chunk read before its draws were in, or
+    # drawn over while in use, moves a code
+    monkeypatch.setattr(sim, "_CHUNK_ROWS", 64)
+    seeds = iter([51, 52, 53])
+    expected = {seed: simulate(_run(duration=FIVE_CHUNKS, seed=seed)).samples
+                for seed in (51, 52, 53)}
+
+    def call():
+        seed = next(seeds)
+        return seed, simulate(_run(duration=FIVE_CHUNKS, seed=seed)).samples
+
+    running, interval = threading.active_count(), sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        results = on_threads(call, 3)
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(seed for seed, _ in results) == [51, 52, 53]
+    for seed, codes in results:
+        np.testing.assert_array_equal(codes, expected[seed], err_msg=str(seed))
+    assert threading.active_count() == running
 
 
 def test_samples_are_centred_and_in_range():
