@@ -8,8 +8,8 @@
 Each takes ``--config <json> --out <path>`` and an optional ``--seed``
 overriding the run seed.  :func:`phaseqrng.runs.load_config` parses the whole
 config before any work starts, and the runs live in :mod:`phaseqrng.runs`.
-Exit codes: 0 success, 1 configuration/validation failure, 2 statistical
-failure.
+Exit codes: 0 success (``-h`` included), 1 usage, configuration or
+validation failure, reported on one ``error:`` line, 2 statistical failure.
 """
 
 from __future__ import annotations
@@ -170,8 +170,13 @@ _COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # main reports it: one line and exit 1, not argparse's 2
+        raise ValueError(message)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="phaseqrng",
         description="Phase-noise QRNG simulation and post-processing pipeline",
     )
@@ -182,9 +187,8 @@ def main(argv: list[str] | None = None) -> int:
         p.add_argument("--out", required=True, help="output path")
         p.add_argument("--seed", type=int, default=None,
                        help="override the run seed from the config")
-    args = parser.parse_args(argv)
-
     try:
+        args = parser.parse_args(argv)
         cfg = runs.load_config(args.config, args.seed)
         # Path drops a trailing "/" or ".", which would name the directory
         if os.path.basename(args.out) in ("", ".", ".."):
@@ -202,6 +206,6 @@ def main(argv: list[str] | None = None) -> int:
         if not os.access(out_dir, os.W_OK):
             raise ValueError(f"output directory {out_dir} is not writable")
         return command(cfg, args.out)
-    except ValueError as exc:  # runs.ConfigError and library validation
+    except ValueError as exc:  # usage, runs.ConfigError and library validation
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

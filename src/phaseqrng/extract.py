@@ -33,10 +33,12 @@ radix-3 and radix-5 passes, which the radix-2 bound does not cover.  At n_in
 2^39 and a bound of 6.7e-3; K = 1 is the plain, one-block-a-row hash.
 
 Codes arrive in chunks, a ``SampleBlock``'s as one and a simulated stream's
-as it is made; a sample or a block may straddle a chunk edge.  They are
-serialised into one buffer of 8 rows of K blocks, made once per call, which
-the calling thread hashes straight into the packed output whenever it
-fills.  The output is all that grows with the input, and it is handed to the
+as it is made; a sample or a block may straddle a chunk edge.  One loop
+serialises each chunk in pieces of the codes that fill the rest of one
+buffer of 8 rows of K blocks, none past the last whole block, and copies
+them in; the buffer is made once per call, and the calling thread hashes it
+straight into the packed output whenever it holds the next rows' blocks.
+The output is all that grows with the input, and it is handed to the
 ``BitStream`` as a read-only buffer, not copied.
 
 Security note: the hash itself is deterministic and carries no entropy
@@ -219,26 +221,23 @@ def extract_stream(
     staged = np.empty(rows * k * n_in, np.uint8)  # the next rows' bits
     source = hashlib.sha256()
     done = fill = 0  # blocks hashed, bits staged
-    need = min(_CHUNK_ROWS * k, n_blocks) * n_in  # bits the next buffer takes
+    left = n_blocks * n_in  # bits still to stage
     for chunk in samples.chunks:
         source.update(chunk)
-        i = 0
-        while i < chunk.size and need:
-            # the codes that fill the buffer; the last may spill into the next
-            take = min(chunk.size - i, -(-(need - fill) // b))
-            bits = samples_to_bits(chunk[i : i + take], b)
-            i, j = i + take, 0
-            while j < bits.size and need:
-                step = min(bits.size - j, need - fill)
-                staged[fill : fill + step] = bits[j : j + step]
-                fill, j = fill + step, j + step
-                if fill == need:
-                    m = need // n_in
-                    # done is a multiple of 8 K, so out starts on a whole byte
-                    out = payload[done * n_out // 8 : -(-(done + m) * n_out // 8)]
-                    _hash_rows(staged, m, k, padded, spectra, seed_spectrum, n_in, n_out, out)
-                    done, fill = done + m, 0
-                    need = min(_CHUNK_ROWS * k, n_blocks - done) * n_in
+        i, bits = 0, staged[:0]  # the next code to serialise; the piece's unstaged bits
+        while left and (bits.size or i < chunk.size):
+            if not bits.size:  # the codes that fill the buffer, none past the last block
+                take = -(-min(staged.size - fill, left) // b)
+                bits, i = samples_to_bits(chunk[i : i + take], b), i + take
+            step = min(bits.size, staged.size - fill, left)
+            staged[fill : fill + step], bits = bits[:step], bits[step:]
+            fill, left = fill + step, left - step
+            if fill == staged.size or not left:  # the next rows' blocks are in
+                m = fill // n_in
+                # done is a multiple of 8 K, so out starts on a whole byte
+                out = payload[done * n_out // 8 : -(-(done + m) * n_out // 8)]
+                _hash_rows(staged, m, k, padded, spectra, seed_spectrum, n_in, n_out, out)
+                done, fill = done + m, 0
     del buf, spectra, padded, staged  # the hash's scratch goes before the BitStream is made
     payload.flags.writeable = False
     provenance = {

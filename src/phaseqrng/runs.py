@@ -170,6 +170,8 @@ def load_config(path, seed: int | None = None) -> Config:
         raise ConfigError(
             f"config parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except (ValueError, RecursionError) as exc:  # a 5000-digit integer, brackets nested too deep
+        raise ConfigError(f"config parse error: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
     for name in raw:

@@ -212,6 +212,8 @@ class CentredLagSums:
 
     def autocorrelation(self) -> np.ndarray:
         """r(0..max_lag) = C_k / C_0: correctly rounded on integer codes and bits."""
+        if self.n < MIN_VALUES_PER_LAG * self.max_lag:
+            raise ValueError(f"need at least {MIN_VALUES_PER_LAG}*max_lag samples")
         acov = self.sums()
         if not acov[0] > 0:
             raise ValueError("zero variance: autocorrelation undefined")
@@ -229,8 +231,6 @@ def autocorrelation(samples, max_lag: int) -> np.ndarray:
         raise ValueError("samples must be one-dimensional")
     if max_lag < 1:
         raise ValueError("max_lag must be >= 1")
-    if x.size < MIN_VALUES_PER_LAG * max_lag:
-        raise ValueError(f"need at least {MIN_VALUES_PER_LAG}*max_lag samples")
     sums = CentredLagSums(max_lag)
     sums.add(x)
     return sums.autocorrelation()

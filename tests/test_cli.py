@@ -132,6 +132,37 @@ def test_malformed_json_reports_position(tmp_path, capsys):
     assert "column" in err
 
 
+@pytest.mark.parametrize("text", ["[" * 200_000, '{"model": ' + "9" * 5000 + "}"],
+                         ids=["nested", "long_integer"])
+def test_unparsable_config_fails_in_one_line(tmp_path, capsys, text):
+    # nested too deep for the decoder, or an integer past Python's digit limit
+    path = tmp_path / "unparsable.json"
+    path.write_text(text)
+    rc = cli.main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: config parse error: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--config", "c.json", "--out", "o", "--seed", "abc"],
+    ["simulate", "--config", "c.json"],
+    [],
+], ids=["bad_seed", "no_out", "no_command"])
+def test_usage_errors_exit_1_in_one_line(capsys, argv):
+    # exit 2 is the statistical failure; a bad command line is a usage error
+    assert cli.main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["-h"])
+    assert exit_info.value.code == 0
+    assert "simulate" in capsys.readouterr().out
+
+
 def test_config_root_must_be_object(tmp_path, capsys):
     path = tmp_path / "list.json"
     path.write_text("[1, 2, 3]")

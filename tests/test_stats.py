@@ -114,6 +114,16 @@ def test_autocorrelation_validation():
         autocorrelation(np.arange(100.0), max_lag=0)
 
 
+def test_lag_sums_refuse_fewer_than_ten_values_a_lag():
+    # the accumulator owns the length rule: 50 values cannot give 100 lags
+    sums = stats.CentredLagSums(100)
+    sums.add(np.arange(50.0))
+    with pytest.raises(ValueError, match="10\\*max_lag"):
+        sums.autocorrelation()
+    sums.add(np.arange(950.0))
+    assert sums.autocorrelation().size == 101
+
+
 def test_autocorrelation_bytes_do_not_depend_on_blas_threads():
     # BLAS ddot (``x @ y``) splits a long sum across its threads, which
     # changes the rounding of float input, so that goes through einsum;
