@@ -138,6 +138,8 @@ class StabilityConfig:
     def __post_init__(self) -> None:
         _check(self.recalibration_period > 0, "recalibration_period must be > 0")
         _check(self.report_interval > 0, "report_interval must be > 0")
+        _check(math.isfinite(self.total_time / self.report_interval),
+               "total_time / report_interval must be a finite report count")
         _check(self.total_time >= 10.0 * self.report_interval,
                "total_time must cover at least 10 report intervals")
 
@@ -377,7 +379,7 @@ def pipeline(cfg: Config) -> PipelineResult:
             replace(stream, chunks=head_first(stream.chunks)), report, extractor
         )
     finally:
-        # a run the extractor left unread ends here, with its helper thread
+        # a run the extractor left unread ends here, and its draw worker with it
         stream.chunks.close()
     # diagnostic heads as stored (codes, bits): r ignores the ADC scale
     raw_r = raw.autocorrelation()

@@ -30,13 +30,13 @@ No output sample depends on a statistic of the whole block, so a run is a
 prefix of the same run with a longer duration.  All seven steps run in one
 pass, a fixed chunk of output rows at a time in reused buffers that carry the
 last ``L`` cumulative phases and the AR(1) state between chunks.  While the
-calling thread runs a chunk, a helper thread that the call owns draws the
-next chunk's phase normals, from the same generator in the same order, into
-a second phase buffer.  :func:`code_stream` hands out each chunk's int16
-codes as they are made, so it holds only the chunk buffers, whatever the
-length or the oversampling; :func:`simulate` collects them into one array
-(2 bytes a sample).  Neither the chunking nor the helper moves a byte of the
-output.
+calling thread runs a chunk, a one-worker thread pool that the call owns
+draws the next chunk's phase normals, from the same generator in the same
+order, into a second phase buffer; one draw is in flight at a time.
+:func:`code_stream` hands out each chunk's int16 codes as they are made, so
+it holds only the chunk buffers, whatever the length or the oversampling;
+:func:`simulate` collects them into one array (2 bytes a sample).  Neither
+the chunking nor the worker moves a byte of the output.
 
 Gain bookkeeping
 ----------------
@@ -57,7 +57,6 @@ matches ``AC P^2 + AQ P + F`` with AC, AQ, F exactly as configured.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, replace
 from typing import Callable, Generator, Iterable, Iterator, NamedTuple
 
@@ -111,8 +110,9 @@ class SimulationRun:
     rf_tones: tuple[tuple[float, float], ...] = ()
 
     def __post_init__(self) -> None:
-        if not 0 < self.duration * self.chain.sample_rate_hz < math.inf:
-            raise ValueError("duration must be > 0 and give a finite sample count")
+        # a count of 2**63 or more cannot size an array
+        if not 0 < self.duration * self.chain.sample_rate_hz < 2**63:
+            raise ValueError("duration must be > 0 and give a sample count below 2**63")
         if int(self.oversample_factor) < 4:
             raise ValueError("oversample_factor must be >= 4")
         if not 0 <= int(self.seed) < 2**64:
@@ -202,54 +202,6 @@ def _chunk_spans(n_rows: int, chunk_rows: int, ovs: int,
         yield r0, (min(r0 + chunk_rows, n_rows) - r0) * ovs, max(pad - r0 * ovs, 0)
 
 
-class _DrawsAhead:
-    """A helper thread that draws each chunk's phase normals one chunk ahead.
-
-    Chunk ``i``'s standard normals, the ``i``-th of ``sizes``, go to
-    ``bufs[i % 2][head:]``: the same values, in the same order, as drawing
-    them in turn on the calling thread, which alone touches the rest of each
-    buffer.  The caller blocks in :meth:`wait` until a chunk's draws are in,
-    gives its buffer back with :meth:`hand_back` once done with it, and joins
-    the helper with :meth:`close`.  An exception on the helper is raised from
-    the next :meth:`wait`.
-    """
-
-    def __init__(self, rng: np.random.Generator, sizes: Iterable[int],
-                 bufs: tuple[np.ndarray, np.ndarray], head: int) -> None:
-        self._free = threading.Semaphore(len(bufs))  # buffers the helper may fill
-        self._ready = threading.Semaphore(0)  # chunks drawn, or the helper's error
-        self._error: BaseException | None = None
-        self._closed = False
-        self._thread = threading.Thread(target=self._draw, args=(rng, sizes, bufs, head),
-                                        daemon=True)
-        self._thread.start()
-
-    def _draw(self, rng, sizes, bufs, head) -> None:
-        try:
-            for i, m in enumerate(sizes):
-                self._free.acquire()
-                if self._closed:
-                    return
-                rng.standard_normal(out=bufs[i % len(bufs)][head : head + m])
-                self._ready.release()
-        except BaseException as exc:  # re-raised on the calling thread
-            self._error = exc
-            self._ready.release()
-
-    def wait(self) -> None:
-        self._ready.acquire()
-        if self._error is not None:
-            raise self._error
-
-    def hand_back(self) -> None:
-        self._free.release()
-
-    def close(self) -> None:
-        self._closed = True
-        self._free.release()  # wakes a helper that waits for a buffer
-        self._thread.join()
-
-
 def _analog_chain(run: SimulationRun, n_samples: int) -> Iterator[np.ndarray]:
     """Decimated analog voltage (volts) about the model DC, chunk by chunk.
 
@@ -271,8 +223,10 @@ def _analog_chain(run: SimulationRun, n_samples: int) -> Iterator[np.ndarray]:
     r, f = rho**ovs, chain.electronic_noise_f
     noise = np.random.default_rng(derive_seed(run.seed, NS_ELECTRONIC))
     dc = 0.0
-    ahead = None
+    pool = None
     if model.power_p > 0:
+        from concurrent.futures import ThreadPoolExecutor
+
         # combined Wiener increments for the two independent phase processes,
         # whose delay difference has variance s over the L-step buffer
         s = phase_difference_variance(model, L * dt)
@@ -293,11 +247,13 @@ def _analog_chain(run: SimulationRun, n_samples: int) -> Iterator[np.ndarray]:
         )
         # E[sin(x + offset)] = sin(offset) * exp(-var(x) / 2) for Gaussian x
         dc = amp * math.sin(chain.quadrature_offset) * math.exp(-s / 2.0)
-        # the next chunk's normals are drawn into spare while theta is in use
+        # chunk i + 1's normals are drawn into spare while chunk i uses theta,
+        # one draw at a time on a worker the call owns; sizes runs a chunk ahead
         spare = np.empty_like(theta)
-        ahead = _DrawsAhead(rng, (n_steps - n_pad for _, n_steps, n_pad
-                                  in _chunk_spans(n_rows, rows.size, ovs, pad)),
-                            (theta, spare), L)
+        sizes = (n_steps - n_pad for _, n_steps, n_pad
+                 in _chunk_spans(n_rows, rows.size, ovs, pad))
+        pool = ThreadPoolExecutor(1)
+        draw = pool.submit(rng.standard_normal, out=theta[L : L + next(sizes)])
     # the AR(1) state starts at the DC, so no DC transient reaches the output
     y_last = dc
     try:
@@ -306,16 +262,18 @@ def _analog_chain(run: SimulationRun, n_samples: int) -> Iterator[np.ndarray]:
             w[:n_pad] = dc
             v = w[n_pad:]
             j0 = r0 * ovs + n_pad - pad  # the internal step of v[0]
-            if ahead is not None:
+            if pool is not None:
                 m = v.size
-                ahead.wait()  # this chunk's normals are in theta[L : L + m]
+                draw.result()  # this chunk's normals are in theta[L : L + m]
+                m_next = next(sizes, 0)
+                if m_next:
+                    draw = pool.submit(rng.standard_normal, out=spare[L : L + m_next])
                 inc = theta[L : L + m]
                 inc *= sd
                 inc[0] += theta[L - 1]
                 np.cumsum(inc, out=inc)
                 np.subtract(inc, theta[:m], out=v)
                 spare[:L] = theta[m : m + L]
-                ahead.hand_back()  # theta is the helper's to fill again
                 theta, spare = spare, theta
                 v += chain.quadrature_offset
                 np.sin(v, out=v)
@@ -345,8 +303,8 @@ def _analog_chain(run: SimulationRun, n_samples: int) -> Iterator[np.ndarray]:
             x[k:] -= dc
             yield x[k:]
     finally:
-        if ahead is not None:
-            ahead.close()
+        if pool is not None:
+            pool.shutdown(wait=True, cancel_futures=True)
 
 
 @dataclass(frozen=True)
@@ -355,8 +313,8 @@ class CodeStream:
 
     ``len()`` of them in all, ``_CHUNK_ROWS`` or fewer a chunk; each chunk
     is a view of one reused buffer, valid until the next is read.  A run
-    with phase noise draws on a helper thread, which ends with ``chunks``:
-    when it is read to the end, raises, is closed or is collected.
+    with phase noise draws on a one-worker thread pool, shut down with
+    ``chunks``: when it is read to the end, raises, is closed or is collected.
     """
 
     chunks: Generator[np.ndarray, None, None]

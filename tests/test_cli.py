@@ -94,8 +94,8 @@ def test_cli_import_loads_no_scipy():
 
 
 def test_cli_import_leaves_concurrent_futures_unimported():
-    # no command uses a thread pool (the simulator's helper thread is a
-    # plain threading.Thread), so no run pays for importing one
+    # the simulator imports its one-worker thread pool at first use, in a
+    # run with phase noise, so importing the CLI pays for none of it
     code = "import sys, phaseqrng.cli; print('concurrent.futures' in sys.modules)"
     assert _python("-c", code).strip() == "False"
 
@@ -897,7 +897,37 @@ def test_stability_rejects_nonpositive_interval(tmp_path, capsys):
     assert "report_interval" in capsys.readouterr().err
 
 
-COMMANDS = ["simulate", "calibrate", "pipeline", "stability"]
+def test_stability_report_count_that_overflows_fails_in_one_line(
+    tmp_path, capsys, simulate_calls
+):
+    # total_time / report_interval is inf: no report time can be counted
+    cfg = write_config(tmp_path, stability={"total_time": 1e300, "report_interval": 1e-10})
+    rc = cli.main(["stability", "--config", cfg, "--out", str(tmp_path / "s.csv")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "total_time / report_interval" in err
+    assert simulate_calls == []
+
+
+@pytest.mark.parametrize("command, sections", [
+    ("simulate", {"run": {"duration": 1e20}}),
+    ("calibrate", {"sweep": {**PIPELINE_SECTIONS["sweep"], "samples_per_point": 10**30}}),
+], ids=["duration", "samples_per_point"])
+def test_sample_count_too_large_to_index_fails_in_one_line(
+    tmp_path, capsys, simulate_calls, command, sections
+):
+    # 2**63 samples or more cannot size an array
+    cfg = write_config(tmp_path, **sections)
+    rc = cli.main([command, "--config", cfg, "--out", str(tmp_path / "out")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "sample count below 2**63" in err
+    assert simulate_calls == []
+
+
+COMMANDS =["simulate", "calibrate", "pipeline", "stability"]
 
 
 @pytest.mark.parametrize("command, case", [

@@ -118,6 +118,12 @@ def test_zero_power_leaves_only_electronic_noise():
         duration=4e-4,
         seed=17,
     )
+    # with no phase draws, no worker thread starts, even a chunk in
+    running = threading.active_count()
+    stream = sim.code_stream(run)
+    next(stream.chunks)
+    assert threading.active_count() == running
+    stream.chunks.close()
     block = simulate(run)
     assert block.variance_volts() == pytest.approx(F_REF, rel=0.05)
 
