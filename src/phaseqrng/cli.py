@@ -9,7 +9,8 @@ Each takes ``--config <json> --out <path>`` and an optional ``--seed``
 overriding the run seed.  :func:`phaseqrng.runs.load_config` parses the whole
 config before any work starts, and the runs live in :mod:`phaseqrng.runs`.
 Exit codes: 0 success (``-h`` included), 1 usage, configuration or
-validation failure, reported on one ``error:`` line, 2 statistical failure.
+validation failure, or an array no memory can hold, reported on one
+``error:`` line, 2 statistical failure.
 """
 
 from __future__ import annotations
@@ -208,4 +209,7 @@ def main(argv: list[str] | None = None) -> int:
         return command(cfg, args.out)
     except ValueError as exc:  # usage, runs.ConfigError and library validation
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
+    except MemoryError as exc:  # NumPy names the size it could not allocate
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_VALIDATION

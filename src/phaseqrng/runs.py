@@ -188,10 +188,20 @@ def load_config(path, seed: int | None = None) -> Config:
     model = _section("model", raw["model"], LaserNoiseModel)
     chain = _section("chain", raw["chain"], SignalChainConfig)
     run = _section("run", run_raw, SimulationRun, model=model, chain=chain)
-    return Config(run, **{
+    cfg = Config(run, **{
         name: _section(name, raw[name], cls)
         for name, cls in _OPTIONAL_SECTIONS.items() if name in raw
     })
+    for name in ("sweep", "fringe"):  # each point is a sub-run of samples_per_point
+        section = getattr(cfg, name)
+        if section is None:
+            continue
+        try:
+            _sized(run, section.samples_per_point)
+        except ValueError:
+            raise ConfigError(f"config section '{name}': samples_per_point must give "
+                              f"a sample count below 2**63") from None
+    return cfg
 
 
 def _section(name: str, raw, cls, **given):
@@ -255,10 +265,14 @@ def _require(section, name: str):
     return section
 
 
+def _sized(run: SimulationRun, n_samples: int) -> SimulationRun:
+    """``run`` with the duration of ``n_samples`` samples."""
+    return replace(run, duration=n_samples / run.chain.sample_rate_hz)
+
+
 def _variances(run: SimulationRun, n_samples: int, namespace: int, variants):
     """Variance of ``n_samples`` per (model, chain), one seeded sub-run each."""
-    run = replace(run, duration=n_samples / run.chain.sample_rate_hz)
-    return simulate_variances(run, namespace, variants)
+    return simulate_variances(_sized(run, n_samples), namespace, variants)
 
 
 def sweep_direct(run: SimulationRun, sweep: SweepConfig) -> list[float]:

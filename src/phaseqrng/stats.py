@@ -7,10 +7,22 @@ The implemented SP800-22 tests are Frequency (monobit), Block Frequency,
 Runs, Longest Run of Ones, Cumulative Sums (forward and reverse), Spectral
 (FFT), Serial (two p-values) and Approximate Entropy — the tests whose
 statistics are self-contained.  Each test maps a 0/1 bit array to one or two
-p-values; :func:`nist_subset` runs them over disjoint sequences and
+p-values: it packs the array eight bits a byte, as a ``BitStream`` stores
+them, and runs its kernel on the bytes.  :func:`nist_subset` runs the same
+kernels on each disjoint sequence's bytes, copied out of the stream, and
 aggregates the SP800-22 acceptance numbers: the pass rate (fraction of
 sequences with p >= 0.01) and a 10-bin chi-squared uniformity p-value over
 the per-sequence p-values.
+
+The kernels never unpack a bit a byte.  Frequency, block frequency and runs
+count ones through a popcount table (runs counts those of x ^ (x >> 1), the
+bit across each byte edge carried in); cumulative sums walks per-byte
+tables of the net step and of the lowest and highest running sums; the
+longest run ANDs shifted words that tile each block (64-bit for 128-bit
+blocks), and the serial and approximate-entropy pattern counts shift int64
+window words, one count serving both tests.  The spectral test gathers each byte's eight +-1 values
+into a float buffer, and ``np.fft.rfft`` writes into a spectrum buffer; both
+are made once per :func:`nist_subset` call.
 
 Counts, run categories and partial sums are exact integers in small integer
 dtypes, so the p-values built on them match the SP800-22 formulas bit for
@@ -23,6 +35,7 @@ upper incomplete gamma function is a finite sum of closed-form terms
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -237,8 +250,55 @@ def autocorrelation(samples, max_lag: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# SP800-22 subset — each test takes a 0/1 uint8 array, returns p-value(s)
+# SP800-22 subset — kernels on packed bits, and the 0/1-array tests on them
 # ---------------------------------------------------------------------------
+
+# each byte's bits in sequence order, least significant first as a BitStream
+# packs them; their count, their +-1 steps, and the steps' running sums
+_BYTE_BITS = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1, bitorder="little")
+_POPCOUNT = _BYTE_BITS.sum(axis=1, dtype=np.uint8)
+_STEPS = 2 * _BYTE_BITS.astype(np.int8) - 1
+_PREFIX = _STEPS.cumsum(axis=1, dtype=np.int8)
+# a byte's net step, and its lowest and highest running sum less that net
+_NET = _PREFIX[:, -1]
+_LOW = _PREFIX.min(axis=1) - _NET
+_HIGH = _PREFIX.max(axis=1) - _NET
+# each byte's eight steps as one int64, so that one gather moves all eight
+_STEP_WORDS = _STEPS.view(np.int64).ravel()
+
+
+class _Packed:
+    """One sequence for the kernels: ``n`` bits packed LSB first, pad bits zero.
+
+    ``x`` (n float64) and ``spectrum`` (n // 2 + 1 complex128) are the
+    spectral test's buffers; :func:`nist_subset` makes them once and shares
+    them between its sequences.  The largest pattern count made is kept, so
+    the serial and approximate-entropy tests fold it instead of recounting.
+    """
+
+    def __init__(self, packed: np.ndarray, n: int, x=None, spectrum=None):
+        self.packed, self.n = packed, n
+        self.x = np.empty(n) if x is None else x
+        self.spectrum = np.empty(n // 2 + 1, np.complex128) if spectrum is None else spectrum
+        self._counts = np.zeros(1, np.int64)  # the 0-bit patterns: none counted
+
+    @classmethod
+    def of(cls, bits) -> "_Packed":
+        eps = _check_bits(bits)
+        return cls(np.packbits(eps, bitorder="little"), eps.size)
+
+    def ones(self) -> int:
+        return int(np.take(_POPCOUNT, self.packed).sum(dtype=np.int64))
+
+    def pattern_counts(self, m: int) -> np.ndarray:
+        """:func:`_pattern_counts` of the sequence, folded from a longer count if made."""
+        counts = self._counts
+        if counts.size < 1 << m:  # x is idle outside the spectral test
+            counts = self._counts = _pattern_counts(self.packed, self.n, m, self.x.view(np.int64))
+        while counts.size > 1 << m:
+            counts = _fold(counts)
+        return counts
+
 
 def _check_bits(bits) -> np.ndarray:
     arr = np.asarray(bits, dtype=np.uint8)
@@ -249,35 +309,66 @@ def _check_bits(bits) -> np.ndarray:
     return arr
 
 
-def frequency_test(bits) -> float:
-    """Monobit test: p = erfc(|S_n|/sqrt(n) / sqrt(2))."""
-    eps = _check_bits(bits)
-    n = eps.size
-    s = 2.0 * float(eps.sum()) - n
-    s_obs = abs(s) / math.sqrt(n)
+def _sequence_bytes(data, start: int, n: int) -> np.ndarray:
+    """Bits ``start:start + n`` of the LSB-first bytes ``data``, packed from bit 0."""
+    first, shift = divmod(start, 8)
+    raw = np.frombuffer(data, np.uint8, -(-(shift + n) // 8), first)
+    packed = raw[: -(-n // 8)] >> shift  # a copy, even at shift 0
+    if shift:
+        packed[: raw.size - 1] |= raw[1:] << (8 - shift)
+    if n % 8:
+        packed[-1] &= (1 << n % 8) - 1
+    return packed
+
+
+def _frequency(seq: _Packed) -> float:
+    s = 2.0 * float(seq.ones()) - seq.n
+    s_obs = abs(s) / math.sqrt(seq.n)
     return math.erfc(s_obs / math.sqrt(2.0))
 
 
-def block_frequency_test(bits, block_len: int = 128) -> float:
-    eps = _check_bits(bits)
-    n_blocks = eps.size // block_len
+def frequency_test(bits) -> float:
+    """Monobit test: p = erfc(|S_n|/sqrt(n) / sqrt(2))."""
+    return _frequency(_Packed.of(bits))
+
+
+def _block_frequency(seq: _Packed, block_len: int = 128) -> float:
+    n_blocks = seq.n // block_len
     if n_blocks < 1:
         raise ValueError("sequence shorter than one block")
-    pi = eps[: n_blocks * block_len].reshape(n_blocks, block_len).mean(axis=1)
+    # ones before each block edge: the whole bytes', then the edge byte's low bits
+    edges = np.arange(n_blocks + 1) * block_len
+    before = np.zeros(seq.packed.size + 1, np.min_scalar_type(seq.n))
+    np.cumsum(np.take(_POPCOUNT, seq.packed), dtype=before.dtype, out=before[1:])
+    low_bits = np.take(seq.packed, edges >> 3, mode="clip") & ((1 << (edges & 7)) - 1)
+    ones = np.diff(before[edges >> 3] + np.take(_POPCOUNT, low_bits))
+    pi = ones / block_len
     chi_sq = 4.0 * block_len * float(np.sum((pi - 0.5) ** 2))
     return _igamc(n_blocks / 2.0, chi_sq / 2.0)
 
 
-def runs_test(bits) -> float:
-    eps = _check_bits(bits)
-    n = eps.size
-    pi = float(eps.mean())
+def block_frequency_test(bits, block_len: int = 128) -> float:
+    return _block_frequency(_Packed.of(bits), block_len)
+
+
+def _runs(seq: _Packed) -> float:
+    n, x = seq.n, seq.packed
+    pi = seq.ones() / n
     if abs(pi - 0.5) >= 2.0 / math.sqrt(n) or pi in (0.0, 1.0):  # n < 16 admits one run
         return 0.0
-    v_obs = 1 + int(np.count_nonzero(eps[1:] != eps[:-1]))
+    # bit i of x ^ (x >> 1) is b_i != b_{i+1}; bit 7 takes b_{i+1} from the
+    # next byte, and the last bit's comparison with the zero after it is dropped
+    nxt = np.zeros_like(x)
+    nxt[:-1] = x[1:] << 7
+    changes = int(np.take(_POPCOUNT, x ^ ((x >> 1) | nxt)).sum(dtype=np.int64))
+    v_obs = 1 + changes - int(x[(n - 1) >> 3] >> ((n - 1) & 7) & 1)
     num = abs(v_obs - 2.0 * n * pi * (1.0 - pi))
     den = 2.0 * math.sqrt(2.0 * n) * pi * (1.0 - pi)
     return math.erfc(num / den)
+
+
+def runs_test(bits) -> float:
+    return _runs(_Packed.of(bits))
 
 
 _LONGEST_RUN_TABLES = (
@@ -291,33 +382,48 @@ _LONGEST_RUN_TABLES = (
 )
 
 
-def _longest_run_category(blocks: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """Longest run of ones in each 0/1 uint8 row, clipped to [lo, hi]."""
-    category, run = np.full(blocks.shape[0], lo), blocks
-    for k in range(2, hi + 1):  # run[:, i] becomes the AND of bits i .. i+k-1
-        run = run[:, :-1] & run[:, 1:]
+def _longest_run_counts(packed: np.ndarray, n_blocks: int, block_len: int,
+                        lo: int, hi: int) -> np.ndarray:
+    """How many of the first ``n_blocks`` blocks have each longest run of ones,
+    clipped to [lo, hi]: counts for lo, lo + 1, ..., hi.
+
+    ``block_len`` is a multiple of 8, so a block is whole words of the widest
+    of 1, 2 or 8 bytes that tiles it.  After step k, bit i of ``run`` is the
+    AND of bits i .. i+k-1, with a word's top bit taken from the next word of
+    the same block only, so that no run crosses a block edge.
+    """
+    width = math.gcd(block_len // 8, 8)
+    run = packed[: n_blocks * block_len // 8].view(f"<u{width}").reshape(n_blocks, -1).copy()
+    carry, shifted = np.zeros_like(run), np.empty_like(run)
+    at_least = [n_blocks]  # blocks with a run of k or more, for k = lo .. hi
+    for k in range(2, hi + 1):
+        np.left_shift(run[:, 1:], 8 * width - 1, out=carry[:, :-1])
+        np.right_shift(run, 1, out=shifted)
+        shifted |= carry
+        run &= shifted
         if k > lo:
-            category += run.max(axis=1)
-    return category
+            at_least.append(np.count_nonzero(np.bitwise_or.reduce(run, axis=1)))
+    return -np.diff(at_least + [0])
 
 
-def longest_run_test(bits) -> float:
-    """Longest-run-of-ones test; needs at least 128 bits."""
-    eps = _check_bits(bits)
-    n = eps.size
+def _longest_run(seq: _Packed) -> float:
+    n = seq.n
     if n < 128:
         raise ValueError("longest-run test needs at least 128 bits")
     for min_n, block_len, cats, probs in _LONGEST_RUN_TABLES:
         if n >= min_n:
             break
     n_blocks = n // block_len
-    blocks = eps[: n_blocks * block_len].reshape(n_blocks, block_len)
-    category = _longest_run_category(blocks, cats[0], cats[-1])
-    v = np.bincount(category - cats[0], minlength=len(cats))
+    v = _longest_run_counts(seq.packed, n_blocks, block_len, cats[0], cats[-1])
     expected = n_blocks * np.asarray(probs)
     chi_sq = float(np.sum((v - expected) ** 2 / expected))
     k = len(cats) - 1
     return _igamc(k / 2.0, chi_sq / 2.0)
+
+
+def longest_run_test(bits) -> float:
+    """Longest-run-of-ones test; needs at least 128 bits."""
+    return _longest_run(_Packed.of(bits))
 
 
 def _cusum_pvalue(z: float, n: int) -> float:
@@ -342,25 +448,38 @@ def _cusum_pvalue(z: float, n: int) -> float:
     return min(max(1.0 - term1 + term2, 0.0), 1.0)
 
 
-def cumulative_sums_test(bits) -> tuple[float, float]:
-    """Cumulative-sums test, forward and reverse p-values."""
-    eps = _check_bits(bits)
-    n = eps.size
-    s = np.cumsum(2 * eps.view(np.int8) - 1, dtype=np.min_scalar_type(-n - 1))  # |S_k| <= n
-    lo, hi, s_n = min(int(s.min()), 0), max(int(s.max()), 0), int(s[-1])  # S_0 = 0 too
+def _cumulative_sums(seq: _Packed) -> tuple[float, float]:
+    n = seq.n
+    full, tail = divmod(n, 8)
+    x = seq.packed[:full]
+    ends = np.cumsum(np.take(_NET, x), dtype=np.min_scalar_type(-n - 1))  # |S_k| <= n
+    lo = int((ends + np.take(_LOW, x)).min(initial=0))  # S_0 = 0 too
+    hi = int((ends + np.take(_HIGH, x)).max(initial=0))
+    s_n = int(ends[-1]) if full else 0
+    if tail:  # the partial byte's running sums, from the whole bytes' S_k
+        sums = s_n + _PREFIX[seq.packed[full], :tail].astype(np.int64)
+        lo, hi, s_n = min(lo, int(sums.min())), max(hi, int(sums.max())), int(sums[-1])
     z_rev = max(s_n - lo, hi - s_n)  # the reverse partial sums are S_n - S_k, k < n
     return _cusum_pvalue(float(max(-lo, hi)), n), _cusum_pvalue(float(z_rev), n)
 
 
-def spectral_test(bits) -> float:
-    """Discrete Fourier transform (spectral) test."""
-    eps = _check_bits(bits)
-    n = eps.size
-    x = eps.astype(np.float64)
-    x *= 2.0
-    x -= 1.0
-    # the moduli go into x's buffer, which the transform no longer needs
-    spectrum = np.abs(np.fft.rfft(x), out=x[: n // 2 + 1])[: n // 2]
+def cumulative_sums_test(bits) -> tuple[float, float]:
+    """Cumulative-sums test, forward and reverse p-values."""
+    return _cumulative_sums(_Packed.of(bits))
+
+
+def _spectral(seq: _Packed) -> float:
+    n, x = seq.n, seq.x
+    full, tail = divmod(n, 8)
+    # eight int8 +-1 a byte, gathered into the spectrum buffer ahead of the transform
+    steps = seq.spectrum.view(np.int64)[:full]
+    np.take(_STEP_WORDS, seq.packed[:full], out=steps)
+    np.copyto(x[: 8 * full], steps.view(np.int8))
+    if tail:
+        x[8 * full :] = _STEPS[seq.packed[full], :tail]
+    np.fft.rfft(x, out=seq.spectrum)
+    # the moduli go into x, which the transform no longer needs
+    spectrum = np.abs(seq.spectrum[: n // 2], out=x[: n // 2])
     threshold = math.sqrt(math.log(1.0 / 0.05) * n)
     n0 = 0.95 * n / 2.0
     n1 = int(np.count_nonzero(spectrum < threshold))
@@ -368,14 +487,55 @@ def spectral_test(bits) -> float:
     return math.erfc(abs(d) / math.sqrt(2.0))
 
 
-def _pattern_counts(eps: np.ndarray, m: int) -> np.ndarray:
-    """Counts of all overlapping m-bit patterns (m >= 1) in the circular extension."""
-    ext = np.concatenate([eps, eps[: m - 1]])
-    values = eps.astype(np.min_scalar_type((1 << m) - 1))  # the first bit is the top one
-    for k in range(1, m):
-        values <<= 1
-        values |= ext[k : k + eps.size]
-    return np.bincount(values, minlength=1 << m)
+def spectral_test(bits) -> float:
+    """Discrete Fourier transform (spectral) test."""
+    return _spectral(_Packed.of(bits))
+
+
+@functools.lru_cache
+def _bit_reversal(m: int) -> np.ndarray:
+    """v with its m bits in reverse order, for v = 0 .. 2^m - 1."""
+    v = np.arange(1 << m)
+    reversed_ = np.zeros_like(v)
+    for b in range(m):
+        reversed_ |= ((v >> b) & 1) << (m - 1 - b)
+    reversed_.flags.writeable = False
+    return reversed_
+
+
+def _pattern_counts(packed: np.ndarray, n: int, m: int, scratch=None) -> np.ndarray:
+    """Counts of all overlapping m-bit patterns (1 <= m <= 57) in the circular
+    extension of the ``n`` packed bits; a pattern's first bit is its top one.
+
+    The window at bit 8j + r is word j, the little-endian int64 of the bytes
+    from j on, shifted right by r: its first bit lands lowest, so the counts
+    are made by that reversed value and put back in order by bit reversal.
+    The words and windows go into ``scratch``, an int64 array of at least
+    2 * ceil(n / 8) values, or into new arrays if it is None.
+    """
+    if m > 57:
+        raise ValueError("pattern length m above 57 is not supported")
+    n_words = -(-n // 8)
+    ext = np.zeros(n_words + 8, np.uint8)
+    ext[:n_words] = packed
+    # the first m - 1 bits again from bit n on, where the pad bits are zero
+    head = int.from_bytes(packed[:8].tobytes(), "little") & ((1 << (m - 1)) - 1)
+    ext[n >> 3 : (n >> 3) + 8] |= np.frombuffer((head << (n & 7)).to_bytes(8, "little"), np.uint8)
+    if scratch is None:
+        scratch = np.empty(2 * n_words, np.int64)
+    words, window = scratch[:n_words], scratch[n_words : 2 * n_words]
+    words[:] = ext[:n_words]
+    for k in range(1, -(-(m + 7) // 8)):  # the bytes a window from bit 7 of byte j reaches
+        np.left_shift(ext[k : k + n_words], 8 * k, out=window, dtype=np.int64)
+        words |= window
+    counts = np.zeros(1 << m, np.int64)
+    for r in range(8):  # the windows at bits 8j + r, j = 0 .. n_words - 1
+        np.right_shift(words, r, out=window)
+        window &= (1 << m) - 1
+        counts += np.bincount(window, minlength=1 << m)
+        if r >= (n & 7 or 8):  # the last one starts past the last bit
+            counts[window[-1]] -= 1
+    return counts[_bit_reversal(m)]
 
 
 def _fold(counts: np.ndarray) -> np.ndarray:
@@ -391,22 +551,17 @@ def _psi_sq(counts: np.ndarray, n: int) -> float:
     return float(counts.size / n * np.sum(counts**2) - n)
 
 
-def serial_test(bits, m: int = 8) -> tuple[float, float]:
-    """Serial test: p-values for the first and second psi-square differences.
-
-    For a statistically meaningful result keep m below log2(n) - 2; the hard
-    requirement is only that m-bit windows fit the sequence.
-    """
-    eps = _check_bits(bits)
+def _serial(seq: _Packed, m: int = 8) -> tuple[float, float]:
+    n = seq.n
     if m < 2:
         raise ValueError("serial test needs m >= 2")
-    if m >= eps.size:
+    if m >= n:
         raise ValueError("pattern length m too large for the sequence")
-    counts_m = _pattern_counts(eps, m)
+    counts_m = seq.pattern_counts(m)
     counts_m1 = _fold(counts_m)
-    psi_m = _psi_sq(counts_m, eps.size)
-    psi_m1 = _psi_sq(counts_m1, eps.size)
-    psi_m2 = _psi_sq(_fold(counts_m1), eps.size)
+    psi_m = _psi_sq(counts_m, n)
+    psi_m1 = _psi_sq(counts_m1, n)
+    psi_m2 = _psi_sq(_fold(counts_m1), n)
     d1 = psi_m - psi_m1
     d2 = psi_m - 2.0 * psi_m1 + psi_m2
     p1 = _igamc(2 ** (m - 2), d1 / 2.0)
@@ -414,14 +569,17 @@ def serial_test(bits, m: int = 8) -> tuple[float, float]:
     return p1, p2
 
 
-def approximate_entropy_test(bits, m: int = 6) -> float:
-    """Approximate-entropy test.
+def serial_test(bits, m: int = 8) -> tuple[float, float]:
+    """Serial test: p-values for the first and second psi-square differences.
 
-    Keep m below log2(n) - 5 for statistical validity; the hard requirement
-    is only that (m+1)-bit windows fit the sequence.
+    For a statistically meaningful result keep m below log2(n) - 2; the hard
+    requirement is only that m-bit windows fit the sequence.
     """
-    eps = _check_bits(bits)
-    n = eps.size
+    return _serial(_Packed.of(bits), m)
+
+
+def _approximate_entropy(seq: _Packed, m: int = 6) -> float:
+    n = seq.n
     if m < 1:
         raise ValueError("approximate-entropy test needs m >= 1")
     if m + 1 >= n:
@@ -431,10 +589,19 @@ def approximate_entropy_test(bits, m: int = 6) -> float:
         c = counts[counts > 0].astype(np.float64) / n
         return float(np.sum(c * np.log(c)))
 
-    counts_m1 = _pattern_counts(eps, m + 1)
+    counts_m1 = seq.pattern_counts(m + 1)
     ap_en = phi(_fold(counts_m1)) - phi(counts_m1)
     chi_sq = 2.0 * n * (math.log(2.0) - ap_en)
     return _igamc(2 ** (m - 1), chi_sq / 2.0)
+
+
+def approximate_entropy_test(bits, m: int = 6) -> float:
+    """Approximate-entropy test.
+
+    Keep m below log2(n) - 5 for statistical validity; the hard requirement
+    is only that (m+1)-bit windows fit the sequence.
+    """
+    return _approximate_entropy(_Packed.of(bits), m)
 
 
 # ---------------------------------------------------------------------------
@@ -478,6 +645,17 @@ NIST_SUBSET_TESTS = (
     ("serial", serial_test, ("serial_1", "serial_2")),
     ("approximate_entropy", approximate_entropy_test, ("approximate_entropy",)),
 )
+# the packed kernel that each test above runs on its packed input
+_KERNELS = {
+    frequency_test: _frequency,
+    block_frequency_test: _block_frequency,
+    runs_test: _runs,
+    longest_run_test: _longest_run,
+    cumulative_sums_test: _cumulative_sums,
+    spectral_test: _spectral,
+    serial_test: _serial,
+    approximate_entropy_test: _approximate_entropy,
+}
 
 
 def nist_subset(bits, n_sequences: int, seq_len_bits: int) -> list[TestReport]:
@@ -485,8 +663,11 @@ def nist_subset(bits, n_sequences: int, seq_len_bits: int) -> list[TestReport]:
 
     Tests yielding two p-values per sequence (cumulative sums, serial)
     produce two report rows.  ``seq_len_bits`` must be at least 128 so every
-    test in the subset is applicable.  Each sequence is unpacked and tested
-    in turn, so only one is held at a time.
+    test in the subset is applicable.  Each sequence's bytes are copied out
+    of the stream, shifted to start at bit 0 when it starts mid-byte, and
+    every test's packed kernel runs on them in turn, so only one sequence is
+    held at a time.  The spectral test's float and spectrum buffers are made
+    once a call and reused by every sequence.
     """
     if n_sequences < 1:
         raise ValueError("n_sequences must be >= 1")
@@ -495,9 +676,13 @@ def nist_subset(bits, n_sequences: int, seq_len_bits: int) -> list[TestReport]:
     n = n_sequences * seq_len_bits
     if bits.count < n:
         raise ValueError(f"insufficient bits: need {n}, have {bits.count}")
+    x = np.empty(seq_len_bits)
+    spectrum = np.empty(seq_len_bits // 2 + 1, np.complex128)
     pvalues = np.array([  # one row per sequence, one column per report row
-        np.hstack([func(seq) for _, func, _ in NIST_SUBSET_TESTS])
-        for seq in (bits.as_bit_array(i, i + seq_len_bits) for i in range(0, n, seq_len_bits))
+        np.hstack([_KERNELS[func](seq) for _, func, _ in NIST_SUBSET_TESTS])
+        for seq in (_Packed(_sequence_bytes(bits.bits, i, seq_len_bits), seq_len_bits,
+                            x, spectrum)
+                    for i in range(0, n, seq_len_bits))
     ])
     names = [row for _, _, rows in NIST_SUBSET_TESTS for row in rows]
     return [

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from phaseqrng.extract import extract_stream
 from phaseqrng.model import (
@@ -30,6 +31,14 @@ CONV_GAIN = 9.5e6      # V^2 / (W rad)^2
 DELAY_TD = 540e-12     # s
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+# Every Hypothesis test names its own example count but one:
+# test_exact_kernels_match_reference_pvalues, on which the bit-identity of
+# every SP 800-22 p-value rests, takes it from the profile: 60 by default,
+# ten times that under ``--hypothesis-profile=ci``
+settings.register_profile("tier1", max_examples=60)
+settings.register_profile("ci", max_examples=600)
+settings.load_profile("tier1")
 
 
 def artifact_digests(out) -> dict[str, str]:

@@ -9,6 +9,7 @@ once in module-scoped fixtures and several tests share the artifacts.
 
 import copy
 import csv
+import inspect
 import json
 import math
 import os
@@ -910,21 +911,48 @@ def test_stability_report_count_that_overflows_fails_in_one_line(
     assert simulate_calls == []
 
 
-@pytest.mark.parametrize("command, sections", [
-    ("simulate", {"run": {"duration": 1e20}}),
-    ("calibrate", {"sweep": {**PIPELINE_SECTIONS["sweep"], "samples_per_point": 10**30}}),
-], ids=["duration", "samples_per_point"])
+@pytest.mark.parametrize("command, sections, key", [
+    ("simulate", {"run": {"duration": 1e20}}, "duration"),
+    ("calibrate", {"sweep": {**PIPELINE_SECTIONS["sweep"], "samples_per_point": 10**30}},
+     "'sweep': samples_per_point"),
+    ("calibrate", {"sweep": PIPELINE_SECTIONS["sweep"], "fringe": {"samples_per_point": 10**30}},
+     "'fringe': samples_per_point"),
+], ids=["duration", "samples_per_point", "fringe_samples_per_point"])
 def test_sample_count_too_large_to_index_fails_in_one_line(
-    tmp_path, capsys, simulate_calls, command, sections
+    tmp_path, capsys, simulate_calls, command, sections, key
 ):
-    # 2**63 samples or more cannot size an array
+    # 2**63 samples or more cannot size an array; the line names the key set
     cfg = write_config(tmp_path, **sections)
     rc = cli.main([command, "--config", cfg, "--out", str(tmp_path / "out")])
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
-    assert "sample count below 2**63" in err
+    assert "sample count below 2**63" in err and key in err, err
+    assert command == "simulate" or "duration" not in err
     assert simulate_calls == []
+
+
+def test_sample_count_no_memory_can_hold_fails_in_one_line(tmp_path, capsys, monkeypatch):
+    # 5e16 int16 codes are 88.8 PiB, beyond any 64-bit address space: the
+    # codes array cannot be allocated, and no chunk is made
+    streams = []
+    real_code_stream = sim.code_stream
+
+    def recording_code_stream(run):
+        streams.append(real_code_stream(run))
+        return streams[-1]
+
+    monkeypatch.setattr(sim, "code_stream", recording_code_stream)
+    cfg = write_config(tmp_path, run={"duration": 1e8, "seed": 71})
+    out = tmp_path / "samples.qrng"
+    rc = cli.main(["simulate", "--config", cfg, "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "88.8 PiB" in err
+    assert [s.n_samples for s in streams] == [5 * 10**16]
+    assert inspect.getgeneratorstate(streams[0].chunks) == inspect.GEN_CREATED
+    assert not out.exists()
 
 
 COMMANDS =["simulate", "calibrate", "pipeline", "stability"]

@@ -3,10 +3,11 @@
 The worked-example p-values below are the published examples from the
 SP800-22 test descriptions (rev 1a), evaluated to full precision.  Where the
 implementation is vectorised, a naive pure-Python oracle computes the same
-statistic independently.  The longest-run, cumulative-sums, serial and
-approximate-entropy kernels compute their statistics as exact small
-integers; the float and int64 formulations they replaced are kept here as
-references, and every p-value must equal theirs exactly.
+statistic independently.  The kernels work on packed bytes, and the
+longest-run, cumulative-sums, serial and approximate-entropy ones compute
+their statistics as exact small integers; the float and int64 per-bit
+formulations they replaced are kept here as references, and every p-value
+must equal theirs exactly.
 """
 
 import math
@@ -17,7 +18,6 @@ import tracemalloc
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -35,7 +35,7 @@ from phaseqrng.stats import (
     _LONGEST_RUN_TABLES,
     _cusum_pvalue,
     _fold,
-    _longest_run_category,
+    _longest_run_counts,
     _pattern_counts,
     approximate_entropy_test,
     autocorrelation,
@@ -430,6 +430,10 @@ def _naive_longest_run(row):
     return best
 
 
+def _packed(bits):
+    return np.packbits(np.asarray(bits, dtype=np.uint8), bitorder="little")
+
+
 def test_longest_run_category_matches_naive():
     rng = np.random.default_rng(13)
     for _, block_len, cats, _ in _LONGEST_RUN_TABLES:
@@ -440,11 +444,22 @@ def test_longest_run_category_matches_naive():
             start = rng.integers(0, block_len - length + 1)
             row[start : start + length] = True
         planted[-1] = True
-        blocks = np.vstack([random_rows, planted]).astype(np.uint8)
+        # runs that end at a block's last bit and go on from the next one's
+        # first: each block counts only its own part
+        edges = np.zeros((4, block_len), dtype=bool)
+        edges[0, -cats[-1] :] = edges[1, : cats[-1]] = True
+        edges[2, -2:] = edges[3, :1] = True
+        blocks = np.vstack([random_rows, planted, edges]).astype(np.uint8)
         naive = [min(max(_naive_longest_run(row), cats[0]), cats[-1]) for row in blocks]
-        category = _longest_run_category(blocks, cats[0], cats[-1])
-        np.testing.assert_array_equal(category, naive)
-        assert category[40] == cats[0] and category[-1] == cats[-1]
+        # a block alone, and all at once: each block's own category is counted
+        for row, category in zip(blocks, naive):
+            counts = _longest_run_counts(_packed(row), 1, block_len, cats[0], cats[-1])
+            assert counts.tolist() == [int(c == category) for c in cats]
+        counts = _longest_run_counts(_packed(blocks.ravel()), len(blocks), block_len,
+                                     cats[0], cats[-1])
+        assert counts.tolist() == np.bincount(np.subtract(naive, cats[0]),
+                                              minlength=len(cats)).tolist()
+        assert naive[40] == cats[0] and naive[-5] == cats[-1]
 
 
 def _naive_pattern_counts(eps, m):
@@ -461,11 +476,12 @@ def _naive_pattern_counts(eps, m):
 
 
 def test_pattern_counts_match_naive():
+    # lengths off and on a byte edge; m up to 17, whose windows span three bytes
     rng = np.random.default_rng(14)
-    for _ in range(10):
+    for _ in range(30):
         eps = rng.integers(0, 2, int(rng.integers(16, 200)), dtype=np.uint8)
-        m = int(rng.integers(1, 6))
-        counts = _pattern_counts(eps, m)
+        m = int(rng.choice([1, 2, 3, 4, 5, 7, 8, 9, 10, 15, 17]))
+        counts = _pattern_counts(_packed(eps), eps.size, m)
         np.testing.assert_array_equal(counts, _naive_pattern_counts(eps, m))
         if m >= 2:  # serial and ApEn fold the m-bit counts to m - 1 bits
             np.testing.assert_array_equal(
@@ -473,7 +489,12 @@ def test_pattern_counts_match_naive():
             )
     # total count equals the (circular) sequence length
     eps = rng.integers(0, 2, 100, dtype=np.uint8)
-    assert _pattern_counts(eps, 3).sum() == 100
+    assert _pattern_counts(_packed(eps), 100, 3).sum() == 100
+    # the circular extension of a sequence shorter than a window's bytes
+    eps = _bits("011")
+    for m in (1, 2):
+        np.testing.assert_array_equal(_pattern_counts(_packed(eps), 3, m),
+                                      _naive_pattern_counts(eps, m))
 
 
 def _naive_cusum_pvalue(z, n):
@@ -516,7 +537,7 @@ def test_cusum_statistic_from_definition():
 
 
 # ---------------------------------------------------------------------------
-# the int64 and float64 kernels the exact-integer ones replaced, as references
+# the per-bit kernels the packed ones replaced, as references
 # ---------------------------------------------------------------------------
 
 
@@ -554,17 +575,70 @@ def _reference_cumulative_sums_test(eps):
     return _cusum_pvalue(z_fwd, eps.size), _cusum_pvalue(z_rev, eps.size)
 
 
+def _reference_frequency_test(eps):
+    s_obs = abs(2.0 * float(eps.sum()) - eps.size) / math.sqrt(eps.size)
+    return math.erfc(s_obs / math.sqrt(2.0))
+
+
+def _reference_block_frequency_test(eps, block_len=128):
+    n_blocks = eps.size // block_len
+    pi = eps[: n_blocks * block_len].reshape(n_blocks, block_len).mean(axis=1)
+    chi_sq = 4.0 * block_len * float(np.sum((pi - 0.5) ** 2))
+    return stats._igamc(n_blocks / 2.0, chi_sq / 2.0)
+
+
+def _reference_runs_test(eps):
+    n = eps.size
+    pi = float(eps.mean())
+    if abs(pi - 0.5) >= 2.0 / math.sqrt(n) or pi in (0.0, 1.0):
+        return 0.0
+    v_obs = 1 + int(np.count_nonzero(eps[1:] != eps[:-1]))
+    num = abs(v_obs - 2.0 * n * pi * (1.0 - pi))
+    return math.erfc(num / (2.0 * math.sqrt(2.0 * n) * pi * (1.0 - pi)))
+
+
+def _reference_spectral_test(eps):
+    n = eps.size
+    spectrum = np.abs(np.fft.rfft(2.0 * eps - 1.0))[: n // 2]
+    n1 = int(np.count_nonzero(spectrum < math.sqrt(math.log(1.0 / 0.05) * n)))
+    d = (n1 - 0.95 * n / 2.0) / math.sqrt(n * 0.95 * 0.05 / 4.0)
+    return math.erfc(abs(d) / math.sqrt(2.0))
+
+
+def _reference_psi_sq(eps, m):
+    if m == 0:
+        return 0.0
+    counts = _sliding_pattern_counts(eps, m).astype(np.float64)
+    return float(counts.size / eps.size * np.sum(counts**2) - eps.size)
+
+
+def _reference_serial_test(eps, m=8):
+    psi_m, psi_m1, psi_m2 = (_reference_psi_sq(eps, k) for k in (m, m - 1, m - 2))
+    return (stats._igamc(2 ** (m - 2), (psi_m - psi_m1) / 2.0),
+            stats._igamc(2 ** (m - 3), (psi_m - 2.0 * psi_m1 + psi_m2) / 2.0))
+
+
+def _reference_approximate_entropy_test(eps, m=6):
+    n = eps.size
+
+    def phi(k):
+        counts = _sliding_pattern_counts(eps, k)
+        c = counts[counts > 0].astype(np.float64) / n
+        return float(np.sum(c * np.log(c)))
+
+    chi_sq = 2.0 * n * (math.log(2.0) - (phi(m) - phi(m + 1)))
+    return stats._igamc(2 ** (m - 1), chi_sq / 2.0)
+
+
 def _rewritten_pvalues(eps):
-    return (longest_run_test(eps), *cumulative_sums_test(eps),
-            *serial_test(eps), approximate_entropy_test(eps))
+    return tuple(np.hstack([func(eps) for _, func, _ in NIST_SUBSET_TESTS]).tolist())
 
 
 def _reference_pvalues(eps):
-    with mock.patch.object(stats, "_pattern_counts", _sliding_pattern_counts):
-        serial = serial_test(eps)
-        ap_en = approximate_entropy_test(eps)
-    return (_reference_longest_run_test(eps), *_reference_cumulative_sums_test(eps),
-            *serial, ap_en)
+    return (_reference_frequency_test(eps), _reference_block_frequency_test(eps),
+            _reference_runs_test(eps), _reference_longest_run_test(eps),
+            *_reference_cumulative_sums_test(eps), _reference_spectral_test(eps),
+            *_reference_serial_test(eps), _reference_approximate_entropy_test(eps))
 
 
 @given(
@@ -573,7 +647,7 @@ def _reference_pvalues(eps):
     kind=st.sampled_from(["fair", "p0.3", "p0.9", "runs"]),
     seed=st.integers(0, 2**32 - 1),
 )
-@settings(max_examples=60, deadline=None)
+@settings(deadline=None)  # max_examples from the profile: 60, or 600 under "ci"
 def test_exact_kernels_match_reference_pvalues(n, kind, seed):
     rng = np.random.default_rng(seed)
     if kind == "runs":  # alternating runs of geometric length, mean 16
@@ -626,6 +700,8 @@ def test_bits_validation():
         serial_test(_bits("0101"), m=4)
     with pytest.raises(ValueError, match="too large"):
         approximate_entropy_test(_bits("0101"), m=3)
+    with pytest.raises(ValueError, match="above 57"):  # a window is read from 8 bytes
+        serial_test(np.zeros(100, np.uint8), m=58)
     with pytest.raises(ValueError):
         block_frequency_test(_bits("0101"), block_len=8)
 
@@ -743,6 +819,26 @@ def test_nist_subset_holds_one_sequence_at_a_time():
                 tracemalloc.stop()
         peaks.append(min(side))
     assert peaks[1] - peaks[0] < 0.5 * 63 * 1025
+
+
+@pytest.mark.parametrize("seq_len_bits", [128, 1025, 2048, 100_000])
+def test_nist_subset_equals_the_tests_on_unpacked_slices(seq_len_bits):
+    # nist_subset runs the packed kernels on each sequence's bytes, shifted
+    # when it starts mid-byte (1025 bits), with its buffers and pattern counts
+    # shared; each p-value must be the one its test gives on the 0/1 slice
+    rng = np.random.default_rng(seq_len_bits)
+    n_sequences = 3 if seq_len_bits == 100_000 else 9
+    stream = rng.integers(0, 2, n_sequences * seq_len_bits + 5, dtype=np.uint8)
+    stream[seq_len_bits : 2 * seq_len_bits] = rng.random(seq_len_bits) < 0.4  # a biased one
+    bits = pack_bits(stream)
+    reports = nist_subset(bits, n_sequences, seq_len_bits)
+    expected = [
+        np.hstack([func(bits.as_bit_array(i, i + seq_len_bits))
+                   for _, func, _ in NIST_SUBSET_TESTS]).tolist()
+        for i in range(0, n_sequences * seq_len_bits, seq_len_bits)
+    ]
+    got = np.array([r.per_sequence_pvalues for r in reports]).T.tolist()
+    assert got == expected
 
 
 def test_nist_subset_validation():
