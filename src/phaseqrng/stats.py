@@ -20,9 +20,9 @@ bit across each byte edge carried in); cumulative sums walks per-byte
 tables of the net step and of the lowest and highest running sums; the
 longest run ANDs shifted words that tile each block (64-bit for 128-bit
 blocks), and the serial and approximate-entropy pattern counts shift int64
-window words, one count serving both tests.  The spectral test gathers each byte's eight +-1 values
-into a float buffer, and ``np.fft.rfft`` writes into a spectrum buffer; both
-are made once per :func:`nist_subset` call.
+window words.  The spectral test gathers each byte's eight +-1 values into a
+float buffer, and ``np.fft.rfft`` writes into a spectrum buffer; both are
+made once per :func:`nist_subset` call.
 
 Counts, run categories and partial sums are exact integers in small integer
 dtypes, so the p-values built on them match the SP800-22 formulas bit for
@@ -271,16 +271,13 @@ class _Packed:
     """One sequence for the kernels: ``n`` bits packed LSB first, pad bits zero.
 
     ``x`` (n float64) and ``spectrum`` (n // 2 + 1 complex128) are the
-    spectral test's buffers; :func:`nist_subset` makes them once and shares
-    them between its sequences.  The largest pattern count made is kept, so
-    the serial and approximate-entropy tests fold it instead of recounting.
+    spectral test's buffers, which it makes when they are None;
+    :func:`nist_subset` makes them once and shares them between its sequences.
     """
 
     def __init__(self, packed: np.ndarray, n: int, x=None, spectrum=None):
         self.packed, self.n = packed, n
-        self.x = np.empty(n) if x is None else x
-        self.spectrum = np.empty(n // 2 + 1, np.complex128) if spectrum is None else spectrum
-        self._counts = np.zeros(1, np.int64)  # the 0-bit patterns: none counted
+        self.x, self.spectrum = x, spectrum
 
     @classmethod
     def of(cls, bits) -> "_Packed":
@@ -289,15 +286,6 @@ class _Packed:
 
     def ones(self) -> int:
         return int(np.take(_POPCOUNT, self.packed).sum(dtype=np.int64))
-
-    def pattern_counts(self, m: int) -> np.ndarray:
-        """:func:`_pattern_counts` of the sequence, folded from a longer count if made."""
-        counts = self._counts
-        if counts.size < 1 << m:  # x is idle outside the spectral test
-            counts = self._counts = _pattern_counts(self.packed, self.n, m, self.x.view(np.int64))
-        while counts.size > 1 << m:
-            counts = _fold(counts)
-        return counts
 
 
 def _check_bits(bits) -> np.ndarray:
@@ -469,17 +457,19 @@ def cumulative_sums_test(bits) -> tuple[float, float]:
 
 
 def _spectral(seq: _Packed) -> float:
-    n, x = seq.n, seq.x
+    n = seq.n
+    x = np.empty(n) if seq.x is None else seq.x
+    out = np.empty(n // 2 + 1, np.complex128) if seq.spectrum is None else seq.spectrum
     full, tail = divmod(n, 8)
     # eight int8 +-1 a byte, gathered into the spectrum buffer ahead of the transform
-    steps = seq.spectrum.view(np.int64)[:full]
+    steps = out.view(np.int64)[:full]
     np.take(_STEP_WORDS, seq.packed[:full], out=steps)
     np.copyto(x[: 8 * full], steps.view(np.int8))
     if tail:
         x[8 * full :] = _STEPS[seq.packed[full], :tail]
-    np.fft.rfft(x, out=seq.spectrum)
+    np.fft.rfft(x, out=out)
     # the moduli go into x, which the transform no longer needs
-    spectrum = np.abs(seq.spectrum[: n // 2], out=x[: n // 2])
+    spectrum = np.abs(out[: n // 2], out=x[: n // 2])
     threshold = math.sqrt(math.log(1.0 / 0.05) * n)
     n0 = 0.95 * n / 2.0
     n1 = int(np.count_nonzero(spectrum < threshold))
@@ -503,15 +493,13 @@ def _bit_reversal(m: int) -> np.ndarray:
     return reversed_
 
 
-def _pattern_counts(packed: np.ndarray, n: int, m: int, scratch=None) -> np.ndarray:
+def _pattern_counts(packed: np.ndarray, n: int, m: int) -> np.ndarray:
     """Counts of all overlapping m-bit patterns (1 <= m <= 57) in the circular
     extension of the ``n`` packed bits; a pattern's first bit is its top one.
 
     The window at bit 8j + r is word j, the little-endian int64 of the bytes
     from j on, shifted right by r: its first bit lands lowest, so the counts
     are made by that reversed value and put back in order by bit reversal.
-    The words and windows go into ``scratch``, an int64 array of at least
-    2 * ceil(n / 8) values, or into new arrays if it is None.
     """
     if m > 57:
         raise ValueError("pattern length m above 57 is not supported")
@@ -521,10 +509,8 @@ def _pattern_counts(packed: np.ndarray, n: int, m: int, scratch=None) -> np.ndar
     # the first m - 1 bits again from bit n on, where the pad bits are zero
     head = int.from_bytes(packed[:8].tobytes(), "little") & ((1 << (m - 1)) - 1)
     ext[n >> 3 : (n >> 3) + 8] |= np.frombuffer((head << (n & 7)).to_bytes(8, "little"), np.uint8)
-    if scratch is None:
-        scratch = np.empty(2 * n_words, np.int64)
-    words, window = scratch[:n_words], scratch[n_words : 2 * n_words]
-    words[:] = ext[:n_words]
+    words = ext[:n_words].astype(np.int64)
+    window = np.empty_like(words)
     for k in range(1, -(-(m + 7) // 8)):  # the bytes a window from bit 7 of byte j reaches
         np.left_shift(ext[k : k + n_words], 8 * k, out=window, dtype=np.int64)
         words |= window
@@ -557,7 +543,7 @@ def _serial(seq: _Packed, m: int = 8) -> tuple[float, float]:
         raise ValueError("serial test needs m >= 2")
     if m >= n:
         raise ValueError("pattern length m too large for the sequence")
-    counts_m = seq.pattern_counts(m)
+    counts_m = _pattern_counts(seq.packed, n, m)
     counts_m1 = _fold(counts_m)
     psi_m = _psi_sq(counts_m, n)
     psi_m1 = _psi_sq(counts_m1, n)
@@ -589,7 +575,7 @@ def _approximate_entropy(seq: _Packed, m: int = 6) -> float:
         c = counts[counts > 0].astype(np.float64) / n
         return float(np.sum(c * np.log(c)))
 
-    counts_m1 = seq.pattern_counts(m + 1)
+    counts_m1 = _pattern_counts(seq.packed, n, m + 1)
     ap_en = phi(_fold(counts_m1)) - phi(counts_m1)
     chi_sq = 2.0 * n * (math.log(2.0) - ap_en)
     return _igamc(2 ** (m - 1), chi_sq / 2.0)

@@ -32,13 +32,10 @@ DELAY_TD = 540e-12     # s
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
-# Every Hypothesis test names its own example count but one:
-# test_exact_kernels_match_reference_pvalues, on which the bit-identity of
-# every SP 800-22 p-value rests, takes it from the profile: 60 by default,
-# ten times that under ``--hypothesis-profile=ci``
-settings.register_profile("tier1", max_examples=60)
+# ``--hypothesis-profile=ci`` runs test_exact_kernels_match_reference_pvalues,
+# on which the bit-identity of every SP 800-22 p-value rests, at ten times its
+# default 60 examples
 settings.register_profile("ci", max_examples=600)
-settings.load_profile("tier1")
 
 
 def artifact_digests(out) -> dict[str, str]:

@@ -647,7 +647,11 @@ def _reference_pvalues(eps):
     kind=st.sampled_from(["fair", "p0.3", "p0.9", "runs"]),
     seed=st.integers(0, 2**32 - 1),
 )
-@settings(deadline=None)  # max_examples from the profile: 60, or 600 under "ci"
+@settings(  # 60 examples, or the "ci" profile's 600 (tests/conftest.py)
+    max_examples=(settings.default.max_examples
+                  if settings.get_current_profile_name() == "ci" else 60),
+    deadline=None,
+)
 def test_exact_kernels_match_reference_pvalues(n, kind, seed):
     rng = np.random.default_rng(seed)
     if kind == "runs":  # alternating runs of geometric length, mean 16
