@@ -30,7 +30,14 @@ the inverse transform adds at most u n_in D.  K is the most blocks for which
 the sum stays below 1/4: half the 1/2 that rounding allows, for pocketfft's
 radix-3 and radix-5 passes, which the radix-2 bound does not cover.  At n_in
 4096 and n 7200 (``configs/pipeline.json``) that is K = 3, with values below
-2^39 and a bound of 6.7e-3; K = 1 is the plain, one-block-a-row hash.
+2^39 and a bound of 6.7e-3; K = 1 is the plain, one-block-a-row hash.  The
+1/4 margin is also checked as the program runs: every buffer's largest
+distance from a kept value to its nearest integer must stay below it, or
+the hash fails with ``ValueError``.  The check can see the error: at any K
+that the bound allows, the values stay below 2^51, where a float's spacing
+is finer than 1/4.  At K = 3 that distance was 1.5e-5 on
+``configs/pipeline.json``; with K forced to 4 the first buffer's reached
+0.31.
 
 Codes arrive in chunks, a ``SampleBlock``'s as one and a simulated stream's
 as it is made; a sample or a block may straddle a chunk edge.  One loop
@@ -147,8 +154,10 @@ def _hash_rows(staged, m, k, padded, spectra, seed_spectrum, n_in, n_out, out) -
     blocks r k to r k + k - 1 as its base-2^w digits (see the module
     docstring), a short last row with zero digits.  The spectra go into
     ``spectra``, the inverse FFT back into ``padded``, the rounded counts into
-    the spectra's spent buffer and the parities into ``staged``, so the
-    packed bits are all it allocates.
+    the spectra's spent buffer, their rounding residues back into ``padded``
+    and the parities into ``staged``, so the packed bits are all it
+    allocates.  A residue of 1/4 or more raises ``ValueError``: the bound
+    that set K did not hold, and a count may have rounded to a wrong integer.
     """
     r, w = -(-m // k), n_in.bit_length()
     staged[m * n_in : r * k * n_in] = 0
@@ -166,9 +175,13 @@ def _hash_rows(staged, m, k, padded, spectra, seed_spectrum, n_in, n_out, out) -
         line *= seed_spectrum
     np.fft.irfft(spectrum, padded.shape[1], axis=1, out=row)
     kept = row[:, n_in - 1 : n_in - 1 + n_out]
-    np.rint(kept, out=kept)
     counts = spectra.view(np.int64)[:r, :n_out]  # n_out < n + 2 int64 a row
-    counts[...] = kept
+    np.rint(kept, out=counts, casting="unsafe")
+    kept -= counts
+    residue = np.abs(kept, out=kept).max()
+    if residue >= 0.25:
+        raise ValueError(f"Toeplitz hash inexact: a count's rounding residue is "
+                         f"{residue:.3g}, at or above the 1/4 margin ({k} blocks a row)")
     parity = staged[: r * k * n_out].reshape(r, k, n_out)
     for j in range(k):
         np.copyto(parity[:, j], counts, casting="unsafe")  # the low bit survives the wrap

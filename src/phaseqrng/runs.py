@@ -192,16 +192,23 @@ def load_config(path, seed: int | None = None) -> Config:
         name: _section(name, raw[name], cls)
         for name, cls in _OPTIONAL_SECTIONS.items() if name in raw
     })
-    for name in ("sweep", "fringe"):  # each point is a sub-run of samples_per_point
-        section = getattr(cfg, name)
-        if section is None:
-            continue
+    # each sweep or fringe point is a sub-run of samples_per_point; the main
+    # run needs more than n_output_bits / adc_bits, the ratio being below 1
+    sized = [(name, "samples_per_point", getattr(cfg, name).samples_per_point)
+             for name in ("sweep", "fringe") if getattr(cfg, name) is not None]
+    if cfg.pipeline is not None:
+        sized.append(("pipeline", "n_output_bits",
+                      -(-cfg.pipeline.n_output_bits // run.chain.adc_bits)))
+    for name, key, n_samples in sized:
         try:
-            _sized(run, section.samples_per_point)
-        except ValueError:
-            raise ConfigError(f"config section '{name}': samples_per_point must give "
-                              f"a sample count below 2**63") from None
+            _sized(run, n_samples)
+        except (ValueError, OverflowError):  # OverflowError: beyond float range
+            raise ConfigError(_too_large(name, key)) from None
     return cfg
+
+
+def _too_large(name: str, key: str) -> str:
+    return f"config section '{name}': {key} must give a sample count below 2**63"
 
 
 def _section(name: str, raw, cls, **given):
@@ -370,10 +377,11 @@ def pipeline(cfg: Config) -> PipelineResult:
                         math.ceil(min_head / n_out))
     samples_needed = max(math.ceil(blocks_needed * ent.n_in / run.chain.adc_bits),
                          min_head)
-    duration = samples_needed / run.chain.sample_rate_hz
-    stream = code_stream(
-        replace(run, duration=duration, seed=derive_seed(run.seed, NS_PIPELINE))
-    )
+    try:
+        main = _sized(run, samples_needed)
+    except ValueError:
+        raise ConfigError(_too_large("pipeline", "n_output_bits")) from None
+    stream = code_stream(replace(main, seed=derive_seed(run.seed, NS_PIPELINE)))
 
     ext_seed = pipe.extractor_seed
     if ext_seed is None:  # not configured: derived from the run seed

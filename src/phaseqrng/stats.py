@@ -6,15 +6,15 @@
 The implemented SP800-22 tests are Frequency (monobit), Block Frequency,
 Runs, Longest Run of Ones, Cumulative Sums (forward and reverse), Spectral
 (FFT), Serial (two p-values) and Approximate Entropy — the tests whose
-statistics are self-contained.  Each test maps a 0/1 bit array to one or two
-p-values: it packs the array eight bits a byte, as a ``BitStream`` stores
-them, and runs its kernel on the bytes.  :func:`nist_subset` runs the same
-kernels on each disjoint sequence's bytes, copied out of the stream, and
+statistics are self-contained.  Each is one function that maps a sequence
+to one or two p-values.  Given a 0/1 bit array, it packs the array eight
+bits a byte, as a ``BitStream`` stores them; :func:`nist_subset` hands the
+same functions each disjoint sequence's bytes, copied out of the stream, and
 aggregates the SP800-22 acceptance numbers: the pass rate (fraction of
 sequences with p >= 0.01) and a 10-bin chi-squared uniformity p-value over
 the per-sequence p-values.
 
-The kernels never unpack a bit a byte.  Frequency, block frequency and runs
+The tests never unpack a bit a byte.  Frequency, block frequency and runs
 count ones through a popcount table (runs counts those of x ^ (x >> 1), the
 bit across each byte edge carried in); cumulative sums walks per-byte
 tables of the net step and of the lowest and highest running sums; the
@@ -250,7 +250,7 @@ def autocorrelation(samples, max_lag: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# SP800-22 subset — kernels on packed bits, and the 0/1-array tests on them
+# SP800-22 subset — each test takes a 0/1 array or a sequence's packed bits
 # ---------------------------------------------------------------------------
 
 # each byte's bits in sequence order, least significant first as a BitStream
@@ -268,7 +268,7 @@ _STEP_WORDS = _STEPS.view(np.int64).ravel()
 
 
 class _Packed:
-    """One sequence for the kernels: ``n`` bits packed LSB first, pad bits zero.
+    """One sequence for the tests: ``n`` bits packed LSB first, pad bits zero.
 
     ``x`` (n float64) and ``spectrum`` (n // 2 + 1 complex128) are the
     spectral test's buffers, which it makes when they are None;
@@ -281,20 +281,18 @@ class _Packed:
 
     @classmethod
     def of(cls, bits) -> "_Packed":
-        eps = _check_bits(bits)
+        """``bits`` itself if it is a ``_Packed``, else its 0/1 array packed."""
+        if isinstance(bits, cls):
+            return bits
+        eps = np.asarray(bits, dtype=np.uint8)
+        if eps.ndim != 1 or eps.size == 0:
+            raise ValueError("bits must be a nonempty one-dimensional 0/1 array")
+        if eps.max() > 1:
+            raise ValueError("bits must be 0/1")
         return cls(np.packbits(eps, bitorder="little"), eps.size)
 
     def ones(self) -> int:
         return int(np.take(_POPCOUNT, self.packed).sum(dtype=np.int64))
-
-
-def _check_bits(bits) -> np.ndarray:
-    arr = np.asarray(bits, dtype=np.uint8)
-    if arr.ndim != 1 or arr.size == 0:
-        raise ValueError("bits must be a nonempty one-dimensional 0/1 array")
-    if arr.max() > 1:
-        raise ValueError("bits must be 0/1")
-    return arr
 
 
 def _sequence_bytes(data, start: int, n: int) -> np.ndarray:
@@ -309,18 +307,18 @@ def _sequence_bytes(data, start: int, n: int) -> np.ndarray:
     return packed
 
 
-def _frequency(seq: _Packed) -> float:
+def frequency_test(bits) -> float:
+    """Monobit test: p = erfc(|S_n|/sqrt(n) / sqrt(2))."""
+    seq = _Packed.of(bits)
     s = 2.0 * float(seq.ones()) - seq.n
     s_obs = abs(s) / math.sqrt(seq.n)
     return math.erfc(s_obs / math.sqrt(2.0))
 
 
-def frequency_test(bits) -> float:
-    """Monobit test: p = erfc(|S_n|/sqrt(n) / sqrt(2))."""
-    return _frequency(_Packed.of(bits))
-
-
-def _block_frequency(seq: _Packed, block_len: int = 128) -> float:
+def block_frequency_test(bits, block_len: int = 128) -> float:
+    seq = _Packed.of(bits)
+    if block_len < 1:
+        raise ValueError("block_len must be >= 1")
     n_blocks = seq.n // block_len
     if n_blocks < 1:
         raise ValueError("sequence shorter than one block")
@@ -335,11 +333,8 @@ def _block_frequency(seq: _Packed, block_len: int = 128) -> float:
     return _igamc(n_blocks / 2.0, chi_sq / 2.0)
 
 
-def block_frequency_test(bits, block_len: int = 128) -> float:
-    return _block_frequency(_Packed.of(bits), block_len)
-
-
-def _runs(seq: _Packed) -> float:
+def runs_test(bits) -> float:
+    seq = _Packed.of(bits)
     n, x = seq.n, seq.packed
     pi = seq.ones() / n
     if abs(pi - 0.5) >= 2.0 / math.sqrt(n) or pi in (0.0, 1.0):  # n < 16 admits one run
@@ -353,10 +348,6 @@ def _runs(seq: _Packed) -> float:
     num = abs(v_obs - 2.0 * n * pi * (1.0 - pi))
     den = 2.0 * math.sqrt(2.0 * n) * pi * (1.0 - pi)
     return math.erfc(num / den)
-
-
-def runs_test(bits) -> float:
-    return _runs(_Packed.of(bits))
 
 
 _LONGEST_RUN_TABLES = (
@@ -394,7 +385,9 @@ def _longest_run_counts(packed: np.ndarray, n_blocks: int, block_len: int,
     return -np.diff(at_least + [0])
 
 
-def _longest_run(seq: _Packed) -> float:
+def longest_run_test(bits) -> float:
+    """Longest-run-of-ones test; needs at least 128 bits."""
+    seq = _Packed.of(bits)
     n = seq.n
     if n < 128:
         raise ValueError("longest-run test needs at least 128 bits")
@@ -407,11 +400,6 @@ def _longest_run(seq: _Packed) -> float:
     chi_sq = float(np.sum((v - expected) ** 2 / expected))
     k = len(cats) - 1
     return _igamc(k / 2.0, chi_sq / 2.0)
-
-
-def longest_run_test(bits) -> float:
-    """Longest-run-of-ones test; needs at least 128 bits."""
-    return _longest_run(_Packed.of(bits))
 
 
 def _cusum_pvalue(z: float, n: int) -> float:
@@ -436,7 +424,9 @@ def _cusum_pvalue(z: float, n: int) -> float:
     return min(max(1.0 - term1 + term2, 0.0), 1.0)
 
 
-def _cumulative_sums(seq: _Packed) -> tuple[float, float]:
+def cumulative_sums_test(bits) -> tuple[float, float]:
+    """Cumulative-sums test, forward and reverse p-values."""
+    seq = _Packed.of(bits)
     n = seq.n
     full, tail = divmod(n, 8)
     x = seq.packed[:full]
@@ -451,12 +441,9 @@ def _cumulative_sums(seq: _Packed) -> tuple[float, float]:
     return _cusum_pvalue(float(max(-lo, hi)), n), _cusum_pvalue(float(z_rev), n)
 
 
-def cumulative_sums_test(bits) -> tuple[float, float]:
-    """Cumulative-sums test, forward and reverse p-values."""
-    return _cumulative_sums(_Packed.of(bits))
-
-
-def _spectral(seq: _Packed) -> float:
+def spectral_test(bits) -> float:
+    """Discrete Fourier transform (spectral) test."""
+    seq = _Packed.of(bits)
     n = seq.n
     x = np.empty(n) if seq.x is None else seq.x
     out = np.empty(n // 2 + 1, np.complex128) if seq.spectrum is None else seq.spectrum
@@ -475,11 +462,6 @@ def _spectral(seq: _Packed) -> float:
     n1 = int(np.count_nonzero(spectrum < threshold))
     d = (n1 - n0) / math.sqrt(n * 0.95 * 0.05 / 4.0)
     return math.erfc(abs(d) / math.sqrt(2.0))
-
-
-def spectral_test(bits) -> float:
-    """Discrete Fourier transform (spectral) test."""
-    return _spectral(_Packed.of(bits))
 
 
 @functools.lru_cache
@@ -537,7 +519,13 @@ def _psi_sq(counts: np.ndarray, n: int) -> float:
     return float(counts.size / n * np.sum(counts**2) - n)
 
 
-def _serial(seq: _Packed, m: int = 8) -> tuple[float, float]:
+def serial_test(bits, m: int = 8) -> tuple[float, float]:
+    """Serial test: p-values for the first and second psi-square differences.
+
+    For a statistically meaningful result keep m below log2(n) - 2; the hard
+    requirement is only that m-bit windows fit the sequence.
+    """
+    seq = _Packed.of(bits)
     n = seq.n
     if m < 2:
         raise ValueError("serial test needs m >= 2")
@@ -555,16 +543,13 @@ def _serial(seq: _Packed, m: int = 8) -> tuple[float, float]:
     return p1, p2
 
 
-def serial_test(bits, m: int = 8) -> tuple[float, float]:
-    """Serial test: p-values for the first and second psi-square differences.
+def approximate_entropy_test(bits, m: int = 6) -> float:
+    """Approximate-entropy test.
 
-    For a statistically meaningful result keep m below log2(n) - 2; the hard
-    requirement is only that m-bit windows fit the sequence.
+    Keep m below log2(n) - 5 for statistical validity; the hard requirement
+    is only that (m+1)-bit windows fit the sequence.
     """
-    return _serial(_Packed.of(bits), m)
-
-
-def _approximate_entropy(seq: _Packed, m: int = 6) -> float:
+    seq = _Packed.of(bits)
     n = seq.n
     if m < 1:
         raise ValueError("approximate-entropy test needs m >= 1")
@@ -579,15 +564,6 @@ def _approximate_entropy(seq: _Packed, m: int = 6) -> float:
     ap_en = phi(_fold(counts_m1)) - phi(counts_m1)
     chi_sq = 2.0 * n * (math.log(2.0) - ap_en)
     return _igamc(2 ** (m - 1), chi_sq / 2.0)
-
-
-def approximate_entropy_test(bits, m: int = 6) -> float:
-    """Approximate-entropy test.
-
-    Keep m below log2(n) - 5 for statistical validity; the hard requirement
-    is only that (m+1)-bit windows fit the sequence.
-    """
-    return _approximate_entropy(_Packed.of(bits), m)
 
 
 # ---------------------------------------------------------------------------
@@ -631,17 +607,6 @@ NIST_SUBSET_TESTS = (
     ("serial", serial_test, ("serial_1", "serial_2")),
     ("approximate_entropy", approximate_entropy_test, ("approximate_entropy",)),
 )
-# the packed kernel that each test above runs on its packed input
-_KERNELS = {
-    frequency_test: _frequency,
-    block_frequency_test: _block_frequency,
-    runs_test: _runs,
-    longest_run_test: _longest_run,
-    cumulative_sums_test: _cumulative_sums,
-    spectral_test: _spectral,
-    serial_test: _serial,
-    approximate_entropy_test: _approximate_entropy,
-}
 
 
 def nist_subset(bits, n_sequences: int, seq_len_bits: int) -> list[TestReport]:
@@ -651,9 +616,9 @@ def nist_subset(bits, n_sequences: int, seq_len_bits: int) -> list[TestReport]:
     produce two report rows.  ``seq_len_bits`` must be at least 128 so every
     test in the subset is applicable.  Each sequence's bytes are copied out
     of the stream, shifted to start at bit 0 when it starts mid-byte, and
-    every test's packed kernel runs on them in turn, so only one sequence is
-    held at a time.  The spectral test's float and spectrum buffers are made
-    once a call and reused by every sequence.
+    every function in ``NIST_SUBSET_TESTS`` runs on them in turn, so only one
+    sequence is held at a time.  The spectral test's float and spectrum
+    buffers are made once a call and reused by every sequence.
     """
     if n_sequences < 1:
         raise ValueError("n_sequences must be >= 1")
@@ -665,7 +630,7 @@ def nist_subset(bits, n_sequences: int, seq_len_bits: int) -> list[TestReport]:
     x = np.empty(seq_len_bits)
     spectrum = np.empty(seq_len_bits // 2 + 1, np.complex128)
     pvalues = np.array([  # one row per sequence, one column per report row
-        np.hstack([_KERNELS[func](seq) for _, func, _ in NIST_SUBSET_TESTS])
+        np.hstack([func(seq) for _, func, _ in NIST_SUBSET_TESTS])
         for seq in (_Packed(_sequence_bytes(bits.bits, i, seq_len_bits), seq_len_bits,
                             x, spectrum)
                     for i in range(0, n, seq_len_bits))

@@ -917,7 +917,16 @@ def test_stability_report_count_that_overflows_fails_in_one_line(
      "'sweep': samples_per_point"),
     ("calibrate", {"sweep": PIPELINE_SECTIONS["sweep"], "fringe": {"samples_per_point": 10**30}},
      "'fringe': samples_per_point"),
-], ids=["duration", "samples_per_point", "fringe_samples_per_point"])
+    ("calibrate", {"sweep": {**PIPELINE_SECTIONS["sweep"], "samples_per_point": 10**400}},
+     "'sweep': samples_per_point"),
+    ("pipeline", {**PIPELINE_SECTIONS,
+                  "pipeline": {**PIPELINE_SECTIONS["pipeline"], "n_output_bits": 10**20}},
+     "'pipeline': n_output_bits"),
+    ("pipeline", {**PIPELINE_SECTIONS,
+                  "pipeline": {**PIPELINE_SECTIONS["pipeline"], "n_output_bits": 10**400}},
+     "'pipeline': n_output_bits"),
+], ids=["duration", "samples_per_point", "fringe_samples_per_point",
+        "samples_per_point_beyond_float", "n_output_bits", "n_output_bits_beyond_float"])
 def test_sample_count_too_large_to_index_fails_in_one_line(
     tmp_path, capsys, simulate_calls, command, sections, key
 ):
@@ -930,6 +939,39 @@ def test_sample_count_too_large_to_index_fails_in_one_line(
     assert "sample count below 2**63" in err and key in err, err
     assert command == "simulate" or "duration" not in err
     assert simulate_calls == []
+
+
+def test_main_run_the_budget_cannot_size_fails_in_one_line(tmp_path, capsys, simulate_calls):
+    # ceil(7e19 / 8) samples is below 2**63, so the config loads; at
+    # an extraction ratio below 0.95 the main run needs 2**63 or more
+    sections = {**PIPELINE_SECTIONS,
+                "pipeline": {**PIPELINE_SECTIONS["pipeline"], "n_output_bits": 7 * 10**19}}
+    cfg = write_config(tmp_path, **sections)
+    rc = cli.main(["pipeline", "--config", cfg, "--out", str(tmp_path / "bits.qrng")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "'pipeline': n_output_bits must give a sample count below 2**63" in err, err
+    assert len(simulate_calls) == len(PIPELINE_SECTIONS["sweep"]["powers"])  # the sweep only
+    assert not (tmp_path / "bits.qrng").exists()
+
+
+def test_inexact_toeplitz_hash_fails_in_one_line(tmp_path, capsys, monkeypatch):
+    # four 13-bit digits a row at n_in 4096 put the counts near 2^52, where
+    # the FFT's error passes the 1/4 margin; no bits may be written
+    monkeypatch.setattr(extract, "_digits_per_row", lambda n_in, n: 4)
+    cfg = write_config(tmp_path, **{
+        **PIPELINE_SECTIONS,
+        "entropy": {**PIPELINE_SECTIONS["entropy"], "n_in": 4096},
+        "pipeline": {**PIPELINE_SECTIONS["pipeline"], "n_output_bits": 300_000},
+    })
+    out = tmp_path / "bits.qrng"
+    rc = cli.main(["pipeline", "--config", cfg, "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "Toeplitz hash inexact" in err and "1/4 margin" in err, err
+    assert not out.exists()
 
 
 def test_sample_count_no_memory_can_hold_fails_in_one_line(tmp_path, capsys, monkeypatch):

@@ -3,7 +3,7 @@
 The worked-example p-values below are the published examples from the
 SP800-22 test descriptions (rev 1a), evaluated to full precision.  Where the
 implementation is vectorised, a naive pure-Python oracle computes the same
-statistic independently.  The kernels work on packed bytes, and the
+statistic independently.  The tests work on packed bytes, and the
 longest-run, cumulative-sums, serial and approximate-entropy ones compute
 their statistics as exact small integers; the float and int64 per-bit
 formulations they replaced are kept here as references, and every p-value
@@ -537,7 +537,7 @@ def test_cusum_statistic_from_definition():
 
 
 # ---------------------------------------------------------------------------
-# the per-bit kernels the packed ones replaced, as references
+# the per-bit formulations the packed tests replaced, as references
 # ---------------------------------------------------------------------------
 
 
@@ -708,6 +708,10 @@ def test_bits_validation():
         serial_test(np.zeros(100, np.uint8), m=58)
     with pytest.raises(ValueError):
         block_frequency_test(_bits("0101"), block_len=8)
+    with pytest.raises(ValueError, match="block_len must be >= 1"):  # not ZeroDivisionError
+        block_frequency_test(np.zeros(256, np.uint8), block_len=0)
+    with pytest.raises(ValueError, match="block_len must be >= 1"):
+        block_frequency_test(np.zeros(256, np.uint8), block_len=-8)
 
 
 # ---------------------------------------------------------------------------
@@ -827,9 +831,9 @@ def test_nist_subset_holds_one_sequence_at_a_time():
 
 @pytest.mark.parametrize("seq_len_bits", [128, 1025, 2048, 100_000])
 def test_nist_subset_equals_the_tests_on_unpacked_slices(seq_len_bits):
-    # nist_subset runs the packed kernels on each sequence's bytes, shifted
-    # when it starts mid-byte (1025 bits), with its buffers and pattern counts
-    # shared; each p-value must be the one its test gives on the 0/1 slice
+    # nist_subset runs the tests on each sequence's packed bytes, shifted
+    # when it starts mid-byte (1025 bits), with the spectral buffers shared;
+    # each p-value must be the one its test gives on the 0/1 slice
     rng = np.random.default_rng(seq_len_bits)
     n_sequences = 3 if seq_len_bits == 100_000 else 9
     stream = rng.integers(0, 2, n_sequences * seq_len_bits + 5, dtype=np.uint8)
