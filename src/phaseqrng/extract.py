@@ -51,7 +51,9 @@ The output is all that grows with the input, and it is handed to the
 Security note: the hash itself is deterministic and carries no entropy
 accounting — choosing ``n_out`` within the leftover-hash budget (see
 :func:`phaseqrng.entropy.extraction_ratio`) is what makes the output close
-to uniform.
+to uniform.  That budget takes the Toeplitz seed as uniform and independent
+of the codes; ``pipeline`` draws it from PCG64 seeded with
+``pipeline.extractor_seed``, or else with ``run.seed``'s extractor sub-seed.
 """
 
 from __future__ import annotations

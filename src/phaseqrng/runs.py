@@ -192,23 +192,23 @@ def load_config(path, seed: int | None = None) -> Config:
         name: _section(name, raw[name], cls)
         for name, cls in _OPTIONAL_SECTIONS.items() if name in raw
     })
-    # each sweep or fringe point is a sub-run of samples_per_point; the main
-    # run needs more than n_output_bits / adc_bits, the ratio being below 1
-    sized = [(name, "samples_per_point", getattr(cfg, name).samples_per_point)
+    # each sweep or fringe point is a sub-run of samples_per_point; a budget
+    # keeps at least one output bit per n_in-bit block, so no fit sizes the
+    # main run above max(n_output_bits, _MIN_HEAD) blocks
+    sized = [(f"'{name}': samples_per_point", getattr(cfg, name).samples_per_point, "")
              for name in ("sweep", "fringe") if getattr(cfg, name) is not None]
     if cfg.pipeline is not None:
-        sized.append(("pipeline", "n_output_bits",
-                      -(-cfg.pipeline.n_output_bits // run.chain.adc_bits)))
-    for name, key, n_samples in sized:
+        blocks = max(cfg.pipeline.n_output_bits, _MIN_HEAD)
+        sized.append(("'pipeline': n_output_bits",
+                      max(-(-blocks * cfg.entropy.n_in // run.chain.adc_bits), _MIN_HEAD),
+                      " at entropy.n_in bits a block"))
+    for key, n_samples, per in sized:
         try:
             _sized(run, n_samples)
         except (ValueError, OverflowError):  # OverflowError: beyond float range
-            raise ConfigError(_too_large(name, key)) from None
+            raise ConfigError(f"config section {key} must give a sample count "
+                              f"below 2**63{per}") from None
     return cfg
-
-
-def _too_large(name: str, key: str) -> str:
-    return f"config section '{name}': {key} must give a sample count below 2**63"
 
 
 def _section(name: str, raw, cls, **given):
@@ -325,9 +325,10 @@ def calibrate(cfg: Config) -> Calibration:
     return Calibration(quad_phi, variances, attenuated, fit)
 
 
-# autocorrelation lags, and the values of each series they are taken over
+# autocorrelation lags, and the most and the fewest values of each series
 _MAX_LAG = 100
 _HEAD = 1_000_000
+_MIN_HEAD = stats.MIN_VALUES_PER_LAG * _MAX_LAG
 
 
 @dataclass(frozen=True)
@@ -372,15 +373,11 @@ def pipeline(cfg: Config) -> PipelineResult:
         min_entropy_override=ent.min_entropy_override,
     )
     n_out = math.floor(report.extraction_ratio * ent.n_in)
-    min_head = stats.MIN_VALUES_PER_LAG * _MAX_LAG
     blocks_needed = max(math.ceil(pipe.n_output_bits / n_out),
-                        math.ceil(min_head / n_out))
+                        math.ceil(_MIN_HEAD / n_out))
     samples_needed = max(math.ceil(blocks_needed * ent.n_in / run.chain.adc_bits),
-                         min_head)
-    try:
-        main = _sized(run, samples_needed)
-    except ValueError:
-        raise ConfigError(_too_large("pipeline", "n_output_bits")) from None
+                         _MIN_HEAD)
+    main = _sized(run, samples_needed)  # below load_config's bound
     stream = code_stream(replace(main, seed=derive_seed(run.seed, NS_PIPELINE)))
 
     ext_seed = pipe.extractor_seed

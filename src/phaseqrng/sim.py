@@ -192,16 +192,6 @@ def model_sigma(run: SimulationRun) -> float:
     return math.sqrt(var)
 
 
-def _chunk_spans(n_rows: int, chunk_rows: int, ovs: int,
-                 pad: int) -> Iterator[tuple[int, int, int]]:
-    """``(first row, internal steps, DC pad)`` of each chunk of output rows.
-
-    Only the first chunk holds the pad.
-    """
-    for r0 in range(0, n_rows, chunk_rows):
-        yield r0, (min(r0 + chunk_rows, n_rows) - r0) * ovs, max(pad - r0 * ovs, 0)
-
-
 def _analog_chain(run: SimulationRun, n_samples: int) -> Iterator[np.ndarray]:
     """Decimated analog voltage (volts) about the model DC, chunk by chunk.
 
@@ -248,25 +238,26 @@ def _analog_chain(run: SimulationRun, n_samples: int) -> Iterator[np.ndarray]:
         # E[sin(x + offset)] = sin(offset) * exp(-var(x) / 2) for Gaussian x
         dc = amp * math.sin(chain.quadrature_offset) * math.exp(-s / 2.0)
         # chunk i + 1's normals are drawn into spare while chunk i uses theta,
-        # one draw at a time on a worker the call owns; sizes runs a chunk ahead
+        # one draw at a time on a worker the call owns; the first chunk's
+        # steps are buf.size, less its DC pad
         spare = np.empty_like(theta)
-        sizes = (n_steps - n_pad for _, n_steps, n_pad
-                 in _chunk_spans(n_rows, rows.size, ovs, pad))
         pool = ThreadPoolExecutor(1)
-        draw = pool.submit(rng.standard_normal, out=theta[L : L + next(sizes)])
+        draw = pool.submit(rng.standard_normal, out=theta[L : L + buf.size - pad])
     # the AR(1) state starts at the DC, so no DC transient reaches the output
     y_last = dc
     try:
-        for r0, n_steps, n_pad in _chunk_spans(n_rows, rows.size, ovs, pad):
-            w = buf[:n_steps]
+        for r0 in range(0, n_rows, rows.size):
+            r1 = min(r0 + rows.size, n_rows)
+            n_pad = pad if r0 == 0 else 0  # only the first chunk holds the pad
+            w = buf[: (r1 - r0) * ovs]
             w[:n_pad] = dc
             v = w[n_pad:]
             j0 = r0 * ovs + n_pad - pad  # the internal step of v[0]
             if pool is not None:
                 m = v.size
                 draw.result()  # this chunk's normals are in theta[L : L + m]
-                m_next = next(sizes, 0)
-                if m_next:
+                if r1 < n_rows:  # the next chunk's rows, none of them padded
+                    m_next = (min(r1 + rows.size, n_rows) - r1) * ovs
                     draw = pool.submit(rng.standard_normal, out=spare[L : L + m_next])
                 inc = theta[L : L + m]
                 inc *= sd
@@ -333,8 +324,6 @@ def code_stream(run: SimulationRun) -> CodeStream:
     run is checked here, before any code is made.
     """
     chain = run.chain
-    if run.duration < chain.delay_td:
-        raise ValueError("duration too short to fill the delay buffer")
     n_samples = int(round(run.duration * chain.sample_rate_hz))
     if n_samples < 1:
         raise ValueError("duration shorter than one output sample")

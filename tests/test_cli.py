@@ -925,8 +925,15 @@ def test_stability_report_count_that_overflows_fails_in_one_line(
     ("pipeline", {**PIPELINE_SECTIONS,
                   "pipeline": {**PIPELINE_SECTIONS["pipeline"], "n_output_bits": 10**400}},
      "'pipeline': n_output_bits"),
+    ("pipeline", {**PIPELINE_SECTIONS,
+                  "entropy": {**PIPELINE_SECTIONS["entropy"], "n_in": 10**30}},
+     "entropy.n_in"),
+    ("pipeline", {**PIPELINE_SECTIONS,
+                  "entropy": {**PIPELINE_SECTIONS["entropy"], "n_in": 10**400}},
+     "entropy.n_in"),
 ], ids=["duration", "samples_per_point", "fringe_samples_per_point",
-        "samples_per_point_beyond_float", "n_output_bits", "n_output_bits_beyond_float"])
+        "samples_per_point_beyond_float", "n_output_bits", "n_output_bits_beyond_float",
+        "n_in", "n_in_beyond_float"])
 def test_sample_count_too_large_to_index_fails_in_one_line(
     tmp_path, capsys, simulate_calls, command, sections, key
 ):
@@ -942,8 +949,8 @@ def test_sample_count_too_large_to_index_fails_in_one_line(
 
 
 def test_main_run_the_budget_cannot_size_fails_in_one_line(tmp_path, capsys, simulate_calls):
-    # ceil(7e19 / 8) samples is below 2**63, so the config loads; at
-    # an extraction ratio below 0.95 the main run needs 2**63 or more
+    # ceil(7e19 / 8) samples is below 2**63, but a budget may keep one
+    # output bit per 1024-bit block, so the main run could need 7e19 * 128
     sections = {**PIPELINE_SECTIONS,
                 "pipeline": {**PIPELINE_SECTIONS["pipeline"], "n_output_bits": 7 * 10**19}}
     cfg = write_config(tmp_path, **sections)
@@ -952,7 +959,7 @@ def test_main_run_the_budget_cannot_size_fails_in_one_line(tmp_path, capsys, sim
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert "'pipeline': n_output_bits must give a sample count below 2**63" in err, err
-    assert len(simulate_calls) == len(PIPELINE_SECTIONS["sweep"]["powers"])  # the sweep only
+    assert simulate_calls == []  # checked at load, before the sweep
     assert not (tmp_path / "bits.qrng").exists()
 
 

@@ -421,6 +421,41 @@ def test_callers_on_several_threads_get_the_serial_codes(monkeypatch):
     assert threading.active_count() == running
 
 
+@pytest.mark.parametrize("n, chain", [
+    (1, {}),
+    (sim._CHUNK_ROWS - 1, {}),
+    (sim._CHUNK_ROWS + 1, {}),
+    (20_000, {}),  # five chunks
+    # about 7958 settle rows: the settle spans the first chunk
+    (2, {"tia_cutoff_hz": 8e4, "oversample_factor": 4}),
+    (5000, {"tia_cutoff_hz": 8e4, "oversample_factor": 4}),
+], ids=["one", "chunk-less-1", "chunk-plus-1", "five-chunks", "slow-2", "slow-5000"])
+def test_each_generator_draws_exactly_what_the_kept_samples_need(monkeypatch, n, chain):
+    # a surplus draw on the last chunk moves no code, so no digest sees it:
+    # the L-step history, then every internal step up to the last kept
+    # sample, and one electronic normal a sample
+    run = _run(duration=n / 500e6, seed=61, **chain)
+    ovs = run.oversample_factor
+    dt, _, _, _, L = _filter_gains(run.chain, ovs)
+    n_settle = int(math.ceil(8.0 / (2.0 * math.pi * run.chain.tia_cutoff_hz * dt)))
+    real_default_rng, drawn = np.random.default_rng, {}
+
+    class CountingGenerator:
+        def __init__(self, seed):
+            self._rng, self._seed = real_default_rng(seed), seed
+
+        def standard_normal(self, out):
+            drawn[self._seed] = drawn.get(self._seed, 0) + out.size
+            return self._rng.standard_normal(out=out)
+
+    monkeypatch.setattr(np.random, "default_rng", CountingGenerator)
+    assert len(simulate(run)) == n
+    assert drawn == {
+        derive_seed(run.seed, NS_PHASE): L + n_settle + 1 + (n - 1) * ovs,
+        derive_seed(run.seed, NS_ELECTRONIC): n,
+    }
+
+
 def test_samples_are_centred_and_in_range():
     block = simulate(_run(duration=2e-4, seed=41))
     assert abs(float(block.samples.mean())) < 0.5
@@ -667,8 +702,18 @@ def test_run_validation():
         _run(delay_td=100e-12, oversample_factor=4)
 
 
-def test_duration_must_fill_delay_buffer():
-    with pytest.raises(ValueError, match="too short to fill the delay buffer"):
+def test_a_run_shorter_than_the_delay_is_a_prefix_of_a_longer_run():
+    # the L-step phase history is drawn before the first chunk, so two
+    # samples at 5 GS/s, 0.4 ns in all, need no 540 ps of run
+    run = _run(duration=2 / 5e9, seed=71, sample_rate_hz=5e9)
+    assert run.duration < run.chain.delay_td
+    short = simulate(run).samples
+    assert short.size == 2
+    np.testing.assert_array_equal(
+        simulate(replace(run, duration=5000 / 5e9)).samples[:2], short
+    )
+    # at 500 MS/s a duration under the delay is under one sample
+    with pytest.raises(ValueError, match="shorter than one output sample"):
         simulate(_run(duration=1e-10))
 
 
