@@ -14,6 +14,13 @@ equal bins; a zero-mean Gaussian with std ``sigma_q`` is binned accordingly
 ``R`` and ``sigma_q`` both scale with ``sigma_total``, so ``H_inf`` depends only
 on the QCNR, ``n`` and ``range_sigmas``.
 
+The real codes clip the tails of the total signal, not of its quantum share,
+and the codes' min-entropy given any side information is at most their own.
+So the credit is capped at ``H_inf`` of ``N(0, sigma_total^2)`` on the same
+grid.  The cap binds only for a narrow range: there the quantum share's edge
+bins hold less than the total signal's.  At ``R = 5`` the uncapped term stays
+below it by ``-log2(1 + 1/QCNR) / 2``.
+
 The extractor output fraction follows the leftover hash lemma:
 ``H_inf/n  -  2*log2(1/eps)/n_in`` per raw bit, for extractor input blocks of
 ``n_in`` bits and statistical distance ``eps`` from uniform.
@@ -115,10 +122,13 @@ def min_entropy_quantum(qcnr: float, adc_bits: int, range_sigmas: float) -> floa
     """Min-entropy (bits/sample) of the quantum share, in units of the total sigma.
 
     The ADC range is +-``range_sigmas`` total sigmas, so the total variance
-    scales the range and the quantum share alike and drops out.
+    scales the range and the quantum share alike and drops out.  The credit
+    is at most the codes' own min-entropy (see the module docstring).
     """
     sigma_q = math.sqrt(quantum_variance(1.0, qcnr))
-    return min_entropy_gaussian(sigma_q, (-range_sigmas, range_sigmas), adc_bits)
+    grid = (-range_sigmas, range_sigmas)
+    return min(min_entropy_gaussian(sigma_q, grid, adc_bits),
+               min_entropy_gaussian(1.0, grid, adc_bits))
 
 
 def drifted_min_entropy(

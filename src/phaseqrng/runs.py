@@ -398,7 +398,8 @@ def pipeline(cfg: Config) -> PipelineResult:
             replace(stream, chunks=head_first(stream.chunks)), report, extractor
         )
     finally:
-        # a run the extractor left unread ends here, and its draw worker with it
+        # a run the extractor left unread ends here, and with it the draw
+        # worker that this run, streamed alone, owns
         stream.chunks.close()
     # diagnostic heads as stored (codes, bits): r ignores the ADC scale
     raw_r = raw.autocorrelation()

@@ -30,9 +30,11 @@ No output sample depends on a statistic of the whole block, so a run is a
 prefix of the same run with a longer duration.  All seven steps run in one
 pass, a fixed chunk of output rows at a time in reused buffers that carry the
 last ``L`` cumulative phases and the AR(1) state between chunks.  While the
-calling thread runs a chunk, a one-worker thread pool that the call owns
-draws the next chunk's phase normals, from the same generator in the same
-order, into a second phase buffer; one draw is in flight at a time.
+calling thread runs a chunk, a one-worker thread pool draws the next chunk's
+phase normals, from the same generator in the same order, into a second
+phase buffer; one draw is in flight at a time.  A run streamed alone owns
+its pool; :func:`simulate_variances` runs one pool for all its points, so
+it draws each point's first chunk while the point before it finishes.
 :func:`code_stream` hands out each chunk's int16 codes as they are made, so
 it holds only the chunk buffers, whatever the length or the oversampling;
 :func:`simulate` collects them into one array (2 bytes a sample).  Neither
@@ -57,6 +59,7 @@ matches ``AC P^2 + AQ P + F`` with AC, AQ, F exactly as configured.
 from __future__ import annotations
 
 import math
+from contextlib import closing
 from dataclasses import dataclass, replace
 from typing import Callable, Generator, Iterable, Iterator, NamedTuple
 
@@ -192,41 +195,126 @@ def model_sigma(run: SimulationRun) -> float:
     return math.sqrt(var)
 
 
-def _analog_chain(run: SimulationRun, n_samples: int) -> Iterator[np.ndarray]:
-    """Decimated analog voltage (volts) about the model DC, chunk by chunk.
+def _rows(run: SimulationRun, n_samples: int, dt: float) -> tuple[int, int, int]:
+    """``(pad, n_rows, chunk)`` of steps 1-5 at the internal step ``dt``.
 
-    Each chunk's output rows are a view of one reused buffer, which the next
-    chunk overwrites (see the module docstring).
+    ``pad`` DC steps lead the first internal one, ``n_rows`` output rows of
+    ``ovs`` internal samples end on the last kept sample, and a chunk holds
+    ``chunk`` of them.
     """
-    model, chain, ovs = run.model, run.chain, run.oversample_factor
-    dt, alpha, rho, kappa_d, L = _filter_gains(chain, ovs)
+    ovs = run.oversample_factor
     # settle ~8 filter time constants past the delay buffer
-    n_settle = int(math.ceil(8.0 / (2.0 * math.pi * chain.tia_cutoff_hz * dt)))
+    n_settle = int(math.ceil(8.0 / (2.0 * math.pi * run.chain.tia_cutoff_hz * dt)))
     # front-pad with the DC so that every row of ovs internal samples ends
     # on a kept one; no step after the last kept sample is computed
     pad = -(n_settle + 1) % ovs
     n_rows = (pad + n_settle + 1) // ovs + n_samples - 1
+    return pad, n_rows, min(_CHUNK_ROWS, n_rows)
+
+
+class _PhaseDraws:
+    """The phase normals of a sequence of runs, chunk by chunk, one draw ahead.
+
+    The chunk draws of the runs are walked in order, and a run without phase
+    noise has none.  A run's first draw fills its L-step history and its
+    first chunk in one call; each later chunk's normals follow the last L
+    cumulative phases of the chunk before, which :meth:`take` copies in.
+    Every draw is made on one worker thread, into the one of two buffers
+    that the caller does not hold, and the next draw, the next run's first
+    included, is submitted before the current chunk is handed out, so one
+    draw is in flight at a time.  The worker starts at the first
+    :meth:`take` and ends with :meth:`close`.
+    """
+
+    def __init__(self, runs: Iterable[SimulationRun]) -> None:
+        self._plan = self._draws(runs)
+        self._spare, self._held = np.empty(0), np.empty(0)
+        self._held_stop = 0
+        self._pool = self._next = None
+
+    @staticmethod
+    def _draws(runs: Iterable[SimulationRun]):
+        """``(generator, history, stop, size)`` of each chunk draw, in order.
+
+        The draw fills ``[history:stop]`` of a buffer of ``size``.
+        """
+        for run in runs:
+            n_samples = int(round(run.duration * run.chain.sample_rate_hz))
+            # no draws without phase noise, nor for a run under one sample,
+            # which code_stream refuses before any
+            if run.model.power_p <= 0 or n_samples < 1:
+                continue
+            ovs = run.oversample_factor
+            dt, _, _, _, L = _filter_gains(run.chain, ovs)
+            pad, n_rows, chunk = _rows(run, n_samples, dt)
+            size = L + chunk * ovs
+            rng = np.random.default_rng(derive_seed(run.seed, NS_PHASE))
+            yield rng, 0, size - pad, size  # the history, then the first chunk less its pad
+            for r0 in range(chunk, n_rows, chunk):
+                yield rng, L, L + (min(r0 + chunk, n_rows) - r0) * ovs, size
+
+    def _submit(self):
+        planned = next(self._plan, None)
+        if planned is None:
+            return None
+        rng, history, stop, size = planned
+        if self._spare.size < size:
+            self._spare = np.empty(size)
+        draw = self._pool.submit(rng.standard_normal, out=self._spare[history:stop])
+        return draw, self._spare, history, stop
+
+    def take(self) -> np.ndarray:
+        """The next chunk's phase buffer, the caller's until the next take.
+
+        ``[:L]`` holds the run's last L cumulative phases (on a run's first
+        chunk, L more normals), and the chunk's normals follow.
+        """
+        if self._pool is None:
+            from concurrent.futures import ThreadPoolExecutor
+
+            self._pool = ThreadPoolExecutor(1)
+            self._next = self._submit()
+        draw, theta, history, stop = self._next
+        draw.result()
+        if history:
+            theta[:history] = self._held[self._held_stop - history : self._held_stop]
+        self._spare, self._held, self._held_stop = self._held, theta, stop
+        self._next = self._submit()  # into the buffer just given back
+        return theta
+
+    def close(self) -> None:
+        if self._pool is not None:
+            self._pool.shutdown(wait=True, cancel_futures=True)
+
+
+def _analog_chain(run: SimulationRun, n_samples: int,
+                  draws: _PhaseDraws | None = None) -> Iterator[np.ndarray]:
+    """Decimated analog voltage (volts) about the model DC, chunk by chunk.
+
+    Each chunk's output rows are a view of one reused buffer, which the next
+    chunk overwrites (see the module docstring).  The phase normals come from
+    ``draws``, or else from a source of this run's own that ends with the
+    chunks.
+    """
+    if draws is None:
+        with closing(_PhaseDraws((run,))) as draws:
+            yield from _analog_chain(run, n_samples, draws)
+        return
+    model, chain, ovs = run.model, run.chain, run.oversample_factor
+    dt, alpha, rho, kappa_d, L = _filter_gains(chain, ovs)
+    pad, n_rows, chunk = _rows(run, n_samples, dt)
     y0 = n_rows - n_samples  # the first output row
-    rows = np.empty(min(_CHUNK_ROWS, n_rows))
-    buf = np.empty(rows.size * ovs)
+    rows = np.empty(chunk)
+    buf = np.empty(chunk * ovs)
     taps = alpha * rho ** np.arange(ovs - 1, -1, -1.0)
     r, f = rho**ovs, chain.electronic_noise_f
     noise = np.random.default_rng(derive_seed(run.seed, NS_ELECTRONIC))
     dc = 0.0
-    pool = None
     if model.power_p > 0:
-        from concurrent.futures import ThreadPoolExecutor
-
         # combined Wiener increments for the two independent phase processes,
         # whose delay difference has variance s over the L-step buffer
         s = phase_difference_variance(model, L * dt)
         sd = math.sqrt(s / L)
-        rng = np.random.default_rng(derive_seed(run.seed, NS_PHASE))
-        # theta[:L] holds the last L cumulative phases, the new ones follow
-        theta = np.empty(L + buf.size)
-        rng.standard_normal(out=theta[:L])
-        theta[:L] *= sd
-        np.cumsum(theta[:L], out=theta[:L])
         # amplitude pre-compensation: delay-buffer rounding and filter
         # attenuation of the phase-difference spectrum (see module docstring)
         amp = (
@@ -237,65 +325,53 @@ def _analog_chain(run: SimulationRun, n_samples: int) -> Iterator[np.ndarray]:
         )
         # E[sin(x + offset)] = sin(offset) * exp(-var(x) / 2) for Gaussian x
         dc = amp * math.sin(chain.quadrature_offset) * math.exp(-s / 2.0)
-        # chunk i + 1's normals are drawn into spare while chunk i uses theta,
-        # one draw at a time on a worker the call owns; the first chunk's
-        # steps are buf.size, less its DC pad
-        spare = np.empty_like(theta)
-        pool = ThreadPoolExecutor(1)
-        draw = pool.submit(rng.standard_normal, out=theta[L : L + buf.size - pad])
     # the AR(1) state starts at the DC, so no DC transient reaches the output
     y_last = dc
-    try:
-        for r0 in range(0, n_rows, rows.size):
-            r1 = min(r0 + rows.size, n_rows)
-            n_pad = pad if r0 == 0 else 0  # only the first chunk holds the pad
-            w = buf[: (r1 - r0) * ovs]
-            w[:n_pad] = dc
-            v = w[n_pad:]
-            j0 = r0 * ovs + n_pad - pad  # the internal step of v[0]
-            if pool is not None:
-                m = v.size
-                draw.result()  # this chunk's normals are in theta[L : L + m]
-                if r1 < n_rows:  # the next chunk's rows, none of them padded
-                    m_next = (min(r1 + rows.size, n_rows) - r1) * ovs
-                    draw = pool.submit(rng.standard_normal, out=spare[L : L + m_next])
-                inc = theta[L : L + m]
-                inc *= sd
-                inc[0] += theta[L - 1]
-                np.cumsum(inc, out=inc)
-                np.subtract(inc, theta[:m], out=v)
-                spare[:L] = theta[m : m + L]
-                theta, spare = spare, theta
-                v += chain.quadrature_offset
-                np.sin(v, out=v)
-                v *= amp
-            else:
-                v.fill(0.0)
-            for freq, amplitude in run.rf_tones:
-                t = (np.arange(j0, j0 + v.size) + L) * dt
-                v += amplitude * np.sin(2.0 * math.pi * freq * t)
-            # the pole read every ovs steps: an ovs-tap FIR into an AR(1) in r
-            x = rows[: w.size // ovs]
-            np.matmul(w.reshape(-1, ovs), taps, out=x)
-            x[0] += r * y_last
-            k = max(y0 - r0, 0)  # step 5 on the chunk's output rows, in order
-            if f > 0 and k < x.size:
-                e = noise.standard_normal(out=buf[: x.size - k])
-                first = int(r0 <= y0)  # the first output sample: the stationary law
-                e[:first] *= math.sqrt(f)
-                e[first:] *= math.sqrt(f * (1.0 - r * r))
-                x[k:] += e
-            # x[i] += r x[i-1] by recursive doubling (Blelloch 1990) until r = 0
-            step, r_step = 1, r
-            while step < x.size and r_step > 0.0:
-                x[step:] += np.multiply(x[:-step], r_step, out=buf[: x.size - step])
-                r_step, step = r_step * r_step, 2 * step
-            y_last = x[-1]
-            x[k:] -= dc
-            yield x[k:]
-    finally:
-        if pool is not None:
-            pool.shutdown(wait=True, cancel_futures=True)
+    for r0 in range(0, n_rows, chunk):
+        r1 = min(r0 + chunk, n_rows)
+        n_pad = pad if r0 == 0 else 0  # only the first chunk holds the pad
+        w = buf[: (r1 - r0) * ovs]
+        w[:n_pad] = dc
+        v = w[n_pad:]
+        j0 = r0 * ovs + n_pad - pad  # the internal step of v[0]
+        if model.power_p > 0:
+            m = v.size
+            theta = draws.take()  # the last L phases, then this chunk's normals
+            if r0 == 0:  # the run's first L phases
+                theta[:L] *= sd
+                np.cumsum(theta[:L], out=theta[:L])
+            inc = theta[L : L + m]
+            inc *= sd
+            inc[0] += theta[L - 1]
+            np.cumsum(inc, out=inc)
+            np.subtract(inc, theta[:m], out=v)
+            v += chain.quadrature_offset
+            np.sin(v, out=v)
+            v *= amp
+        else:
+            v.fill(0.0)
+        for freq, amplitude in run.rf_tones:
+            t = (np.arange(j0, j0 + v.size) + L) * dt
+            v += amplitude * np.sin(2.0 * math.pi * freq * t)
+        # the pole read every ovs steps: an ovs-tap FIR into an AR(1) in r
+        x = rows[: w.size // ovs]
+        np.matmul(w.reshape(-1, ovs), taps, out=x)
+        x[0] += r * y_last
+        k = max(y0 - r0, 0)  # step 5 on the chunk's output rows, in order
+        if f > 0 and k < x.size:
+            e = noise.standard_normal(out=buf[: x.size - k])
+            first = int(r0 <= y0)  # the first output sample: the stationary law
+            e[:first] *= math.sqrt(f)
+            e[first:] *= math.sqrt(f * (1.0 - r * r))
+            x[k:] += e
+        # x[i] += r x[i-1] by recursive doubling (Blelloch 1990) until r = 0
+        step, r_step = 1, r
+        while step < x.size and r_step > 0.0:
+            x[step:] += np.multiply(x[:-step], r_step, out=buf[: x.size - step])
+            r_step, step = r_step * r_step, 2 * step
+        y_last = x[-1]
+        x[k:] -= dc
+        yield x[k:]
 
 
 @dataclass(frozen=True)
@@ -304,8 +380,9 @@ class CodeStream:
 
     ``len()`` of them in all, ``_CHUNK_ROWS`` or fewer a chunk; each chunk
     is a view of one reused buffer, valid until the next is read.  A run
-    with phase noise draws on a one-worker thread pool, shut down with
-    ``chunks``: when it is read to the end, raises, is closed or is collected.
+    with phase noise, streamed alone, draws on a one-worker thread pool of
+    its own, shut down with ``chunks``: when it is read to the end, raises,
+    is closed or is collected.
     """
 
     chunks: Generator[np.ndarray, None, None]
@@ -317,7 +394,7 @@ class CodeStream:
         return self.n_samples
 
 
-def code_stream(run: SimulationRun) -> CodeStream:
+def code_stream(run: SimulationRun, *, _draws: _PhaseDraws | None = None) -> CodeStream:
     """The run's codes as a stream; bit-identical for identical runs.
 
     A run's codes are a prefix of the same run with a longer duration.  The
@@ -335,16 +412,16 @@ def code_stream(run: SimulationRun) -> CodeStream:
 
     half_range = chain.adc_range_sigmas * sigma_configured
     adc_scale = 2.0 * half_range / (1 << chain.adc_bits)
-    return CodeStream(_quantise(run, n_samples, adc_scale), n_samples,
+    return CodeStream(_quantise(run, n_samples, adc_scale, _draws), n_samples,
                       chain.adc_bits, adc_scale)
 
 
-def _quantise(run: SimulationRun, n_samples: int,
-              adc_scale: float) -> Generator[np.ndarray, None, None]:
+def _quantise(run: SimulationRun, n_samples: int, adc_scale: float,
+              draws: _PhaseDraws | None) -> Generator[np.ndarray, None, None]:
     """Steps 6-7 on each chunk of :func:`_analog_chain`, into one int16 buffer."""
     half = 1 << (run.chain.adc_bits - 1)
     codes = np.empty(min(_CHUNK_ROWS, n_samples), np.int16)
-    for x in _analog_chain(run, n_samples):
+    for x in _analog_chain(run, n_samples, draws):
         x /= adc_scale
         np.rint(x, out=x)
         np.clip(x, -half, half - 1, out=x)
@@ -353,9 +430,9 @@ def _quantise(run: SimulationRun, n_samples: int,
         yield chunk
 
 
-def simulate(run: SimulationRun) -> SampleBlock:
+def simulate(run: SimulationRun, *, _draws: _PhaseDraws | None = None) -> SampleBlock:
     """Produce one SampleBlock: the codes of :func:`code_stream`, collected."""
-    stream = code_stream(run)
+    stream = code_stream(run, _draws=_draws)
     codes = np.empty(len(stream), np.int16)
     i = 0
     for chunk in stream.chunks:
@@ -380,15 +457,14 @@ def simulate_variances(
 
     Point ``i`` runs with seed ``derive_seed(run.seed, namespace, i)``.  The
     points are independent of each other; every sweep, fringe and stability
-    point is measured here.
+    point is measured here, one :func:`simulate` call each.  One draw worker
+    serves the whole loop, so each point's first chunk is drawn while the
+    point before it finishes.
     """
-    return [
-        simulate(
-            replace(run, model=model, chain=chain,
-                    seed=derive_seed(run.seed, namespace, i))
-        ).variance_volts()
-        for i, (model, chain) in enumerate(variants)
-    ]
+    runs = [replace(run, model=model, chain=chain, seed=derive_seed(run.seed, namespace, i))
+            for i, (model, chain) in enumerate(variants)]
+    with closing(_PhaseDraws(runs)) as draws:
+        return [simulate(sub, _draws=draws).variance_volts() for sub in runs]
 
 
 def simulate_stability(

@@ -584,9 +584,9 @@ def simulate_calls(monkeypatch):
     calls = []
     real_code_stream = sim.code_stream
 
-    def counting_code_stream(run):
+    def counting_code_stream(run, *args, **kwargs):
         calls.append(run)
-        return real_code_stream(run)
+        return real_code_stream(run, *args, **kwargs)
 
     # the sweep points' ``simulate`` streams through sim's, the main run
     # through runs' own name for it
@@ -987,8 +987,8 @@ def test_sample_count_no_memory_can_hold_fails_in_one_line(tmp_path, capsys, mon
     streams = []
     real_code_stream = sim.code_stream
 
-    def recording_code_stream(run):
-        streams.append(real_code_stream(run))
+    def recording_code_stream(run, *args, **kwargs):
+        streams.append(real_code_stream(run, *args, **kwargs))
         return streams[-1]
 
     monkeypatch.setattr(sim, "code_stream", recording_code_stream)

@@ -238,14 +238,32 @@ def test_generation_rate_values():
     range_sigmas=st.floats(min_value=0.5, max_value=10.0),
 )
 def test_min_entropy_quantum_is_free_of_the_variance(sigma_sq, qcnr, adc_bits, range_sigmas):
-    # the ADC range and the quantum share both scale with the total sigma
+    # the ADC range, the quantum share and the total signal all scale with
+    # the total sigma
     v_half = range_sigmas * math.sqrt(sigma_sq)
-    scaled = min_entropy_gaussian(
-        math.sqrt(quantum_variance(sigma_sq, qcnr)), (-v_half, v_half), adc_bits
+    grid = (-v_half, v_half)
+    scaled = min(
+        min_entropy_gaussian(math.sqrt(quantum_variance(sigma_sq, qcnr)), grid, adc_bits),
+        min_entropy_gaussian(math.sqrt(sigma_sq), grid, adc_bits),
     )
     assert min_entropy_quantum(qcnr, adc_bits, range_sigmas) == pytest.approx(
         scaled, rel=1e-11
     )
+
+
+@given(
+    qcnr=st.floats(min_value=1e-3, max_value=1e3),
+    adc_bits=st.integers(min_value=1, max_value=16),
+    range_sigmas=st.floats(min_value=0.5, max_value=10.0),
+)
+def test_min_entropy_quantum_never_exceeds_the_codes_own(qcnr, adc_bits, range_sigmas):
+    # the codes clip the total signal, and no side information raises their
+    # min-entropy: the oracle bins N(0, 1) on the same grid, every bin
+    edges = np.linspace(-range_sigmas, range_sigmas, (1 << adc_bits) + 1)
+    probs = np.diff(norm.cdf(edges))
+    probs[[0, -1]] += norm.cdf(-range_sigmas)
+    codes_own = -math.log2(probs.max())
+    assert min_entropy_quantum(qcnr, adc_bits, range_sigmas) <= codes_own + 1e-12
 
 
 # ---------------------------------------------------------------------------

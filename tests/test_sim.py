@@ -320,7 +320,8 @@ def test_simulate_peak_memory_does_not_grow_with_oversampling():
 
 
 # ---------------------------------------------------------------------------
-# the phase draws' helper thread: one per call, gone when the call ends
+# the phase draws' helper thread: one per streamed run or point loop, gone
+# when it ends
 # ---------------------------------------------------------------------------
 
 # 20000 samples are five default chunks; the digest was recorded with every
@@ -431,13 +432,15 @@ def test_callers_on_several_threads_get_the_serial_codes(monkeypatch):
     (5000, {"tia_cutoff_hz": 8e4, "oversample_factor": 4}),
 ], ids=["one", "chunk-less-1", "chunk-plus-1", "five-chunks", "slow-2", "slow-5000"])
 def test_each_generator_draws_exactly_what_the_kept_samples_need(monkeypatch, n, chain):
-    # a surplus draw on the last chunk moves no code, so no digest sees it:
-    # the L-step history, then every internal step up to the last kept
-    # sample, and one electronic normal a sample
+    # a surplus draw on the last chunk moves no code, so no digest sees it
     run = _run(duration=n / 500e6, seed=61, **chain)
-    ovs = run.oversample_factor
-    dt, _, _, _, L = _filter_gains(run.chain, ovs)
-    n_settle = int(math.ceil(8.0 / (2.0 * math.pi * run.chain.tia_cutoff_hz * dt)))
+    drawn = _count_draws(monkeypatch)
+    assert len(simulate(run)) == n
+    assert drawn == _kept_draws(run)
+
+
+def _count_draws(monkeypatch) -> dict:
+    """Normals drawn per generator seed from here on, filled in as they are drawn."""
     real_default_rng, drawn = np.random.default_rng, {}
 
     class CountingGenerator:
@@ -449,11 +452,117 @@ def test_each_generator_draws_exactly_what_the_kept_samples_need(monkeypatch, n,
             return self._rng.standard_normal(out=out)
 
     monkeypatch.setattr(np.random, "default_rng", CountingGenerator)
-    assert len(simulate(run)) == n
-    assert drawn == {
-        derive_seed(run.seed, NS_PHASE): L + n_settle + 1 + (n - 1) * ovs,
-        derive_seed(run.seed, NS_ELECTRONIC): n,
-    }
+    return drawn
+
+
+def _kept_draws(run) -> dict:
+    """The normals per seed that ``run``'s kept samples need: the L-step
+    history, then every internal step up to the last kept sample, and one
+    electronic normal a sample."""
+    n = int(round(run.duration * run.chain.sample_rate_hz))
+    ovs = run.oversample_factor
+    dt, _, _, _, L = _filter_gains(run.chain, ovs)
+    n_settle = int(math.ceil(8.0 / (2.0 * math.pi * run.chain.tia_cutoff_hz * dt)))
+    drawn = {derive_seed(run.seed, NS_ELECTRONIC): n}
+    if run.model.power_p > 0:
+        drawn[derive_seed(run.seed, NS_PHASE)] = L + n_settle + 1 + (n - 1) * ovs
+    return drawn
+
+
+# a point loop over two powers with a dead point between, the 80 kHz chain
+# whose settle spans the first chunk, and two samples (the fewest a variance
+# takes) at a low output rate, all in one draw; every other point spans three
+# default chunks
+LOOP_RUN = _run(duration=9001 / 500e6, seed=71, oversample_factor=4)
+LOOP_VARIANTS = [
+    (make_ref_model(P_REF), _chain()),
+    (make_ref_model(0.0), _chain()),
+    (make_ref_model(4 * P_REF), _chain(quadrature_offset=0.3)),
+    (make_ref_model(P_REF), _chain(tia_cutoff_hz=8e4)),
+    (make_ref_model(P_REF), _chain(sample_rate_hz=2 * 500e6 / 9001, delay_td=2e-5)),
+]
+
+
+def _loop_points(namespace):
+    return [replace(LOOP_RUN, model=model, chain=chain,
+                    seed=derive_seed(LOOP_RUN.seed, namespace, i))
+            for i, (model, chain) in enumerate(LOOP_VARIANTS)]
+
+
+def test_a_point_loop_gives_each_point_its_own_variance_bit_for_bit(monkeypatch):
+    # one draw worker serves the loop, drawing each point's first chunk
+    # while the point before finishes; each point must read as if simulated
+    # alone, and draw no normal more
+    points = _loop_points(NS_STABILITY)
+    assert [len(simulate(sub)) for sub in points] == [9001] * 4 + [2]
+    expected = [simulate(sub).variance_volts() for sub in points]
+    drawn = _count_draws(monkeypatch)
+    assert simulate_variances(LOOP_RUN, NS_STABILITY, LOOP_VARIANTS) == expected
+    assert drawn == {k: v for sub in points for k, v in _kept_draws(sub).items()}
+
+
+def test_point_loops_on_several_threads_get_the_serial_variances(monkeypatch):
+    # two loops and their workers on two cores, switching often, with a
+    # hand-off every 64 rows: a point that read another point's draws, or a
+    # buffer drawn over while in use, moves a variance
+    monkeypatch.setattr(sim, "_CHUNK_ROWS", 64)
+    expected = {ns: [simulate(sub).variance_volts() for sub in _loop_points(ns)]
+                for ns in (NS_STABILITY, NS_FRINGE)}
+    namespaces = iter(expected)
+
+    def call():
+        ns = next(namespaces)
+        return ns, simulate_variances(LOOP_RUN, ns, LOOP_VARIANTS)
+
+    running, interval = threading.active_count(), sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        results = on_threads(call, 2, timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert dict(results) == expected
+    assert threading.active_count() == running
+
+
+def test_a_point_loop_starts_one_draw_worker_and_ends_it(monkeypatch):
+    import concurrent.futures
+
+    real_pool, made = concurrent.futures.ThreadPoolExecutor, []
+
+    def counting_pool(*args, **kwargs):
+        made.append(real_pool(*args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", counting_pool)
+    running = threading.active_count()
+    simulate_variances(LOOP_RUN, NS_STABILITY, LOOP_VARIANTS)
+    assert len(made) == 1
+    assert threading.active_count() == running
+
+
+def test_a_failed_draw_in_a_point_loop_reaches_the_caller_and_leaves_no_thread(monkeypatch):
+    # point 2's first draw is made on the worker while point 1 finishes
+    failing = derive_seed(derive_seed(LOOP_RUN.seed, NS_STABILITY, 2), NS_PHASE)
+    real_default_rng, failed_off_caller = np.random.default_rng, []
+
+    class FailingGenerator:
+        def __init__(self, seed):
+            self._rng, self._seed = real_default_rng(seed), seed
+            self._maker = threading.get_ident()
+
+        def standard_normal(self, out):
+            if self._seed == failing:
+                failed_off_caller.append(threading.get_ident() != self._maker)
+                raise RuntimeError("point 2's draw failed")
+            return self._rng.standard_normal(out=out)
+
+    running = threading.active_count()
+    monkeypatch.setattr(np.random, "default_rng", FailingGenerator)
+    [error] = on_threads(
+        lambda: simulate_variances(LOOP_RUN, NS_STABILITY, LOOP_VARIANTS), 1)
+    assert isinstance(error, RuntimeError) and "point 2" in str(error)
+    assert failed_off_caller == [True]
+    assert threading.active_count() == running
 
 
 def test_samples_are_centred_and_in_range():
