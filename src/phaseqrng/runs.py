@@ -192,15 +192,18 @@ def load_config(path, seed: int | None = None) -> Config:
         name: _section(name, raw[name], cls)
         for name, cls in _OPTIONAL_SECTIONS.items() if name in raw
     })
+    # every stability point is one run of run.duration, and a variance takes
+    # two samples
+    if cfg.stability is not None and run.n_samples < 2:
+        raise ConfigError("config section 'run': duration must give at least 2 "
+                          "samples at chain.sample_rate_hz for a 'stability' variance")
     # each sweep or fringe point is a sub-run of samples_per_point; a budget
     # keeps at least one output bit per n_in-bit block, so no fit sizes the
-    # main run above max(n_output_bits, _MIN_HEAD) blocks
+    # main run above its size at n_out = 1
     sized = [(f"'{name}': samples_per_point", getattr(cfg, name).samples_per_point, "")
              for name in ("sweep", "fringe") if getattr(cfg, name) is not None]
     if cfg.pipeline is not None:
-        blocks = max(cfg.pipeline.n_output_bits, _MIN_HEAD)
-        sized.append(("'pipeline': n_output_bits",
-                      max(-(-blocks * cfg.entropy.n_in // run.chain.adc_bits), _MIN_HEAD),
+        sized.append(("'pipeline': n_output_bits", _main_samples(cfg, 1),
                       " at entropy.n_in bits a block"))
     for key, n_samples, per in sized:
         try:
@@ -331,6 +334,14 @@ _HEAD = 1_000_000
 _MIN_HEAD = stats.MIN_VALUES_PER_LAG * _MAX_LAG
 
 
+def _main_samples(cfg: Config, n_out: int) -> int:
+    """The main run's sample count at ``n_out`` output bits a block: whole
+    ``n_in``-bit blocks for ``n_output_bits`` and for the autocorrelation
+    head, and never fewer samples than the head."""
+    blocks = -(-max(cfg.pipeline.n_output_bits, _MIN_HEAD) // n_out)
+    return max(-(-blocks * cfg.entropy.n_in // cfg.run.chain.adc_bits), _MIN_HEAD)
+
+
 @dataclass(frozen=True)
 class PipelineResult:
     """Result of :func:`pipeline`."""
@@ -373,11 +384,7 @@ def pipeline(cfg: Config) -> PipelineResult:
         min_entropy_override=ent.min_entropy_override,
     )
     n_out = math.floor(report.extraction_ratio * ent.n_in)
-    blocks_needed = max(math.ceil(pipe.n_output_bits / n_out),
-                        math.ceil(_MIN_HEAD / n_out))
-    samples_needed = max(math.ceil(blocks_needed * ent.n_in / run.chain.adc_bits),
-                         _MIN_HEAD)
-    main = _sized(run, samples_needed)  # below load_config's bound
+    main = _sized(run, _main_samples(cfg, n_out))  # below load_config's bound
     stream = code_stream(replace(main, seed=derive_seed(run.seed, NS_PIPELINE)))
 
     ext_seed = pipe.extractor_seed

@@ -28,13 +28,14 @@ then per output sample:
 
 No output sample depends on a statistic of the whole block, so a run is a
 prefix of the same run with a longer duration.  All seven steps run in one
-pass, a fixed chunk of output rows at a time in reused buffers that carry the
-last ``L`` cumulative phases and the AR(1) state between chunks.  While the
-calling thread runs a chunk, a one-worker thread pool draws the next chunk's
-phase normals, from the same generator in the same order, into a second
-phase buffer; one draw is in flight at a time.  A run streamed alone owns
-its pool; :func:`simulate_variances` runs one pool for all its points, so
-it draws each point's first chunk while the point before it finishes.
+pass, a chunk of output rows at a time (:func:`_chunks` lays them out), in
+reused buffers that carry the last ``L`` cumulative phases and the AR(1)
+state between chunks.  The phase normals come from a Python generator,
+:func:`_phase_draws`: while the calling thread runs a chunk, its one-worker
+thread pool draws the next chunk's, from the same NumPy generator in the
+same order, into a second buffer.  A run streamed alone has a source of its
+own; :func:`simulate_variances` shares one across its points, so each
+point's first chunk is drawn while the point before it finishes.
 :func:`code_stream` hands out each chunk's int16 codes as they are made, so
 it holds only the chunk buffers, whatever the length or the oversampling;
 :func:`simulate` collects them into one array (2 bytes a sample).  Neither
@@ -111,6 +112,11 @@ class SimulationRun:
     oversample_factor: int = 8
     seed: int = 0
     rf_tones: tuple[tuple[float, float], ...] = ()
+
+    @property
+    def n_samples(self) -> int:
+        """Output samples in ``duration``, rounded to the nearest."""
+        return int(round(self.duration * self.chain.sample_rate_hz))
 
     def __post_init__(self) -> None:
         # a count of 2**63 or more cannot size an array
@@ -195,12 +201,13 @@ def model_sigma(run: SimulationRun) -> float:
     return math.sqrt(var)
 
 
-def _rows(run: SimulationRun, n_samples: int, dt: float) -> tuple[int, int, int]:
-    """``(pad, n_rows, chunk)`` of steps 1-5 at the internal step ``dt``.
+def _chunks(run: SimulationRun, n_samples: int, dt: float) -> Iterator[tuple[int, int, int]]:
+    """``(r0, r1, pad)`` of each chunk of steps 1-5 at the internal step ``dt``.
 
-    ``pad`` DC steps lead the first internal one, ``n_rows`` output rows of
-    ``ovs`` internal samples end on the last kept sample, and a chunk holds
-    ``chunk`` of them.
+    The chunk holds output rows ``[r0, r1)`` of ``ovs`` internal samples,
+    each ending on a kept sample's step; row ``i`` ends on output sample
+    ``i``, and the rows before 0 settle the filter.  The first chunk, the
+    longest, leads with ``pad`` DC steps; the others have none.
     """
     ovs = run.oversample_factor
     # settle ~8 filter time constants past the delay buffer
@@ -208,87 +215,60 @@ def _rows(run: SimulationRun, n_samples: int, dt: float) -> tuple[int, int, int]
     # front-pad with the DC so that every row of ovs internal samples ends
     # on a kept one; no step after the last kept sample is computed
     pad = -(n_settle + 1) % ovs
-    n_rows = (pad + n_settle + 1) // ovs + n_samples - 1
-    return pad, n_rows, min(_CHUNK_ROWS, n_rows)
+    settle = (pad + n_settle + 1) // ovs - 1
+    for r0 in range(-settle, n_samples, _CHUNK_ROWS):
+        yield r0, min(r0 + _CHUNK_ROWS, n_samples), pad if r0 == -settle else 0
 
 
-class _PhaseDraws:
-    """The phase normals of a sequence of runs, chunk by chunk, one draw ahead.
+def _phase_draws(runs: Iterable[SimulationRun]) -> Generator[np.ndarray, None, None]:
+    """Each chunk's phase buffer for a sequence of runs, drawn one ahead.
 
-    The chunk draws of the runs are walked in order, and a run without phase
-    noise has none.  A run's first draw fills its L-step history and its
-    first chunk in one call; each later chunk's normals follow the last L
-    cumulative phases of the chunk before, which :meth:`take` copies in.
-    Every draw is made on one worker thread, into the one of two buffers
-    that the caller does not hold, and the next draw, the next run's first
-    included, is submitted before the current chunk is handed out, so one
-    draw is in flight at a time.  The worker starts at the first
-    :meth:`take` and ends with :meth:`close`.
+    A buffer is the caller's until it takes the next: ``[:L]`` holds the
+    run's last L cumulative phases (on its first chunk, L more normals), then
+    the chunk's normals; a run without phase noise has none.  One worker
+    thread draws the next chunk, the next run's first included, into the
+    other buffer before a chunk is handed out, so one draw is in flight at a
+    time.  It starts at the first chunk and ends with the generator.
     """
+    from concurrent.futures import ThreadPoolExecutor
 
-    def __init__(self, runs: Iterable[SimulationRun]) -> None:
-        self._plan = self._draws(runs)
-        self._spare, self._held = np.empty(0), np.empty(0)
-        self._held_stop = 0
-        self._pool = self._next = None
-
-    @staticmethod
-    def _draws(runs: Iterable[SimulationRun]):
-        """``(generator, history, stop, size)`` of each chunk draw, in order.
-
-        The draw fills ``[history:stop]`` of a buffer of ``size``.
-        """
+    def submitted():  # each chunk's draw, submitted into the spare buffer when read
+        nonlocal spare
         for run in runs:
-            n_samples = int(round(run.duration * run.chain.sample_rate_hz))
-            # no draws without phase noise, nor for a run under one sample,
-            # which code_stream refuses before any
-            if run.model.power_p <= 0 or n_samples < 1:
+            # a run under one sample is refused by code_stream before any draw
+            if run.model.power_p <= 0 or run.n_samples < 1:
                 continue
             ovs = run.oversample_factor
             dt, _, _, _, L = _filter_gains(run.chain, ovs)
-            pad, n_rows, chunk = _rows(run, n_samples, dt)
-            size = L + chunk * ovs
             rng = np.random.default_rng(derive_seed(run.seed, NS_PHASE))
-            yield rng, 0, size - pad, size  # the history, then the first chunk less its pad
-            for r0 in range(chunk, n_rows, chunk):
-                yield rng, L, L + (min(r0 + chunk, n_rows) - r0) * ovs, size
+            history = size = 0  # the first draw fills the history too
+            for r0, r1, pad in _chunks(run, run.n_samples, dt):
+                size = size or L + (r1 - r0) * ovs  # the first chunk's, for all
+                if spare.size < size:
+                    spare = np.empty(size)
+                stop = L + (r1 - r0) * ovs - pad
+                draw = pool.submit(rng.standard_normal, out=spare[history:stop])
+                yield draw, spare, history, stop
+                history = L
 
-    def _submit(self):
-        planned = next(self._plan, None)
-        if planned is None:
-            return None
-        rng, history, stop, size = planned
-        if self._spare.size < size:
-            self._spare = np.empty(size)
-        draw = self._pool.submit(rng.standard_normal, out=self._spare[history:stop])
-        return draw, self._spare, history, stop
-
-    def take(self) -> np.ndarray:
-        """The next chunk's phase buffer, the caller's until the next take.
-
-        ``[:L]`` holds the run's last L cumulative phases (on a run's first
-        chunk, L more normals), and the chunk's normals follow.
-        """
-        if self._pool is None:
-            from concurrent.futures import ThreadPoolExecutor
-
-            self._pool = ThreadPoolExecutor(1)
-            self._next = self._submit()
-        draw, theta, history, stop = self._next
-        draw.result()
-        if history:
-            theta[:history] = self._held[self._held_stop - history : self._held_stop]
-        self._spare, self._held, self._held_stop = self._held, theta, stop
-        self._next = self._submit()  # into the buffer just given back
-        return theta
-
-    def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=True, cancel_futures=True)
+    spare, held, held_stop = np.empty(0), np.empty(0), 0
+    draws = submitted()
+    pool = ThreadPoolExecutor(1)
+    try:
+        pending = next(draws, None)
+        while pending is not None:
+            draw, theta, history, stop = pending
+            draw.result()
+            theta[:history] = held[held_stop - history : held_stop]
+            spare, held, held_stop = held, theta, stop
+            pending = next(draws, None)  # into the buffer just given back
+            yield theta
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
 
 
 def _analog_chain(run: SimulationRun, n_samples: int,
-                  draws: _PhaseDraws | None = None) -> Iterator[np.ndarray]:
+                  draws: Iterator[np.ndarray] | None = None) -> Iterator[np.ndarray]:
     """Decimated analog voltage (volts) about the model DC, chunk by chunk.
 
     Each chunk's output rows are a view of one reused buffer, which the next
@@ -297,15 +277,11 @@ def _analog_chain(run: SimulationRun, n_samples: int,
     chunks.
     """
     if draws is None:
-        with closing(_PhaseDraws((run,))) as draws:
+        with closing(_phase_draws((run,))) as draws:
             yield from _analog_chain(run, n_samples, draws)
         return
     model, chain, ovs = run.model, run.chain, run.oversample_factor
     dt, alpha, rho, kappa_d, L = _filter_gains(chain, ovs)
-    pad, n_rows, chunk = _rows(run, n_samples, dt)
-    y0 = n_rows - n_samples  # the first output row
-    rows = np.empty(chunk)
-    buf = np.empty(chunk * ovs)
     taps = alpha * rho ** np.arange(ovs - 1, -1, -1.0)
     r, f = rho**ovs, chain.electronic_noise_f
     noise = np.random.default_rng(derive_seed(run.seed, NS_ELECTRONIC))
@@ -327,17 +303,17 @@ def _analog_chain(run: SimulationRun, n_samples: int,
         dc = amp * math.sin(chain.quadrature_offset) * math.exp(-s / 2.0)
     # the AR(1) state starts at the DC, so no DC transient reaches the output
     y_last = dc
-    for r0 in range(0, n_rows, chunk):
-        r1 = min(r0 + chunk, n_rows)
-        n_pad = pad if r0 == 0 else 0  # only the first chunk holds the pad
+    j0 = 0  # the internal step of v[0]
+    for r0, r1, pad in _chunks(run, n_samples, dt):
+        if j0 == 0:  # the first chunk, the longest
+            rows, buf = np.empty(r1 - r0), np.empty((r1 - r0) * ovs)
         w = buf[: (r1 - r0) * ovs]
-        w[:n_pad] = dc
-        v = w[n_pad:]
-        j0 = r0 * ovs + n_pad - pad  # the internal step of v[0]
+        w[:pad] = dc
+        v = w[pad:]
         if model.power_p > 0:
             m = v.size
-            theta = draws.take()  # the last L phases, then this chunk's normals
-            if r0 == 0:  # the run's first L phases
+            theta = next(draws)  # the last L phases, then this chunk's normals
+            if j0 == 0:  # the run's first L phases
                 theta[:L] *= sd
                 np.cumsum(theta[:L], out=theta[:L])
             inc = theta[L : L + m]
@@ -357,10 +333,10 @@ def _analog_chain(run: SimulationRun, n_samples: int,
         x = rows[: w.size // ovs]
         np.matmul(w.reshape(-1, ovs), taps, out=x)
         x[0] += r * y_last
-        k = max(y0 - r0, 0)  # step 5 on the chunk's output rows, in order
+        k = max(-r0, 0)  # step 5 on the chunk's output rows, in order
         if f > 0 and k < x.size:
             e = noise.standard_normal(out=buf[: x.size - k])
-            first = int(r0 <= y0)  # the first output sample: the stationary law
+            first = int(r0 <= 0)  # the first output sample: the stationary law
             e[:first] *= math.sqrt(f)
             e[first:] *= math.sqrt(f * (1.0 - r * r))
             x[k:] += e
@@ -371,6 +347,7 @@ def _analog_chain(run: SimulationRun, n_samples: int,
             r_step, step = r_step * r_step, 2 * step
         y_last = x[-1]
         x[k:] -= dc
+        j0 += v.size
         yield x[k:]
 
 
@@ -380,9 +357,9 @@ class CodeStream:
 
     ``len()`` of them in all, ``_CHUNK_ROWS`` or fewer a chunk; each chunk
     is a view of one reused buffer, valid until the next is read.  A run
-    with phase noise, streamed alone, draws on a one-worker thread pool of
-    its own, shut down with ``chunks``: when it is read to the end, raises,
-    is closed or is collected.
+    with phase noise, streamed alone, has a :func:`_phase_draws` source of
+    its own, whose one-worker thread pool is shut down with ``chunks``: when
+    it is read to the end, raises, is closed or is collected.
     """
 
     chunks: Generator[np.ndarray, None, None]
@@ -394,14 +371,14 @@ class CodeStream:
         return self.n_samples
 
 
-def code_stream(run: SimulationRun, *, _draws: _PhaseDraws | None = None) -> CodeStream:
+def code_stream(run: SimulationRun, *, _draws: Iterator[np.ndarray] | None = None) -> CodeStream:
     """The run's codes as a stream; bit-identical for identical runs.
 
     A run's codes are a prefix of the same run with a longer duration.  The
-    run is checked here, before any code is made.
+    run is checked here, before any code is made.  The phase normals come
+    from ``_draws``, a point loop's :func:`_phase_draws`, or a source of its own.
     """
-    chain = run.chain
-    n_samples = int(round(run.duration * chain.sample_rate_hz))
+    chain, n_samples = run.chain, run.n_samples
     if n_samples < 1:
         raise ValueError("duration shorter than one output sample")
 
@@ -417,7 +394,7 @@ def code_stream(run: SimulationRun, *, _draws: _PhaseDraws | None = None) -> Cod
 
 
 def _quantise(run: SimulationRun, n_samples: int, adc_scale: float,
-              draws: _PhaseDraws | None) -> Generator[np.ndarray, None, None]:
+              draws: Iterator[np.ndarray] | None) -> Generator[np.ndarray, None, None]:
     """Steps 6-7 on each chunk of :func:`_analog_chain`, into one int16 buffer."""
     half = 1 << (run.chain.adc_bits - 1)
     codes = np.empty(min(_CHUNK_ROWS, n_samples), np.int16)
@@ -430,7 +407,7 @@ def _quantise(run: SimulationRun, n_samples: int, adc_scale: float,
         yield chunk
 
 
-def simulate(run: SimulationRun, *, _draws: _PhaseDraws | None = None) -> SampleBlock:
+def simulate(run: SimulationRun, *, _draws: Iterator[np.ndarray] | None = None) -> SampleBlock:
     """Produce one SampleBlock: the codes of :func:`code_stream`, collected."""
     stream = code_stream(run, _draws=_draws)
     codes = np.empty(len(stream), np.int16)
@@ -457,13 +434,14 @@ def simulate_variances(
 
     Point ``i`` runs with seed ``derive_seed(run.seed, namespace, i)``.  The
     points are independent of each other; every sweep, fringe and stability
-    point is measured here, one :func:`simulate` call each.  One draw worker
-    serves the whole loop, so each point's first chunk is drawn while the
-    point before it finishes.
+    point is measured here, one :func:`simulate` call each.  One
+    :func:`_phase_draws` source serves the whole loop and ends with it, so
+    each point's first chunk is drawn while the point before it finishes; a
+    loop without phase noise starts no worker.
     """
     runs = [replace(run, model=model, chain=chain, seed=derive_seed(run.seed, namespace, i))
             for i, (model, chain) in enumerate(variants)]
-    with closing(_PhaseDraws(runs)) as draws:
+    with closing(_phase_draws(runs)) as draws:
         return [simulate(sub, _draws=draws).variance_volts() for sub in runs]
 
 

@@ -292,6 +292,8 @@ def _with(section: str, **values) -> dict:
         ("simulate", "run", _with("run", duration=1e300)),
         ("simulate", "chain", _with("chain", conversion_gain_a=-1.0)),
         ("pipeline", "model", _with("model", power_p=0.0)),
+        # one sample a stability point, and a variance takes two
+        ("stability", "run", _with("run", duration=2e-9)),
     ],
 )
 def test_known_bad_configs_fail_before_simulation(command, section, cfg):

@@ -525,6 +525,8 @@ def test_point_loops_on_several_threads_get_the_serial_variances(monkeypatch):
 
 
 def test_a_point_loop_starts_one_draw_worker_and_ends_it(monkeypatch):
+    # a loop whose points have no phase noise has nothing to draw, so it
+    # starts no worker at all
     import concurrent.futures
 
     real_pool, made = concurrent.futures.ThreadPoolExecutor, []
@@ -534,10 +536,13 @@ def test_a_point_loop_starts_one_draw_worker_and_ends_it(monkeypatch):
         return made[-1]
 
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", counting_pool)
-    running = threading.active_count()
-    simulate_variances(LOOP_RUN, NS_STABILITY, LOOP_VARIANTS)
-    assert len(made) == 1
-    assert threading.active_count() == running
+    dark = [(make_ref_model(0.0), chain) for _, chain in LOOP_VARIANTS]
+    for variants, workers in ((LOOP_VARIANTS, 1), (dark, 0)):
+        made.clear()
+        running = threading.active_count()
+        simulate_variances(LOOP_RUN, NS_STABILITY, variants)
+        assert len(made) == workers, variants
+        assert threading.active_count() == running
 
 
 def test_a_failed_draw_in_a_point_loop_reaches_the_caller_and_leaves_no_thread(monkeypatch):
